@@ -10,9 +10,6 @@ from .model import (
     ModelParams,
     basis_index,
     basis_state,
-    build_rabi,
-    build_rwa,
-    effective_hamiltonian,
     excitation_operator,
     flat_index,
     parity_operator,
@@ -24,14 +21,13 @@ from .pulses import (
     PiecewiseConstantSchedule,
     clamp_schedule,
     effective_duration,
-    gaussian_value,
     integration_window,
-    pw_value,
 )
 from .dynamics import (
     IntegrationError,
     PropagationOptions,
     Trajectory,
+    generators,
     matrix_exponential,
     propagate,
     propagate_piecewise,
@@ -62,6 +58,7 @@ from .sweep import (
     SweepGrid,
     calibrate_tau,
     default_grid,
+    gaussian_run,
     run_point,
     run_sweep,
 )

@@ -3,8 +3,9 @@
 Subcommands: ``simulate`` (one Gaussian or imported-schedule run, RunRecord
 JSON), ``optimize`` (schedule optimization, OptimizationResult JSON plus
 schedule CSV), ``sweep`` (efficiency-map CSV) and ``gradcheck`` (gradient
-oracle health check).  A flat JSON config file can supply any value; flags
-given on the command line win.  Outputs go to stdout unless ``--out`` is
+oracle health check).  A flat JSON config file can supply any flag value
+(a key naming no flag of the subcommand is a usage error); flags given on
+the command line win.  Outputs go to stdout unless ``--out`` is
 given, in which case files are written atomically.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure.
@@ -17,11 +18,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import IntegrationError, PropagationOptions, propagate, propagate_piecewise
+from .dynamics import IntegrationError, PropagationOptions, propagate_piecewise
 from .formats import (
     atomic_write_text,
     optimization_result_json,
@@ -32,11 +32,11 @@ from .formats import (
     sweep_csv,
     trajectory_csv,
 )
-from .metrics import RunRecord, leakage, peak_mean_photon, transfer_efficiency
+from .metrics import RunRecord
 from .model import ModelParams, superposition_initial, superposition_target
-from .pulses import DEFAULT_TAU_RATIO, DEFAULT_WINDOW_CUTOFF, GaussianPair, integration_window
+from .pulses import DEFAULT_TAU_RATIO, DEFAULT_WINDOW_CUTOFF
 from .qoc import NumericError, OptimizationConfig, gradient_check, optimize
-from .sweep import SweepFixed, SweepGrid, run_point, run_sweep
+from .sweep import SweepFixed, SweepGrid, gaussian_run, run_sweep
 from . import sweep as sweep_mod
 
 __all__ = ["main"]
@@ -65,7 +65,9 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args: argparse.Namespace, extra_keys: tuple[str, ...] = ()) -> dict:
+    """Flat JSON config of ``--config``; every key must name a flag of the subcommand."""
+    path = args.config
     if path is None:
         return {}
     try:
@@ -75,6 +77,10 @@ def _load_config(path: str | None) -> dict:
         raise SystemExit(f"usctransfer: cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise SystemExit(f"usctransfer: config {path} must hold a JSON object")
+    known = set(vars(args)) - {"command", "run"} | set(extra_keys)
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise SystemExit(f"usctransfer: config {path} has unknown key(s): {', '.join(unknown)}")
     return data
 
 
@@ -151,7 +157,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _Settings(args, _load_config(args.config), _COMMON_DEFAULTS | {"t_inv": 0.04, "g0": 0.3})
+    settings = _Settings(args, _load_config(args), _COMMON_DEFAULTS | {"t_inv": 0.04, "g0": 0.3})
     fixed = _build_fixed(settings)
     model = settings.get("model")
     schedule_path = settings.get("schedule")
@@ -159,10 +165,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if schedule_path:
         record, traj = _simulate_schedule(schedule_path, fixed, model)
     else:
-        record = run_point(float(settings.get("t_inv")), float(settings.get("g0")), fixed, model)
-        traj = None
-        if settings.get("traj_out"):
-            traj = _rerun_trajectory(record, fixed, model)
+        record, traj = gaussian_run(float(settings.get("t_inv")), float(settings.get("g0")), fixed, model)
     _emit(run_record_json(record), settings.get("out"))
     traj_out = settings.get("traj_out")
     if traj_out:
@@ -199,26 +202,8 @@ def _simulate_schedule(path: str, fixed: SweepFixed, model: str):
         "alpha": fixed.alpha,
         "beta": fixed.beta,
     }
-    record = RunRecord(
-        params=params,
-        schedule=descriptor,
-        fidelity=transfer_efficiency(traj.final, target),
-        leakage=leakage(traj),
-        peak_mean_photon=peak_mean_photon(traj, params),
-        duration=sched.duration,
-        wall_time=wall,
-    )
+    record = RunRecord.from_trajectory(params, descriptor, traj, target, sched.duration, wall)
     return record, traj
-
-
-def _rerun_trajectory(record: RunRecord, fixed: SweepFixed, model: str):
-    pair = GaussianPair(
-        g0=record.schedule["g0"], T=record.schedule["T"], tau=record.schedule["tau"]
-    )
-    window = integration_window(pair, fixed.cutoff)
-    initial = superposition_initial(fixed.alpha, fixed.beta, fixed.params)
-    opts = replace(fixed.options, rwa=(model == "rwa"))
-    return propagate(initial, pair, fixed.params, window, opts)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
@@ -232,7 +217,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "init": "gaussian-sampled",
         "duration": None,
     }
-    settings = _Settings(args, _load_config(args.config), defaults)
+    settings = _Settings(args, _load_config(args), defaults)
     fixed = _build_fixed(settings)
     model = settings.get("model")
     g0 = float(settings.get("g0"))
@@ -262,7 +247,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     defaults = _COMMON_DEFAULTS | {"jobs": None}
-    config = _load_config(args.config)
+    config = _load_config(args, ("t_inv_values", "g0_values"))
     settings = _Settings(args, config, defaults)
     fixed = _build_fixed(settings)
     t_inv_values = config.get("t_inv_values", sweep_mod.DEFAULT_T_INV_VALUES)
@@ -283,7 +268,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     defaults = {"seed": 0, "nmax": 2, "bins": 5, "kappa": 0.005, "tolerance": 1e-5}
-    settings = _Settings(args, _load_config(args.config), defaults)
+    settings = _Settings(args, _load_config(args), defaults)
     seed = int(settings.get("seed"))
     params = ModelParams(kappa=float(settings.get("kappa")), n_max=int(settings.get("nmax")))
     results = gradient_check(params, seeds=(seed, seed + 1, seed + 2), bins=int(settings.get("bins")))

@@ -1,12 +1,13 @@
 """Non-Hermitian time evolution under the driven qubit-cavity generator.
 
-The state obeys i d|psi>/dt = K(t)|psi> with K(t) = H(g1(t), g2(t))
-- (i/2) kappa a^dag a.  Two integrators are provided: a piecewise-exponential
-stepper that applies exp(-i K(t_mid) dt) per step with the controls sampled
-at the step midpoint (second-order accurate for smooth schedules, exact for
-constant ones), and an adaptive Runge-Kutta fallback.  States are never
-renormalized: with kappa > 0 the squared norm decays monotonically and the
-loss equals the population leaked through the cavity.
+The state obeys i d|psi>/dt = K(t)|psi> with K(t) = K0 + g1(t) V1 + g2(t) V2
+and K0 = H0 - (i/2) kappa a^dag a.  :func:`generators` is the one place the
+generator is assembled; every propagator and the gradient engine build on
+it.  The stepper applies exp(-i K(t_mid) dt) per step with the controls
+sampled at the step midpoint (second-order accurate for smooth schedules,
+exact for constant ones).  States are never renormalized: with kappa > 0 the
+squared norm decays monotonically and the loss equals the population leaked
+through the cavity.
 
 The matrix exponential uses scaling-and-squaring with a trace shift and a
 Taylor kernel; for state propagation the exponential is applied directly to
@@ -26,6 +27,7 @@ __all__ = [
     "IntegrationError",
     "PropagationOptions",
     "Trajectory",
+    "generators",
     "matrix_exponential",
     "propagate",
     "propagate_piecewise",
@@ -36,33 +38,26 @@ _MAX_TAYLOR_TERMS = 64
 
 
 class IntegrationError(RuntimeError):
-    """Propagation failed (step/tolerance failure or non-finite state)."""
+    """Propagation failed (non-finite couplings or state)."""
 
 
 @dataclass(frozen=True)
 class PropagationOptions:
-    """Integrator selection and accuracy knobs.
+    """Stepper settings.
 
-    ``method`` is "piecewise-exponential" (fixed step ``dt``, midpoint control
-    sampling) or "adaptive-rk" (DOP853 at ``rel_tol``/``abs_tol``).  Every
-    ``record_stride``-th step is stored in the trajectory.  ``rwa`` selects
-    the excitation-conserving Hamiltonian instead of the full Rabi one.
+    The stepper takes fixed steps of at most ``dt`` with midpoint control
+    sampling; every ``record_stride``-th step is stored in the trajectory.
+    ``rwa`` selects the excitation-conserving Hamiltonian instead of the
+    full Rabi one.
     """
 
-    method: str = "piecewise-exponential"
     dt: float = 0.005
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-9
     record_stride: int = 10
     rwa: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in ("piecewise-exponential", "adaptive-rk"):
-            raise ValueError(f"unknown propagation method {self.method!r}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
@@ -139,8 +134,12 @@ def _expm_apply(k_matrix: np.ndarray, psi: np.ndarray, scale: complex, norm_boun
     return out
 
 
-def _generators(params: ModelParams, rwa: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drift generator (with the loss term) and the two unit control operators."""
+def generators(params: ModelParams, rwa: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drift generator K0 = H0 - (i/2) kappa a^dag a and the unit controls V1, V2.
+
+    The generator at couplings (g1, g2) is ``k0 + g1 * v1 + g2 * v2``; with
+    ``rwa=True`` the controls keep only their excitation-conserving part.
+    """
     k0 = drift_hamiltonian(params) - 0.5j * params.kappa * number_operator(params)
     v1 = coupling_operator(1, params, rwa=rwa)
     v2 = coupling_operator(2, params, rwa=rwa)
@@ -177,7 +176,7 @@ def propagate(
     window : (t_begin, t_end)
         Finite integration window.
     opts : PropagationOptions, optional
-        Integrator settings (fixed-step exponential stepper by default).
+        Stepper settings (defaults when omitted).
 
     Returns
     -------
@@ -191,10 +190,7 @@ def propagate(
     if not (math.isfinite(t0) and math.isfinite(t1)) or not t1 > t0:
         raise ValueError(f"window must be finite with t_end > t_begin, got {window}")
 
-    if opts.method == "adaptive-rk":
-        return _propagate_adaptive(state0, schedule, params, (t0, t1), opts)
-
-    k0, v1, v2 = _generators(params, opts.rwa)
+    k0, v1, v2 = generators(params, opts.rwa)
     n_steps = max(1, math.ceil((t1 - t0) / opts.dt))
     h = (t1 - t0) / n_steps
     n0, nv1, nv2 = _one_norm(k0), _one_norm(v1), _one_norm(v2)
@@ -217,35 +213,6 @@ def propagate(
     return Trajectory(np.array(times), np.array(states), psi)
 
 
-def _propagate_adaptive(state0, schedule, params, window, opts) -> Trajectory:
-    from scipy.integrate import solve_ivp
-
-    k0, v1, v2 = _generators(params, opts.rwa)
-    t0, t1 = window
-
-    def rhs(t, y):
-        g1, g2 = schedule.values(t)
-        return -1j * ((k0 + g1 * v1 + g2 * v2) @ y)
-
-    n_record = max(2, math.ceil((t1 - t0) / (opts.dt * opts.record_stride)) + 1)
-    t_eval = np.linspace(t0, t1, n_record)
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        state0,
-        method="DOP853",
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise IntegrationError(f"adaptive integration failed: {sol.message}")
-    final = sol.y[:, -1]
-    if not np.all(np.isfinite(final)):
-        raise IntegrationError("state became non-finite during propagation")
-    return Trajectory(sol.t, sol.y.T.copy(), final)
-
-
 def propagate_piecewise(
     state0: np.ndarray,
     sched,
@@ -263,7 +230,7 @@ def propagate_piecewise(
     if sched.bins < 1:
         raise ValueError("schedule has no bins")
 
-    k0, v1, v2 = _generators(params, opts.rwa)
+    k0, v1, v2 = generators(params, opts.rwa)
     psi = state0
     times = [sched.t_start]
     states = [psi]

@@ -48,6 +48,27 @@ class RunRecord:
     wall_time: float = 0.0
     error: str | None = None
 
+    @classmethod
+    def from_trajectory(
+        cls,
+        params: ModelParams,
+        schedule: dict[str, Any],
+        traj: Trajectory,
+        target: np.ndarray,
+        duration: float,
+        wall_time: float = 0.0,
+    ) -> "RunRecord":
+        """Record of a finished run, with its figures measured on ``traj``."""
+        return cls(
+            params=params,
+            schedule=schedule,
+            fidelity=transfer_efficiency(traj.final, target),
+            leakage=leakage(traj),
+            peak_mean_photon=peak_mean_photon(traj, params),
+            duration=duration,
+            wall_time=wall_time,
+        )
+
 
 def transfer_efficiency(final: np.ndarray, target: np.ndarray) -> float:
     """Squared overlap |<target|final>|^2, insensitive to global phases.

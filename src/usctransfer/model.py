@@ -6,8 +6,9 @@ operators.  The full Rabi Hamiltonian keeps the counter-rotating terms that
 matter once the couplings reach a sizeable fraction of ``omega_c``; the RWA
 variant drops them and then conserves the total excitation number exactly.
 Cavity photon loss at rate ``kappa`` enters as the anti-Hermitian term
-``-(i/2) kappa a^dag a`` of an effective non-Hermitian generator, so the
-squared norm of a propagated state decays by exactly the leaked population.
+``-(i/2) kappa a^dag a`` of the non-Hermitian generator that
+``dynamics.generators`` assembles from these operators, so the squared norm
+of a propagated state decays by exactly the leaked population.
 
 The oscillator ladder is truncated at ``n_max`` photons and the basis is the
 factorized set ``|n, s2, s1>`` with the first qubit varying fastest, i.e.
@@ -40,9 +41,6 @@ __all__ = [
     "qubit_raising",
     "drift_hamiltonian",
     "coupling_operator",
-    "build_rabi",
-    "build_rwa",
-    "effective_hamiltonian",
     "excitation_operator",
     "parity_operator",
 ]
@@ -203,29 +201,6 @@ def coupling_operator(i: int, params: ModelParams, rwa: bool = False) -> np.ndar
     if rwa:
         return a @ sp + a.conj().T @ sm
     return (a + a.conj().T) @ (sm + sp)
-
-
-def build_rabi(params: ModelParams, g1: float, g2: float) -> np.ndarray:
-    """Full Rabi Hamiltonian at coupling values (g1, g2)."""
-    return (
-        drift_hamiltonian(params)
-        + g1 * coupling_operator(1, params)
-        + g2 * coupling_operator(2, params)
-    )
-
-
-def build_rwa(params: ModelParams, g1: float, g2: float) -> np.ndarray:
-    """Rotating-wave Hamiltonian (counter-rotating terms dropped)."""
-    return (
-        drift_hamiltonian(params)
-        + g1 * coupling_operator(1, params, rwa=True)
-        + g2 * coupling_operator(2, params, rwa=True)
-    )
-
-
-def effective_hamiltonian(h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Non-Hermitian generator K = H - (i/2) kappa a^dag a."""
-    return h - 0.5j * params.kappa * number_operator(params)
 
 
 def excitation_operator(params: ModelParams) -> np.ndarray:

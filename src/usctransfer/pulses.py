@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "GaussianPair",
     "PiecewiseConstantSchedule",
-    "gaussian_value",
-    "pw_value",
     "clamp_schedule",
     "integration_window",
     "effective_duration",
@@ -50,18 +48,9 @@ class GaussianPair:
 
     def values(self, t: float) -> tuple[float, float]:
         """Both couplings at time ``t``."""
-        return gaussian_value(self, t, 1), gaussian_value(self, t, 2)
-
-
-def gaussian_value(pair: GaussianPair, t: float, which: int) -> float:
-    """Value of pulse 1 or 2 of a :class:`GaussianPair` at time ``t``."""
-    if which == 1:
-        x = (t - pair.tau) / pair.T
-    elif which == 2:
-        x = (t + pair.tau) / pair.T
-    else:
-        raise ValueError(f"control id must be 1 or 2, got {which}")
-    return pair.g0 * math.exp(-x * x)
+        x1 = (t - self.tau) / self.T
+        x2 = (t + self.tau) / self.T
+        return self.g0 * math.exp(-x1 * x1), self.g0 * math.exp(-x2 * x2)
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,12 @@ class PiecewiseConstantSchedule:
 
     def values(self, t: float) -> tuple[float, float]:
         """Both couplings at time ``t``."""
-        return pw_value(self, t, 1), pw_value(self, t, 2)
+        k = self.bin_of(t)
+        if k is None:
+            if self.outside == "zero":
+                return 0.0, 0.0
+            k = 0 if t < self.t_start else self.bins - 1
+        return float(self.values1[k]), float(self.values2[k])
 
     def stacked(self) -> np.ndarray:
         """Control vector of length 2M: all g1 bins, then all g2 bins."""
@@ -137,22 +131,6 @@ class PiecewiseConstantSchedule:
         return PiecewiseConstantSchedule(
             self.t_start, self.dt, stacked[:m], stacked[m:], self.bounds, self.outside
         )
-
-
-def pw_value(sched: PiecewiseConstantSchedule, t: float, which: int) -> float:
-    """Value of control 1 or 2 of a piecewise-constant schedule at ``t``."""
-    if which == 1:
-        vals = sched.values1
-    elif which == 2:
-        vals = sched.values2
-    else:
-        raise ValueError(f"control id must be 1 or 2, got {which}")
-    k = sched.bin_of(t)
-    if k is None:
-        if sched.outside == "zero":
-            return 0.0
-        k = 0 if t < sched.t_start else sched.bins - 1
-    return float(vals[k])
 
 
 def clamp_schedule(sched: PiecewiseConstantSchedule) -> PiecewiseConstantSchedule:

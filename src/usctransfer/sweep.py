@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import PropagationOptions, propagate
-from .metrics import RunRecord, leakage, peak_mean_photon, transfer_efficiency
+from .dynamics import PropagationOptions, Trajectory, propagate
+from .metrics import RunRecord
 from .model import ModelParams, superposition_initial, superposition_target
 from .pulses import (
     DEFAULT_TAU_RATIO,
@@ -30,6 +30,7 @@ from .pulses import (
 __all__ = [
     "SweepFixed",
     "SweepGrid",
+    "gaussian_run",
     "run_point",
     "run_sweep",
     "calibrate_tau",
@@ -79,8 +80,13 @@ class SweepGrid:
             raise ValueError(f"model must be 'rabi' or 'rwa', got {self.model!r}")
 
 
-def run_point(t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi") -> RunRecord:
-    """One Gaussian-protocol run at inverse speed ``t_inv`` and peak ``g0``."""
+def gaussian_run(
+    t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi"
+) -> tuple[RunRecord, Trajectory]:
+    """One Gaussian-protocol run at inverse speed ``t_inv`` and peak ``g0``.
+
+    Returns the run record together with the trajectory it was measured on.
+    """
     if not t_inv > 0:
         raise ValueError(f"t_inv must be positive, got {t_inv}")
     if model not in ("rabi", "rwa"):
@@ -110,15 +116,15 @@ def run_point(t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi") -
         "alpha": fixed.alpha,
         "beta": fixed.beta,
     }
-    return RunRecord(
-        params=params,
-        schedule=descriptor,
-        fidelity=transfer_efficiency(traj.final, target),
-        leakage=leakage(traj),
-        peak_mean_photon=peak_mean_photon(traj, params),
-        duration=effective_duration(pair),
-        wall_time=wall,
+    record = RunRecord.from_trajectory(
+        params, descriptor, traj, target, effective_duration(pair), wall
     )
+    return record, traj
+
+
+def run_point(t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi") -> RunRecord:
+    """Record of :func:`gaussian_run` at (``t_inv``, ``g0``), without the trajectory."""
+    return gaussian_run(t_inv, g0, fixed, model)[0]
 
 
 def _failed_record(t_inv, g0, fixed, model, exc) -> RunRecord:

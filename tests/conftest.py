@@ -2,7 +2,9 @@
 
 The reference operating point (inverse speed 0.04, peak coupling 0.3, cavity
 decay 0.005) anchors the quantitative comparisons; its delay scan and
-schedule optimization are computed once per session and reused.
+schedule optimization are computed once per session and reused.  Tests that
+use them are marked ``slow``, so ``pytest -m "not slow"`` skips the costly
+fixtures.
 """
 
 import time
@@ -18,10 +20,28 @@ from usctransfer import (
     superposition_initial,
     superposition_target,
 )
+from usctransfer.model import coupling_operator, drift_hamiltonian, number_operator
 
 REF_T_INV = 0.04
 REF_G0 = 0.3
 REF_KAPPA = 0.005
+SLOW_FIXTURES = {"reference_scan_rabi", "reference_scan_rwa", "reference_qoc"}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if SLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
+
+def dense_generator(params, g1, g2):
+    """K(g1, g2) assembled from the model operators, independent of the library builder."""
+    return (
+        drift_hamiltonian(params)
+        + g1 * coupling_operator(1, params)
+        + g2 * coupling_operator(2, params)
+        - 0.5j * params.kappa * number_operator(params)
+    )
 
 
 def reference_fixed(**overrides) -> SweepFixed:

@@ -36,9 +36,8 @@ from usctransfer import (
 )
 from usctransfer.formats import sweep_csv
 from usctransfer.metrics import cavity_indices, leakage, populations
-from usctransfer.model import build_rabi, effective_hamiltonian
 
-from conftest import REF_G0, REF_KAPPA, REF_T_INV, reference_fixed
+from conftest import REF_G0, REF_KAPPA, REF_T_INV, dense_generator, reference_fixed
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -181,9 +180,7 @@ def test_criterion_5_property_suite():
     traj, _ = propagate_piecewise(psi0, sched, params3)
     psi = psi0.copy()
     for k in range(sched.bins):
-        gen = effective_hamiltonian(
-            build_rabi(params3, sched.values1[k], sched.values2[k]), params3
-        )
+        gen = dense_generator(params3, sched.values1[k], sched.values2[k])
         psi = scipy.linalg.expm(-1j * sched.dt * gen) @ psi
     check("propagator vs dense-exponential oracle", np.abs(traj.final - psi).max() < 1e-10)
 

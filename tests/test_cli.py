@@ -46,6 +46,41 @@ class TestSimulate:
         assert run_cli(*fast_sim_args, "--out", str(second)).returncode == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_traj_out_propagates_once(self, fast_sim_args, tmp_path, monkeypatch):
+        import usctransfer.cli as cli_mod
+        import usctransfer.sweep as sweep_mod
+        from usctransfer import (
+            GaussianPair,
+            ModelParams,
+            PropagationOptions,
+            integration_window,
+            propagate,
+            superposition_initial,
+        )
+        from usctransfer.formats import trajectory_csv
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return propagate(*args, **kwargs)
+
+        for module in (sweep_mod, cli_mod):
+            monkeypatch.setattr(module, "propagate", counting, raising=False)
+        traj = tmp_path / "traj.csv"
+        argv = [*fast_sim_args, "--out", str(tmp_path / "record.json"), "--traj-out", str(traj)]
+        assert cli_mod.main(argv) == 0
+        assert len(calls) == 1
+
+        params = ModelParams(n_max=6)
+        width = 1.0 / 0.2
+        pair = GaussianPair(g0=0.25, T=width, tau=0.6 * width)
+        direct = propagate(
+            superposition_initial(0.0, 1.0, params), pair, params,
+            integration_window(pair), PropagationOptions(dt=0.02),
+        )
+        assert traj.read_text() == trajectory_csv(direct, params)
+
     def test_unnormalized_input_is_usage_error(self, fast_sim_args):
         proc = run_cli(*fast_sim_args, "--alpha", "1", "--beta", "1")
         assert proc.returncode == 1
@@ -140,6 +175,15 @@ class TestSweepCommand:
         proc = run_cli("sweep", "--config", "/nonexistent/grid.json")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_unknown_config_key_exits_one(self, command, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"t_inv_values": [0.2], "g0_values": [0.2], "n_max": 12}))
+        proc = run_cli(command, "--config", str(config))
+        assert proc.returncode == 1
+        assert "n_max" in proc.stderr
+        assert ("t_inv_values" in proc.stderr) == (command == "simulate")
+
 
 class TestGradcheckCommand:
     def test_passes_with_exit_zero(self):
@@ -190,7 +234,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise IntegrationError("stepper diverged")
 
-        monkeypatch.setattr(cli_mod, "run_point", explode)
+        monkeypatch.setattr(cli_mod, "gaussian_run", explode)
         code = cli_mod.main(["simulate", "--t-inv", "0.2", "--g0", "0.2"])
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Basis indexing, operator algebra and Hamiltonian structure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,8 @@ from usctransfer import (
     ModelParams,
     basis_index,
     basis_state,
-    build_rabi,
-    build_rwa,
-    effective_hamiltonian,
     excitation_operator,
+    generators,
     flat_index,
     parity_operator,
     superposition_initial,
@@ -28,6 +28,17 @@ from usctransfer.model import (
 
 P1 = ModelParams(n_max=1)
 P3 = ModelParams(n_max=3)
+
+
+def generator(params, g1, g2, rwa=False):
+    """K(g1, g2) = K0 + g1 V1 + g2 V2 from the library's generator builder."""
+    k0, v1, v2 = generators(params, rwa)
+    return k0 + g1 * v1 + g2 * v2
+
+
+def hamiltonian(params, g1, g2, rwa=False):
+    """Hermitian H(g1, g2): the generator without cavity loss."""
+    return generator(replace(params, kappa=0.0), g1, g2, rwa)
 
 
 class TestIndexing:
@@ -128,7 +139,7 @@ class TestLadderOperators:
 class TestHamiltonians:
     def test_uncoupled_limit_is_diagonal(self):
         params = ModelParams(eps1=0.9, eps2=1.1, n_max=2)
-        h = build_rabi(params, 0.0, 0.0)
+        h = hamiltonian(params, 0.0, 0.0)
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         for flat in range(params.dim):
             idx = basis_index(flat, params)
@@ -137,63 +148,67 @@ class TestHamiltonians:
 
     def test_single_coupling_matrix_element(self):
         g1 = 0.17
-        h = build_rabi(P1, g1, 0.0)
+        h = hamiltonian(P1, g1, 0.0)
         row = flat_index(1, 0, 0, P1)
         col = flat_index(0, 0, 1, P1)
         np.testing.assert_allclose(h[row, col], g1)
 
     @pytest.mark.parametrize("g1,g2", [(0.3, 0.3), (0.12, 0.47), (0.0, 0.25)])
     def test_hermitian(self, g1, g2):
-        h = build_rabi(P3, g1, g2)
+        h = hamiltonian(P3, g1, g2)
         assert np.abs(h - h.conj().T).max() < 1e-12
-        h_rwa = build_rwa(P3, g1, g2)
+        h_rwa = hamiltonian(P3, g1, g2, rwa=True)
         assert np.abs(h_rwa - h_rwa.conj().T).max() < 1e-12
 
     def test_parity_commutes_with_rabi(self):
-        h = build_rabi(P3, 0.3, 0.3)
+        h = hamiltonian(P3, 0.3, 0.3)
         pi = parity_operator(P3)
         assert np.abs(h @ pi - pi @ h).max() < 1e-12
 
     def test_excitation_commutes_with_rwa(self):
-        h = build_rwa(P3, 0.21, 0.34)
+        h = hamiltonian(P3, 0.21, 0.34, rwa=True)
         n_exc = excitation_operator(P3)
         assert np.abs(h @ n_exc - n_exc @ h).max() == 0.0
 
     def test_rwa_drops_counter_rotating_element(self):
         g1 = 0.29
-        h = build_rwa(P1, g1, 0.0)
+        h = hamiltonian(P1, g1, 0.0, rwa=True)
         assert h[flat_index(1, 0, 0, P1), flat_index(0, 0, 1, P1)] == g1
         # a^dag sigma_+^1 would connect |0,g,g> -> |1,g,e1>: absent in the RWA
         assert h[flat_index(1, 0, 1, P1), flat_index(0, 0, 0, P1)] == 0.0
-        assert build_rabi(P1, g1, 0.0)[flat_index(1, 0, 1, P1), flat_index(0, 0, 0, P1)] == g1
+        assert hamiltonian(P1, g1, 0.0)[flat_index(1, 0, 1, P1), flat_index(0, 0, 0, P1)] == g1
 
     def test_counter_rotating_terms_change_excitation_by_two(self):
-        diff = build_rabi(P3, 0.3, 0.2) - build_rwa(P3, 0.3, 0.2)
+        diff = hamiltonian(P3, 0.3, 0.2) - hamiltonian(P3, 0.3, 0.2, rwa=True)
         n_exc = np.real(np.diag(excitation_operator(P3)))
         rows, cols = np.nonzero(np.abs(diff) > 1e-14)
         assert rows.size > 0
         np.testing.assert_array_equal(np.abs(n_exc[rows] - n_exc[cols]), 2.0)
 
     def test_drift_matches_rabi_at_zero_coupling(self):
-        np.testing.assert_array_equal(drift_hamiltonian(P3), build_rabi(P3, 0.0, 0.0))
+        np.testing.assert_array_equal(drift_hamiltonian(P3), hamiltonian(P3, 0.0, 0.0))
 
 
 class TestEffectiveHamiltonian:
     def test_lossless_limit(self):
         params = ModelParams(kappa=0.0, n_max=2)
-        h = build_rabi(params, 0.1, 0.1)
-        np.testing.assert_array_equal(effective_hamiltonian(h, params), h)
+        h = (
+            drift_hamiltonian(params)
+            + 0.1 * coupling_operator(1, params)
+            + 0.1 * coupling_operator(2, params)
+        )
+        np.testing.assert_array_equal(generator(params, 0.1, 0.1), h)
 
     def test_imaginary_diagonal(self):
         params = ModelParams(kappa=0.02, n_max=3)
-        k = effective_hamiltonian(build_rabi(params, 0.0, 0.0), params)
+        k = generator(params, 0.0, 0.0)
         for flat in range(params.dim):
             idx = basis_index(flat, params)
             np.testing.assert_allclose(k[flat, flat].imag, -params.kappa * idx.n / 2)
 
     def test_anti_hermitian_part(self):
         params = ModelParams(kappa=0.005, n_max=3)
-        k = effective_hamiltonian(build_rabi(params, 0.3, 0.2), params)
+        k = generator(params, 0.3, 0.2)
         anti = (k - k.conj().T) / 2
         np.testing.assert_allclose(
             anti, -0.5j * params.kappa * number_operator(params), atol=1e-14
@@ -202,7 +217,7 @@ class TestEffectiveHamiltonian:
     def test_eigenvalues_decay(self):
         # dense eigensolve: every mode must damp, never grow
         params = ModelParams(kappa=0.005, n_max=3)
-        k = effective_hamiltonian(build_rabi(params, 0.3, 0.3), params)
+        k = generator(params, 0.3, 0.3)
         assert np.linalg.eigvals(k).imag.max() <= 1e-14
 
 

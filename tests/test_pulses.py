@@ -10,9 +10,7 @@ from usctransfer import (
     PiecewiseConstantSchedule,
     clamp_schedule,
     effective_duration,
-    gaussian_value,
     integration_window,
-    pw_value,
 )
 
 PAIR = GaussianPair(g0=0.3, T=25.0, tau=15.0)
@@ -20,17 +18,17 @@ PAIR = GaussianPair(g0=0.3, T=25.0, tau=15.0)
 
 class TestGaussianPair:
     def test_peak_value(self):
-        np.testing.assert_allclose(gaussian_value(PAIR, PAIR.tau, 1), PAIR.g0)
+        np.testing.assert_allclose(PAIR.values(PAIR.tau)[0], PAIR.g0)
 
     def test_one_width_from_peak(self):
         np.testing.assert_allclose(
-            gaussian_value(PAIR, PAIR.tau + PAIR.T, 1), PAIR.g0 * math.exp(-1)
+            PAIR.values(PAIR.tau + PAIR.T)[0], PAIR.g0 * math.exp(-1)
         )
 
     def test_mirror_symmetry(self):
         for t in np.linspace(-80, 80, 41):
             np.testing.assert_allclose(
-                gaussian_value(PAIR, t, 1), gaussian_value(PAIR, -t, 2), rtol=1e-14
+                PAIR.values(t)[0], PAIR.values(-t)[1], rtol=1e-14
             )
 
     def test_counterintuitive_order(self):
@@ -40,13 +38,9 @@ class TestGaussianPair:
 
     def test_values_bounded_and_monotone_from_peak(self):
         ts = PAIR.tau + np.linspace(0.0, 4 * PAIR.T, 100)
-        vals = np.array([gaussian_value(PAIR, t, 1) for t in ts])
+        vals = np.array([PAIR.values(t)[0] for t in ts])
         assert vals.max() <= PAIR.g0 and vals.min() > 0
         assert np.all(np.diff(vals) < 0)
-
-    def test_invalid_control_id(self):
-        with pytest.raises(ValueError):
-            gaussian_value(PAIR, 0.0, 3)
 
     def test_zero_peak_allowed(self):
         assert GaussianPair(g0=0.0, T=1.0, tau=0.0).values(0.3) == (0.0, 0.0)
@@ -71,32 +65,32 @@ def make_schedule(**kwargs):
 class TestPiecewiseSchedule:
     def test_first_bin_left_closed(self):
         sched = make_schedule()
-        assert pw_value(sched, sched.t_start, 1) == 0.1
+        assert sched.values(sched.t_start)[0] == 0.1
 
     def test_bin_arithmetic(self):
         sched = make_schedule()
-        assert pw_value(sched, sched.t_start + 1.5 * sched.dt, 1) == 0.2
+        assert sched.values(sched.t_start + 1.5 * sched.dt)[0] == 0.2
 
     def test_final_instant_maps_to_last_bin(self):
         sched = make_schedule()
-        assert pw_value(sched, sched.t_end, 1) == 0.3
+        assert sched.values(sched.t_end)[0] == 0.3
 
     def test_outside_window_zero_hold(self):
         sched = make_schedule()
-        assert pw_value(sched, sched.t_start - 1.0, 1) == 0.0
-        assert pw_value(sched, sched.t_end + 1.0, 2) == 0.0
+        assert sched.values(sched.t_start - 1.0)[0] == 0.0
+        assert sched.values(sched.t_end + 1.0)[1] == 0.0
 
     def test_outside_window_edge_hold(self):
         sched = make_schedule(outside="edge")
-        assert pw_value(sched, sched.t_start - 1.0, 1) == 0.1
-        assert pw_value(sched, sched.t_end + 1.0, 1) == 0.3
+        assert sched.values(sched.t_start - 1.0)[0] == 0.1
+        assert sched.values(sched.t_end + 1.0)[0] == 0.3
 
     def test_piecewise_constant_within_bins(self):
         sched = make_schedule()
         for k in range(sched.bins):
             left = sched.t_start + k * sched.dt
             for frac in (0.0, 0.25, 0.999):
-                assert pw_value(sched, left + frac * sched.dt, 2) == sched.values2[k]
+                assert sched.values(left + frac * sched.dt)[1] == sched.values2[k]
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):

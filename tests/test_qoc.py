@@ -96,11 +96,20 @@ class TestGradient:
         sched = PiecewiseConstantSchedule(0.0, 2.5, [0.0, 0.0], [0.0, 0.0], (0.0, 0.3))
         np.testing.assert_array_equal(gradient(sched, PARAMS, INITIAL, TARGET), 0.0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_finite_differences(self, seed):
+    # kappa = 0.5 makes K strongly non-Hermitian; the default kappa keeps the
+    # bare seed ids
+    @pytest.mark.parametrize(
+        "kappa, seed",
+        [pytest.param(0.005, seed, id=str(seed)) for seed in (0, 1, 2)]
+        + [pytest.param(0.5, seed, id=f"kappa0.5-{seed}") for seed in (0, 1, 2)],
+    )
+    def test_matches_finite_differences(self, kappa, seed):
+        params = ModelParams(kappa=kappa, n_max=2)
+        initial = superposition_initial(0.0, 1.0, params)
+        target = superposition_target(0.0, 1.0, params)
         sched = random_schedule(seed)
-        exact = gradient(sched, PARAMS, INITIAL, TARGET)
-        approx = finite_difference_gradient(sched, PARAMS, INITIAL, TARGET, h=1e-6)
+        exact = gradient(sched, params, initial, target)
+        approx = finite_difference_gradient(sched, params, initial, target, h=1e-6)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel < 1e-5
 
