@@ -58,6 +58,7 @@ from .sweep import (
     SweepGrid,
     calibrate_tau,
     default_grid,
+    gaussian_row,
     gaussian_run,
     run_point,
     run_sweep,

@@ -1,17 +1,22 @@
-"""Batch harness: single protocol runs, delay calibration, and 2-D sweeps.
+"""Batch harness: Gaussian runs, delay calibration, and 2-D sweeps.
 
 A sweep evaluates the Gaussian protocol on a grid over the inverse speed
 (omega_c T)^-1 and the peak coupling g0/omega_c, producing one record per
-point.  Points are independent; with ``jobs > 1`` they run on a process
-pool, and the output ordering is row-major (t_inv outer, g0 inner) no matter
-how execution interleaves.  A failed point is recorded in-row and the sweep
-continues.
+point.  The points of one t_inv row share the pulse shape, the integration
+window and the step grid and differ only in g0, so a row is one task: its
+points are stepped together by one call of the stepper, and each record's
+``wall_time`` is the row's wall time divided by its point count.  Rows are
+independent; with ``jobs > 1`` they run on a process pool (more workers than
+rows leaves the extra workers idle), and the output ordering is row-major
+(t_inv outer, g0 inner) no matter how execution interleaves.  A failed point
+is recorded in-row and the sweep continues.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +35,7 @@ from .pulses import (
 __all__ = [
     "SweepFixed",
     "SweepGrid",
+    "gaussian_row",
     "gaussian_run",
     "run_point",
     "run_sweep",
@@ -80,12 +86,15 @@ class SweepGrid:
             raise ValueError(f"model must be 'rabi' or 'rwa', got {self.model!r}")
 
 
-def gaussian_run(
-    t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi"
-) -> tuple[RunRecord, Trajectory]:
-    """One Gaussian-protocol run at inverse speed ``t_inv`` and peak ``g0``.
+def gaussian_row(
+    t_inv: float, g0_values, fixed: SweepFixed, model: str = "rabi"
+) -> list[tuple[RunRecord, Trajectory]]:
+    """Gaussian-protocol runs at inverse speed ``t_inv``, one per peak in ``g0_values``.
 
-    Returns the run record together with the trajectory it was measured on.
+    The runs share the pulse shape, window and step grid, so they are
+    stepped together: one unit-amplitude pulse pair scaled by each ``g0``.
+    Returns a (record, trajectory) pair per ``g0``, in order; every record's
+    ``wall_time`` is the row's wall time divided by the number of runs.
     """
     if not t_inv > 0:
         raise ValueError(f"t_inv must be positive, got {t_inv}")
@@ -93,33 +102,50 @@ def gaussian_run(
         raise ValueError(f"model must be 'rabi' or 'rwa', got {model!r}")
     params = fixed.params
     width = 1.0 / (params.omega_c * t_inv)
-    pair = GaussianPair(g0=g0, T=width, tau=fixed.tau_ratio * width)
-    window = integration_window(pair, fixed.cutoff)
+    pairs = [GaussianPair(g0=float(g0), T=width, tau=fixed.tau_ratio * width) for g0 in g0_values]
+    if not pairs:
+        raise ValueError("g0_values must be non-empty")
+    unit = replace(pairs[0], g0=1.0)
+    window = integration_window(unit, fixed.cutoff)
     opts = replace(fixed.options, rwa=(model == "rwa"))
     initial = superposition_initial(fixed.alpha, fixed.beta, params)
     target = superposition_target(fixed.alpha, fixed.beta, params)
 
     start = time.perf_counter()
-    traj = propagate(initial, pair, params, window, opts)
-    wall = time.perf_counter() - start
+    trajs = propagate(initial, unit, params, window, opts, amplitudes=[pair.g0 for pair in pairs])
+    wall = (time.perf_counter() - start) / len(pairs)
 
-    descriptor = {
-        "kind": "gaussian",
-        "model": model,
-        "t_inv": float(t_inv),
-        "g0": float(g0),
-        "T": width,
-        "tau": pair.tau,
-        "tau_ratio": fixed.tau_ratio,
-        "cutoff": fixed.cutoff,
-        "window": [window[0], window[1]],
-        "alpha": fixed.alpha,
-        "beta": fixed.beta,
-    }
-    record = RunRecord.from_trajectory(
-        params, descriptor, traj, target, effective_duration(pair), wall
-    )
-    return record, traj
+    runs = []
+    for pair, traj in zip(pairs, trajs):
+        descriptor = {
+            "kind": "gaussian",
+            "model": model,
+            "t_inv": float(t_inv),
+            "g0": pair.g0,
+            "T": width,
+            "tau": pair.tau,
+            "tau_ratio": fixed.tau_ratio,
+            "cutoff": fixed.cutoff,
+            "window": [window[0], window[1]],
+            "alpha": fixed.alpha,
+            "beta": fixed.beta,
+        }
+        record = RunRecord.from_trajectory(
+            params, descriptor, traj, target, effective_duration(pair), wall
+        )
+        runs.append((record, traj))
+    return runs
+
+
+def gaussian_run(
+    t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi"
+) -> tuple[RunRecord, Trajectory]:
+    """One Gaussian-protocol run at inverse speed ``t_inv`` and peak ``g0``.
+
+    The one-point case of :func:`gaussian_row`.  Returns the run record
+    together with the trajectory it was measured on.
+    """
+    return gaussian_row(t_inv, [g0], fixed, model)[0]
 
 
 def run_point(t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi") -> RunRecord:
@@ -150,32 +176,50 @@ def _failed_record(t_inv, g0, fixed, model, exc) -> RunRecord:
     )
 
 
-def _point_task(task) -> RunRecord:
-    t_inv, g0, fixed, model = task
+def _point_task(t_inv, g0, fixed, model) -> RunRecord:
     try:
         return run_point(t_inv, g0, fixed, model)
     except Exception as exc:
         return _failed_record(t_inv, g0, fixed, model, exc)
 
 
+def _row_task(task) -> list[RunRecord]:
+    """Records of one t_inv row; if the batched row raises, its points run one at a time."""
+    t_inv, g0_values, fixed, model = task
+    try:
+        return [record for record, _ in gaussian_row(t_inv, g0_values, fixed, model)]
+    except Exception:
+        return [_point_task(t_inv, g0, fixed, model) for g0 in g0_values]
+
+
 def run_sweep(grid: SweepGrid, jobs: int = 1) -> list[RunRecord]:
     """Evaluate every grid point; row-major order (t_inv outer, g0 inner).
 
-    ``jobs > 1`` distributes points over a process pool; the result order is
-    identical either way.  A point that raises is returned as a record with
-    NaN figures and the error message in ``record.error``.
+    Each t_inv row is one task whose points are stepped together, and each
+    of its records carries the row's wall time divided by its point count.
+    ``jobs > 1`` distributes the rows over a process pool, in ascending
+    t_inv so that the slowest rows start first; workers beyond the number of
+    rows stay idle, and the result is identical either way.  A point that
+    raises is returned as a record with NaN figures and the error message in
+    ``record.error``; so is every point of a row lost with a crashed worker.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [
-        (float(t_inv), float(g0), grid.fixed, grid.model)
-        for t_inv in grid.t_inv_values
-        for g0 in grid.g0_values
-    ]
+    g0_values = [float(g0) for g0 in grid.g0_values]
+    tasks = [(float(t_inv), g0_values, grid.fixed, grid.model) for t_inv in grid.t_inv_values]
     if jobs == 1:
-        return [_point_task(task) for task in tasks]
+        return [record for task in tasks for record in _row_task(task)]
+    records = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_point_task, tasks))
+        futures = [pool.submit(_row_task, task) for task in tasks]
+        for (t_inv, *_), future in zip(tasks, futures):
+            try:
+                records.extend(future.result())
+            except BrokenProcessPool as exc:
+                records.extend(
+                    _failed_record(t_inv, g0, grid.fixed, grid.model, exc) for g0 in g0_values
+                )
+    return records
 
 
 def calibrate_tau(

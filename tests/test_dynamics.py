@@ -200,6 +200,43 @@ class TestPiecewisePropagation:
         np.testing.assert_allclose(us[1] @ (us[0] @ psi0), traj.final, atol=1e-13)
 
 
+class TestBatchedPropagation:
+    PARAMS = ModelParams(kappa=0.01, n_max=2)
+
+    def test_dense_midpoint_chain_oracle_per_amplitude(self):
+        # independent route per amplitude: scipy expm of the dense generator
+        # at every step midpoint, chained on the n_max=2 space
+        pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
+        window = (-4.0, 4.0)
+        opts = PropagationOptions(dt=0.05, record_stride=7)
+        amplitudes = [0.35, 0.0, 0.6]
+        psi0 = superposition_initial(0.0, 1.0, self.PARAMS)
+        trajs = propagate(psi0, pair, self.PARAMS, window, opts, amplitudes=amplitudes)
+        assert len(trajs) == len(amplitudes)
+        n_steps = 160
+        h = (window[1] - window[0]) / n_steps
+        for amp, traj in zip(amplitudes, trajs):
+            psi = psi0.copy()
+            states = [psi]
+            for i in range(n_steps):
+                g1, g2 = pair.values(window[0] + (i + 0.5) * h)
+                k_eff = dense_generator(self.PARAMS, amp * g1, amp * g2)
+                psi = scipy.linalg.expm(-1j * h * k_eff) @ psi
+                if (i + 1) % opts.record_stride == 0 or i == n_steps - 1:
+                    states.append(psi)
+            np.testing.assert_allclose(traj.final, psi, atol=1e-10)
+            np.testing.assert_allclose(traj.states, np.array(states), atol=1e-10)
+            np.testing.assert_array_equal(traj.times, trajs[0].times)
+
+    def test_bad_amplitudes_rejected(self):
+        psi0 = basis_state(0, 0, 0, self.PARAMS)
+        sched = constant_schedule(0.1, 0.1, 1.0)
+        with pytest.raises(ValueError):
+            propagate(psi0, sched, self.PARAMS, (0.0, 1.0), amplitudes=[])
+        with pytest.raises(IntegrationError):
+            propagate(psi0, sched, self.PARAMS, (0.0, 1.0), amplitudes=[0.1, np.nan])
+
+
 class TestIntegratorAgreement:
     def test_adaptive_matches_piecewise_on_gaussian_schedule(self):
         params = ModelParams(kappa=0.005, n_max=6)

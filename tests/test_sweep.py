@@ -1,9 +1,12 @@
 """Single points, delay calibration, and deterministic sweeps."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usctransfer import (
     ModelParams,
@@ -11,13 +14,24 @@ from usctransfer import (
     SweepFixed,
     SweepGrid,
     calibrate_tau,
+    gaussian_row,
     run_point,
     run_sweep,
 )
+from usctransfer import sweep
 from usctransfer.formats import sweep_csv
 from usctransfer.sweep import default_grid
 
 FAST_OPTS = PropagationOptions(dt=0.02)
+CRASH_T_INV = 0.1
+ROW_TASK = sweep._row_task
+
+
+def crash_on_row(task):
+    """Row task that kills its worker process on the CRASH_T_INV row."""
+    if task[0] == CRASH_T_INV:
+        os._exit(1)
+    return ROW_TASK(task)
 
 
 def fast_fixed(**overrides):
@@ -111,6 +125,57 @@ class TestRunSweep:
         for rec in records:
             assert rec.error is not None and "ValueError" in rec.error
             assert math.isnan(rec.fidelity)
+
+    def test_point_failure_isolated_in_batched_row(self):
+        # the infinite peak fails the batched row; its points rerun one by one
+        fixed = fast_fixed()
+        good, bad = run_sweep(SweepGrid([0.1], [0.2, float("inf")], fixed=fixed))
+        single = run_point(0.1, 0.2, fixed)
+        assert good.error is None
+        for field in ("fidelity", "leakage", "peak_mean_photon"):
+            assert abs(getattr(good, field) - getattr(single, field)) <= 1e-12
+        assert bad.error is not None and "IntegrationError" in bad.error
+        assert math.isnan(bad.fidelity)
+
+    def test_crashed_worker_loses_only_its_rows(self, monkeypatch):
+        # fork-started workers inherit the patched row task
+        monkeypatch.setattr(sweep, "_row_task", crash_on_row)
+        grid = SweepGrid([0.09, CRASH_T_INV], [0.2, 0.25], fixed=fast_fixed())
+        records = run_sweep(grid, jobs=2)
+        points = [(rec.schedule["t_inv"], rec.schedule["g0"]) for rec in records]
+        assert points == [(t, g) for t in (0.09, CRASH_T_INV) for g in (0.2, 0.25)]
+        for rec in records:
+            if rec.schedule["t_inv"] == CRASH_T_INV or rec.error is not None:
+                assert rec.error is not None and "BrokenProcessPool" in rec.error
+                assert math.isnan(rec.fidelity)
+
+    def test_row_is_one_stepper_call(self, monkeypatch):
+        calls = []
+        propagate = sweep.propagate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("amplitudes"))
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "propagate", counting)
+        run_sweep(SweepGrid([0.09, 0.1], [0.15, 0.2, 0.25], fixed=fast_fixed()), jobs=1)
+        assert calls == [[0.15, 0.2, 0.25]] * 2
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        t_inv=st.floats(0.1, 0.3),
+        g0_values=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.5)), min_size=1, max_size=5),
+        model=st.sampled_from(["rabi", "rwa"]),
+    )
+    def test_batched_row_matches_run_point(self, t_inv, g0_values, model):
+        fixed = fast_fixed(params=ModelParams(kappa=0.005, n_max=4))
+        row = gaussian_row(t_inv, g0_values, fixed, model)
+        assert len(row) == len(g0_values)
+        for g0, (record, _) in zip(g0_values, row):
+            single = run_point(t_inv, g0, fixed, model)
+            assert record.schedule == single.schedule
+            for field in ("fidelity", "leakage", "peak_mean_photon"):
+                assert abs(getattr(record, field) - getattr(single, field)) <= 1e-12
 
     def test_rwa_dominates_rabi_in_usc_window(self):
         # reduced grid, g0 >= 0.2: the excitation-conserving model must win
