@@ -12,6 +12,7 @@ from .model import (
     basis_state,
     excitation_operator,
     flat_index,
+    parity_blocks,
     parity_operator,
     superposition_initial,
     superposition_target,

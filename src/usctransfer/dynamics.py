@@ -24,6 +24,7 @@ generators (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ _TAYLOR_TOL = 2.0**-53  # Taylor remainder bound per substep, relative to the st
 
 
 class IntegrationError(RuntimeError):
-    """Propagation failed (non-finite couplings or state)."""
+    """Propagation failed (non-finite couplings or state, or a Taylor sum that did not converge)."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,9 @@ def matrix_exponential(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * a) by scaling-and-squaring with a shifted Taylor kernel.
 
     Accurate to better than 1e-12 relative error for ``norm(scale * a)`` up
-    to about 10; larger norms are handled by additional squarings.
+    to about 10; larger norms are handled by additional squarings.  Raises
+    :class:`IntegrationError` if the Taylor sum has not converged after
+    ``_MAX_TAYLOR_TERMS`` terms.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -121,6 +124,8 @@ def matrix_exponential(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
         result += term
         if _one_norm(term) <= 1e-16 * _one_norm(result):
             break
+    else:
+        raise IntegrationError(f"Taylor sum did not converge in {_MAX_TAYLOR_TERMS} terms")
     for _ in range(squarings):
         result = result @ result
     return np.exp(mu) * result
@@ -160,15 +165,20 @@ def _expm_apply(gens: np.ndarray, psi: np.ndarray, scale: complex, norm_bound: f
     return psi
 
 
+@functools.lru_cache(maxsize=32)
 def generators(params: ModelParams, rwa: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drift generator K0 = H0 - (i/2) kappa a^dag a and the unit controls V1, V2.
 
     The generator at couplings (g1, g2) is ``k0 + g1 * v1 + g2 * v2``; with
     ``rwa=True`` the controls keep only their excitation-conserving part.
+    The matrices are built once per ``(params, rwa)`` and shared by every
+    caller, so they are returned read-only.
     """
     k0 = drift_hamiltonian(params) - 0.5j * params.kappa * number_operator(params)
     v1 = coupling_operator(1, params, rwa=rwa)
     v2 = coupling_operator(2, params, rwa=rwa)
+    for op in (k0, v1, v2):
+        op.flags.writeable = False
     return k0, v1, v2
 
 
@@ -270,7 +280,9 @@ def propagate_piecewise(
 
     Returns the trajectory sampled at every bin edge together with the list
     of per-bin propagators U_k = exp(-i K(g1_k, g2_k) dt), in application
-    order, for reuse by the gradient engine.
+    order.  It works on the full space with the Taylor exponential, which
+    makes it the independent check of the gradient engine's block
+    propagators.
     """
     opts = opts or PropagationOptions()
     state0 = _check_initial(state0, params)

@@ -74,7 +74,8 @@ def transfer_efficiency(final: np.ndarray, target: np.ndarray) -> float:
     """Squared overlap |<target|final>|^2, insensitive to global phases.
 
     ``target`` must be normalized; ``final`` may be sub-normalized after a
-    lossy evolution.
+    lossy evolution.  Raises ``FloatingPointError`` when the overlap breaks
+    the Cauchy-Schwarz bound, as it does when ``final`` holds a NaN.
     """
     final = np.asarray(final, dtype=complex)
     target = np.asarray(target, dtype=complex)
@@ -85,8 +86,11 @@ def transfer_efficiency(final: np.ndarray, target: np.ndarray) -> float:
         raise ValueError(f"target is not normalized, |target|^2 = {norm2_target}")
     efficiency = float(abs(np.vdot(target, final)) ** 2)
     norm2_final = float(np.vdot(final, final).real)
-    # Cauchy-Schwarz: can only fail through a programming error upstream.
-    assert efficiency <= norm2_final * norm2_target * (1.0 + 1e-9) + 1e-300
+    # Cauchy-Schwarz; a NaN in ``final`` fails the comparison as well
+    if not efficiency <= norm2_final * norm2_target * (1.0 + 1e-9) + 1e-300:
+        raise FloatingPointError(
+            f"overlap {efficiency!r} exceeds |final|^2 |target|^2 = {norm2_final * norm2_target!r}"
+        )
     return efficiency
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "coupling_operator",
     "excitation_operator",
     "parity_operator",
+    "parity_blocks",
 ]
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -217,3 +218,14 @@ def parity_operator(params: ModelParams) -> np.ndarray:
     """Excitation parity (-1)^N, conserved by the full Rabi Hamiltonian."""
     n_exc = np.real(np.diag(excitation_operator(params)))
     return np.diag((-1.0) ** n_exc).astype(complex)
+
+
+def parity_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the even- and the odd-excitation sector, in that order.
+
+    Both models conserve the excitation parity, and so does the cavity loss:
+    every generator built from these operators is block diagonal on the two
+    sectors, each of dimension 2*(n_max+1).
+    """
+    n_exc = np.real(np.diag(excitation_operator(params))).astype(int)
+    return np.flatnonzero(n_exc % 2 == 0), np.flatnonzero(n_exc % 2 == 1)

@@ -15,6 +15,7 @@ from usctransfer import (
     PropagationOptions,
     basis_state,
     excitation_operator,
+    generators,
     integration_window,
     matrix_exponential,
     parity_operator,
@@ -24,6 +25,7 @@ from usctransfer import (
     transfer_efficiency,
     superposition_target,
 )
+from usctransfer import dynamics
 from usctransfer.model import coupling_operator
 
 from conftest import dense_generator
@@ -84,6 +86,21 @@ class TestMatrixExponential:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((2, 3)))
+
+    def test_unconverged_taylor_sum_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_TAYLOR_TERMS", 3)
+        with pytest.raises(IntegrationError):
+            matrix_exponential(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+class TestGenerators:
+    def test_cached_and_read_only(self):
+        params = ModelParams(n_max=2)
+        ops = generators(params)
+        assert all(a is b for a, b in zip(ops, generators(params)))
+        for op in ops:
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
 
 
 class TestPropagateClosedForms:

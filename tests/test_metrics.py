@@ -1,8 +1,14 @@
 """Transfer efficiency and trajectory diagnostics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import usctransfer
 from usctransfer import (
     GaussianPair,
     ModelParams,
@@ -79,6 +85,28 @@ class TestTransferEfficiency:
     def test_unnormalized_target_rejected(self):
         with pytest.raises(ValueError):
             transfer_efficiency(basis_state(0, 0, 0, PARAMS), 0.5 * basis_state(0, 0, 0, PARAMS))
+
+    def test_nan_final_raises(self):
+        final = basis_state(0, 0, 0, PARAMS)
+        final[3] = np.nan
+        with pytest.raises(FloatingPointError):
+            transfer_efficiency(final, basis_state(0, 0, 0, PARAMS))
+
+    def test_nan_final_raises_under_optimize_flag(self):
+        # python -O strips assert statements; the check must survive it
+        code = (
+            "import numpy as np\n"
+            "from usctransfer import transfer_efficiency\n"
+            "target = np.eye(4, dtype=complex)[0]\n"
+            "try:\n"
+            "    transfer_efficiency(np.full(4, np.nan, dtype=complex), target)\n"
+            "except FloatingPointError:\n"
+            "    raise SystemExit(3)\n"
+        )
+        src = str(Path(usctransfer.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
 
 
 def short_gaussian_run(kappa=0.0):

@@ -12,6 +12,7 @@ from usctransfer import (
     excitation_operator,
     generators,
     flat_index,
+    parity_blocks,
     parity_operator,
     superposition_initial,
     superposition_target,
@@ -232,6 +233,15 @@ class TestConservedQuantities:
 
     def test_parity_trace_vanishes_on_nmax1(self):
         assert np.trace(parity_operator(P1)) == 0.0
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
+    def test_parity_blocks_split_the_generator(self, rwa):
+        even, odd = parity_blocks(P3)
+        np.testing.assert_array_equal(np.sort(np.concatenate([even, odd])), np.arange(P3.dim))
+        np.testing.assert_array_equal(np.diag(parity_operator(P3))[even], 1.0)
+        np.testing.assert_array_equal(np.diag(parity_operator(P3))[odd], -1.0)
+        k = generator(replace(P3, kappa=0.3), 0.2, 0.1, rwa)
+        assert not np.any(k[np.ix_(even, odd)]) and not np.any(k[np.ix_(odd, even)])
 
     def test_coupling_operator_hermitian(self):
         for rwa in (False, True):

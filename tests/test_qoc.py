@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import usctransfer.qoc as qoc_mod
 from usctransfer import (
     ModelParams,
     OptimizationConfig,
@@ -15,9 +19,11 @@ from usctransfer import (
     objective,
     objective_and_gradient,
     optimize,
+    parity_blocks,
     superposition_initial,
     superposition_target,
 )
+from usctransfer.model import coupling_operator, drift_hamiltonian, number_operator
 
 PARAMS = ModelParams(kappa=0.005, n_max=2)
 INITIAL = superposition_initial(0.0, 1.0, PARAMS)
@@ -29,6 +35,36 @@ def random_schedule(seed, bins=5, duration=5.0, bounds=(0.0, 0.3)):
     lo, hi = bounds
     vals = rng.uniform(lo + 0.02, hi - 0.02, 2 * bins)
     return PiecewiseConstantSchedule(0.0, duration / bins, vals[:bins], vals[bins:], bounds)
+
+
+def frechet_reference(sched, params, initial, target, rwa=False):
+    """F and its gradient from per-bin dense expm and expm_frechet on the full space.
+
+    Built from the model primitives, independent of the library's generator
+    builder, parity blocks and eigendecomposition.
+    """
+    k0 = drift_hamiltonian(params) - 0.5j * params.kappa * number_operator(params)
+    controls = [coupling_operator(i, params, rwa=rwa) for i in (1, 2)]
+    m, dt = sched.bins, sched.dt
+    us, dus = [], []
+    for k in range(m):
+        a = -1j * dt * (k0 + sched.values1[k] * controls[0] + sched.values2[k] * controls[1])
+        us.append(scipy.linalg.expm(a))
+        dus.append([scipy.linalg.expm_frechet(a, -1j * dt * v, compute_expm=False) for v in controls])
+    phis = [np.asarray(initial, dtype=complex)]
+    for u in us:
+        phis.append(u @ phis[-1])
+    chis = [None] * m
+    chis[m - 1] = np.asarray(target, dtype=complex)
+    for k in range(m - 2, -1, -1):
+        chis[k] = us[k + 1].conj().T @ chis[k + 1]
+    overlap = np.vdot(target, phis[m])
+    grad = [
+        2.0 * np.real(np.conj(overlap) * np.vdot(chis[k], dus[k][j] @ phis[k]))
+        for j in range(2)
+        for k in range(m)
+    ]
+    return float(abs(overlap) ** 2), np.array(grad)
 
 
 class TestObjective:
@@ -129,11 +165,87 @@ class TestGradient:
         np.testing.assert_allclose(f, 1.0, atol=1e-12)
         np.testing.assert_allclose(grad[0], 0.0, atol=1e-10)
 
+    def test_mismatched_target_rejected(self):
+        with pytest.raises(ValueError):
+            objective_and_gradient(random_schedule(9), PARAMS, INITIAL, TARGET[:-4])
+
     def test_objective_and_gradient_consistent(self):
         sched = random_schedule(9)
         f, grad = objective_and_gradient(sched, PARAMS, INITIAL, TARGET)
         np.testing.assert_allclose(f, objective(sched, PARAMS, INITIAL, TARGET), rtol=1e-14)
         np.testing.assert_allclose(grad, gradient(sched, PARAMS, INITIAL, TARGET), rtol=1e-14)
+
+
+def oracle_case(kappa=0.005, alpha=0.0, values=None, rwa=False, n_max=8, seed=0, bins=6):
+    params = ModelParams(kappa=kappa, n_max=n_max)
+    beta = np.sqrt(1.0 - alpha**2)
+    if values is None:
+        values = np.random.default_rng(seed).uniform(0.0, 0.3, 2 * bins)
+    values = np.asarray(values, dtype=float)
+    bins = values.size // 2
+    sched = PiecewiseConstantSchedule(0.0, 12.0 / bins, values[:bins], values[bins:], (0.0, 0.3))
+    return (
+        sched,
+        params,
+        superposition_initial(alpha, beta, params),
+        superposition_target(alpha, beta, params),
+        PropagationOptions(rwa=rwa),
+    )
+
+
+def assert_matches_frechet_reference(sched, params, initial, target, opts):
+    f, grad = objective_and_gradient(sched, params, initial, target, opts)
+    f_ref, grad_ref = frechet_reference(sched, params, initial, target, opts.rwa)
+    assert abs(f - f_ref) <= 1e-12
+    np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
+
+
+class TestGradientOracle:
+    """The eigen-path gradient against per-bin Frechet derivatives on the full space."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # RWA single-excitation block at g1 = kappa/4 is an exceptional
+            # point (defective K): only the per-bin fallback is accurate there
+            pytest.param(
+                dict(rwa=True, alpha=0.6, values=[0.00125] * 6 + [0.0] * 6), id="rwa-exceptional-point"
+            ),
+            pytest.param(dict(values=[0.0] * 12), id="all-zero-bins"),
+            # exactly degenerate eigenvalues in the zero bins next to coupled ones
+            pytest.param(
+                dict(alpha=0.6, values=[0.0, 0.2, 0.0, 0.1, 0.25, 0.0, 0.0, 0.0, 0.15, 0.3, 0.0, 0.05]),
+                id="zero-bins-between-coupled",
+            ),
+            pytest.param(dict(alpha=0.6, seed=1), id="both-blocks"),
+            pytest.param(dict(kappa=0.5, seed=2), id="kappa0.5"),
+        ],
+    )
+    def test_matches_frechet_reference(self, case):
+        assert_matches_frechet_reference(*oracle_case(**case))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        kappa=st.floats(0.0, 1.0),
+        n_max=st.sampled_from([2, 3, 4]),
+        rwa=st.booleans(),
+        alpha=st.sampled_from([0.0, 0.6]),
+        bins=st.integers(1, 6),
+    )
+    def test_property_matches_frechet_reference(self, data, kappa, n_max, rwa, alpha, bins):
+        value = st.one_of(st.just(0.0), st.just(kappa / 4), st.floats(0.0, 0.3))
+        values = data.draw(st.lists(value, min_size=2 * bins, max_size=2 * bins))
+        assert_matches_frechet_reference(
+            *oracle_case(kappa=kappa, alpha=alpha, values=values, rwa=rwa, n_max=n_max)
+        )
+
+    def test_gradient_check_catches_a_dropped_parity_block(self, monkeypatch):
+        # the health check's input fills both blocks, so an even-block
+        # gradient that goes missing shows up against finite differences
+        monkeypatch.setattr(qoc_mod, "parity_blocks", lambda params: parity_blocks(params)[1:])
+        results = gradient_check(PARAMS, seeds=(3,))
+        assert all(rel > 1e-3 for _, rel in results)
 
 
 class TestOptimize:
