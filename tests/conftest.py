@@ -34,12 +34,12 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.slow)
 
 
-def dense_generator(params, g1, g2):
+def dense_generator(params, g1, g2, rwa=False):
     """K(g1, g2) assembled from the model operators, independent of the library builder."""
     return (
         drift_hamiltonian(params)
-        + g1 * coupling_operator(1, params)
-        + g2 * coupling_operator(2, params)
+        + g1 * coupling_operator(1, params, rwa=rwa)
+        + g2 * coupling_operator(2, params, rwa=rwa)
         - 0.5j * params.kappa * number_operator(params)
     )
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usctransfer import (
     GaussianPair,
@@ -18,6 +20,7 @@ from usctransfer import (
     generators,
     integration_window,
     matrix_exponential,
+    parity_blocks,
     parity_operator,
     propagate,
     propagate_piecewise,
@@ -33,6 +36,28 @@ from conftest import dense_generator
 
 def constant_schedule(g1, g2, duration, bounds=(0.0, 1.0)):
     return PiecewiseConstantSchedule(0.0, duration, [g1], [g2], bounds)
+
+
+def dense_cf4_chain(psi0, schedule, params, window, n_steps, amp=1.0, rwa=False):
+    """States after each of ``n_steps`` fourth-order commutator-free Magnus steps.
+
+    Two scipy expm of the dense full-space generator per step, the
+    couplings taken at the Gauss nodes, the right-hand factor applied first;
+    independent of the library's blocks, trace shift and Taylor kernel.
+    """
+    a1, a2 = 0.25 - math.sqrt(3) / 6, 0.25 + math.sqrt(3) / 6
+    c1, c2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
+    h = (window[1] - window[0]) / n_steps
+    psi = np.asarray(psi0, dtype=complex)
+    states = [psi]
+    for i in range(n_steps):
+        t = window[0] + i * h
+        k_1 = dense_generator(params, *(amp * g for g in schedule.values(t + c1 * h)), rwa=rwa)
+        k_2 = dense_generator(params, *(amp * g for g in schedule.values(t + c2 * h)), rwa=rwa)
+        psi = scipy.linalg.expm(-1j * h * (a2 * k_1 + a1 * k_2)) @ psi
+        psi = scipy.linalg.expm(-1j * h * (a1 * k_1 + a2 * k_2)) @ psi
+        states.append(psi)
+    return states
 
 
 class TestMatrixExponential:
@@ -176,7 +201,7 @@ class TestConservationLaws:
 class TestPiecewisePropagation:
     PARAMS = ModelParams(kappa=0.004, n_max=3)
 
-    def test_single_bin_matches_midpoint_stepper(self):
+    def test_single_bin_matches_stepper(self):
         sched = constant_schedule(0.21, 0.13, 4.0)
         psi0 = superposition_initial(0.0, 1.0, self.PARAMS)
         traj_pw, _ = propagate_piecewise(psi0, sched, self.PARAMS)
@@ -220,28 +245,24 @@ class TestPiecewisePropagation:
 class TestBatchedPropagation:
     PARAMS = ModelParams(kappa=0.01, n_max=2)
 
-    def test_dense_midpoint_chain_oracle_per_amplitude(self):
-        # independent route per amplitude: scipy expm of the dense generator
-        # at every step midpoint, chained on the n_max=2 space
+    @pytest.mark.parametrize(
+        "alpha, beta", [pytest.param(0.0, 1.0, id="odd-block"), pytest.param(0.6, 0.8, id="both-blocks")]
+    )
+    def test_dense_cf4_chain_oracle_per_amplitude(self, alpha, beta):
+        # independent route per amplitude: two scipy expm of the dense
+        # generator per step, chained on the n_max=2 space
         pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
         window = (-4.0, 4.0)
         opts = PropagationOptions(dt=0.05, record_stride=7)
         amplitudes = [0.35, 0.0, 0.6]
-        psi0 = superposition_initial(0.0, 1.0, self.PARAMS)
+        psi0 = superposition_initial(alpha, beta, self.PARAMS)
         trajs = propagate(psi0, pair, self.PARAMS, window, opts, amplitudes=amplitudes)
         assert len(trajs) == len(amplitudes)
         n_steps = 160
-        h = (window[1] - window[0]) / n_steps
         for amp, traj in zip(amplitudes, trajs):
-            psi = psi0.copy()
-            states = [psi]
-            for i in range(n_steps):
-                g1, g2 = pair.values(window[0] + (i + 0.5) * h)
-                k_eff = dense_generator(self.PARAMS, amp * g1, amp * g2)
-                psi = scipy.linalg.expm(-1j * h * k_eff) @ psi
-                if (i + 1) % opts.record_stride == 0 or i == n_steps - 1:
-                    states.append(psi)
-            np.testing.assert_allclose(traj.final, psi, atol=1e-10)
+            chain = dense_cf4_chain(psi0, pair, self.PARAMS, window, n_steps, amp)
+            states = chain[:: opts.record_stride] + [chain[-1]]
+            np.testing.assert_allclose(traj.final, chain[-1], atol=1e-10)
             np.testing.assert_allclose(traj.states, np.array(states), atol=1e-10)
             np.testing.assert_array_equal(traj.times, trajs[0].times)
 
@@ -252,6 +273,48 @@ class TestBatchedPropagation:
             propagate(psi0, sched, self.PARAMS, (0.0, 1.0), amplitudes=[])
         with pytest.raises(IntegrationError):
             propagate(psi0, sched, self.PARAMS, (0.0, 1.0), amplitudes=[0.1, np.nan])
+
+
+class TestStepperOrder:
+    def test_fourth_order_convergence(self):
+        # halving the step must cut the error 16-fold; a swapped factor order
+        # or a single midpoint exponential cuts it only 4-fold
+        params = ModelParams(kappa=0.01, n_max=3)
+        pair = GaussianPair(g0=0.4, T=2.0, tau=1.0)
+        window = (-5.0, 5.0)
+        psi0 = superposition_initial(0.6, 0.8, params)
+
+        def final(n_steps):
+            opts = PropagationOptions(dt=(window[1] - window[0]) / n_steps)
+            return propagate(psi0, pair, params, window, opts).final
+
+        reference = final(4000)
+        errors = [np.linalg.norm(final(n) - reference) for n in (50, 100, 200)]
+        assert 14 <= errors[0] / errors[1] <= 18
+        assert 14 <= errors[1] / errors[2] <= 18
+
+
+class TestBlockPropagation:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        kappa=st.floats(0.0, 1.0),
+        n_max=st.sampled_from([2, 3]),
+        rwa=st.booleans(),
+        amp=st.floats(0.0, 0.6),
+        alpha=st.sampled_from([0.0, 0.6]),
+    )
+    def test_property_matches_dense_chain(self, kappa, n_max, rwa, amp, alpha):
+        params = ModelParams(kappa=kappa, n_max=n_max)
+        pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
+        window, n_steps = (-4.0, 4.0), 40
+        psi0 = superposition_initial(alpha, math.sqrt(1.0 - alpha**2), params)
+        opts = PropagationOptions(dt=(window[1] - window[0]) / n_steps, rwa=rwa)
+        (traj,) = propagate(psi0, pair, params, window, opts, amplitudes=[amp])
+        chain = dense_cf4_chain(psi0, pair, params, window, n_steps, amp, rwa)
+        np.testing.assert_allclose(traj.final, chain[-1], rtol=0, atol=1e-10)
+        if alpha == 0.0:
+            even, _ = parity_blocks(params)
+            assert np.all(traj.states[:, even] == 0)
 
 
 class TestIntegratorAgreement:
