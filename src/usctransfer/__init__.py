@@ -38,7 +38,6 @@ from .metrics import (
     cavity_indices,
     leakage,
     mean_photon,
-    peak_mean_photon,
     populations,
     subspace_indices,
     transfer_efficiency,

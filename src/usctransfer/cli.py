@@ -139,7 +139,7 @@ _COMMON_DEFAULTS = {
     "alpha": 0j,
     "beta": 1 + 0j,
     "model": "rabi",
-    "dt": 0.05,
+    "dt": 0.1,
 }
 
 
@@ -151,7 +151,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=_parse_complex, help="input amplitude on |g1>, as 're,im'")
     sub.add_argument("--beta", type=_parse_complex, help="input amplitude on |e1>, as 're,im'")
     sub.add_argument("--model", choices=("rabi", "rwa"), help="full Rabi or rotating-wave dynamics")
-    sub.add_argument("--dt", type=float, help="propagation step (default 0.05)")
+    sub.add_argument("--dt", type=float, help="propagation step and trajectory sample spacing (default 0.1)")
     sub.add_argument("--out", help="output path (stdout when omitted)")
     sub.add_argument("--config", help="flat JSON config file; flags override its values")
 

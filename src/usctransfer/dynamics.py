@@ -32,6 +32,12 @@ amplitude a_p share one schedule, window and step grid, and each
 exponential costs one batched product per Taylor term for all of them and
 for both blocks.  A single-state call is the G = 1 case with a_1 = 1.
 
+Every step is a sample.  The peak photon number of a trajectory is computed
+once, after propagation, by :func:`_photon_peaks`: between samples <n>(t)
+is the cubic Hermite interpolant of the sampled values and their exact
+slopes d<n>/dt = 2 Re <psi|N(-iK)psi>, so the peak does not move with the
+step the way a maximum over samples does.
+
 The matrix exponential uses scaling-and-squaring with a trace shift and a
 Taylor kernel; for state propagation the exponential is applied directly to
 the amplitude vectors, which avoids forming per-step propagators.  There the
@@ -78,33 +84,35 @@ class PropagationOptions:
     The stepper takes fixed fourth-order commutator-free Magnus steps of at
     most ``dt`` (two exponentials per step, controls sampled at the two
     Gauss nodes, on the occupied parity blocks with their trace shifted
-    out); every ``record_stride``-th step is stored in the trajectory, so
-    the defaults sample every 0.05.  ``rwa`` selects the
+    out) and stores every step, so the default trajectory is sampled every
+    0.1; at that step every transfer efficiency of the default 10 x 10 map
+    is within 1e-10 of a dt = 0.0125 run.  ``rwa`` selects the
     excitation-conserving Hamiltonian instead of the full Rabi one.
     """
 
-    dt: float = 0.05
-    record_stride: int = 1
+    dt: float = 0.1
     rwa: bool = False
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times, the matching states, and the final state.
+    """Sampled evolution: times, the matching states, the final state and the photon peak.
 
     ``states[k]`` is the amplitude vector at ``times[k]``; ``final`` is the
-    exact end-of-window state regardless of the sampling stride.
+    end-of-window state.  ``peak_mean_photon`` is the largest <a^dag a>
+    between the first and the last sample, read from the cubic Hermite
+    interpolant of :func:`_photon_peaks` (NaN when not computed); it is at
+    least the largest sampled value.
     """
 
     times: np.ndarray
     states: np.ndarray
     final: np.ndarray
+    peak_mean_photon: float = math.nan
 
     def norms2(self) -> np.ndarray:
         """Squared norm at every sample (decays under cavity loss)."""
@@ -204,6 +212,67 @@ def generators(params: ModelParams, rwa: bool = False) -> tuple[np.ndarray, np.n
     return k0, v1, v2
 
 
+def _photon_peaks(
+    times: np.ndarray,
+    states: np.ndarray,
+    params: ModelParams,
+    rwa: bool,
+    amps: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> np.ndarray:
+    """Peak photon number of each of G sampled trajectories, independent of the sampling.
+
+    ``states`` has shape (G, S, dim), and trajectory p evolved under
+    K0 + amps[p] (g1 V1 + g2 V2).  ``left[k]`` and ``right[k]`` are the
+    couplings (g1, g2) in force at the start and at the end of the interval
+    from ``times[k]`` to ``times[k + 1]``; they differ from the neighbouring
+    interval's where the schedule jumps.  On each interval <n>(t) is the
+    cubic Hermite interpolant of the sampled <n> and its exact slope
+    d<n>/dt = 2 Re <psi|N(-iK)psi>, and the peak is the largest value of
+    these cubics.  K0 is diagonal and V1, V2 are real, so with
+    psi = r + i s the slope is 2 sum_j |psi_j|^2 n_j Im K0_jj plus
+    2 a g r^T [N, V] s for each control; it is evaluated on the parity
+    blocks that the first sample occupies.
+    """
+    k0, v1, v2 = generators(params, rwa)
+    n_values = number_operator(params).diagonal().real
+    occupied = np.concatenate([idx for idx in parity_blocks(params) if np.any(states[:, 0, idx])])
+    n_occ = n_values[occupied]
+    decay = 2.0 * n_occ * k0.diagonal()[occupied].imag
+    # [N, V]_jk = (n_j - n_k) V_jk is nonzero only where V changes the photon number
+    comm = np.stack([(n_occ[:, None] - n_occ) * v[np.ix_(occupied, occupied)].real for v in (v1, v2)])
+    rows, cols = np.nonzero(comm.any(axis=0))
+    weights = 2.0 * comm[:, rows, cols]
+    mean_n, drift = np.zeros(states.shape[:2]), np.zeros(states.shape[:2])
+    coupled = np.zeros((2, *states.shape[:2]))  # 2 r^T [N, V] s for V1 and V2
+    # one trajectory at a time, sample axis last, keeps the temporaries small
+    # and the products free of threaded BLAS calls
+    for p, traj in enumerate(states):
+        block = traj.T[occupied]
+        pop = block.real**2 + block.imag**2
+        mean_n[p] = np.einsum("j,jk->k", n_occ, pop)
+        drift[p] = np.einsum("j,jk->k", decay, pop)
+        coupled[:, p] = np.einsum("ce,ek->ck", weights, block.real[rows] * block.imag[cols])
+
+    a = amps[:, None]
+    h = np.diff(times)
+    p0, p1 = mean_n[:, :-1], mean_n[:, 1:]
+    m0 = h * (drift[:, :-1] + a * (left[:, 0] * coupled[0, :, :-1] + left[:, 1] * coupled[1, :, :-1]))
+    m1 = h * (drift[:, 1:] + a * (right[:, 0] * coupled[0, :, 1:] + right[:, 1] * coupled[1, :, 1:]))
+    # <n> = p0 + m0 x + c2 x^2 + c3 x^3 for x = (t - t_k) / h in [0, 1]
+    c2 = 3.0 * (p1 - p0) - 2.0 * m0 - m1
+    c3 = 2.0 * (p0 - p1) + m0 + m1
+    # stationary points 3 c3 x^2 + 2 c2 x + m0 = 0, in the cancellation-free form
+    disc = c2**2 - 3.0 * c3 * m0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(c2 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c2))
+        roots = np.stack([q / (3.0 * c3), m0 / q])
+    x = np.where((disc >= 0.0) & np.isfinite(roots), np.clip(roots, 0.0, 1.0), 0.0)
+    inner = p0 + x * (m0 + x * (c2 + x * c3))
+    return np.maximum(mean_n.max(axis=1), inner.max(axis=(0, 2)))
+
+
 def _check_initial(state0: np.ndarray, params: ModelParams) -> np.ndarray:
     state0 = np.asarray(state0, dtype=complex)
     if state0.shape != (params.dim,):
@@ -245,9 +314,10 @@ def propagate(
     Returns
     -------
     Trajectory or list of Trajectory
-        Sampled states and the unnormalized final state, whose norm loss is
-        the population lost through the cavity; with ``amplitudes``, one
-        trajectory per amplitude, in order.
+        The state after every step, the unnormalized final state, whose norm
+        loss is the population lost through the cavity, and the photon peak
+        of :func:`_photon_peaks` with the couplings read at the sample
+        times; with ``amplitudes``, one trajectory per amplitude, in order.
     """
     opts = opts or PropagationOptions()
     state0 = _check_initial(state0, params)
@@ -281,13 +351,10 @@ def propagate(
     flat_gens = gens.reshape(-1, d, d)
     (a1, a2), (c1, c2) = _CF4_A, _CF4_C
 
-    stride = opts.record_stride
-    marks = [*range(stride, n_steps, stride), n_steps]  # step counts at which a sample is taken
-    times = t0 + h * np.array([0, *marks])
+    times = t0 + h * np.arange(n_steps + 1)
     samples = np.zeros((amps.size, times.size, params.dim), dtype=complex)
     samples[:, 0] = state0
     psi = np.concatenate([np.tile(state0[idx, None], (amps.size, 1, 1)) for idx in blocks])
-    k = 1
     for i in range(n_steps):
         t = t0 + i * h
         g1a, g2a = schedule.values(t + c1 * h)
@@ -300,13 +367,15 @@ def propagate(
             gens += half_k0
             psi = _expm_apply(flat_gens, psi, -1j * h, n0 + a_max * (abs(u1) * nv1 + abs(u2) * nv2))
         psi *= phase
-        if i + 1 == marks[k - 1]:
-            for idx, block in zip(blocks, psi.reshape(len(blocks), amps.size, d)):
-                samples[:, k, idx] = block
-            k += 1
+        for idx, block in zip(blocks, psi.reshape(len(blocks), amps.size, d)):
+            samples[:, i + 1, idx] = block
     if not np.all(np.isfinite(psi)):
         raise IntegrationError("state became non-finite during propagation")
-    trajs = [Trajectory(times, states, states[-1]) for states in samples]
+    couplings = np.array([schedule.values(t) for t in times], dtype=float)
+    if not np.all(np.isfinite(couplings)):
+        raise IntegrationError("schedule produced non-finite couplings at a sample time")
+    peaks = _photon_peaks(times, samples, params, opts.rwa, amps, couplings[:-1], couplings[1:])
+    trajs = [Trajectory(times, states, states[-1], float(peak)) for states, peak in zip(samples, peaks)]
     return trajs[0] if amplitudes is None else trajs
 
 
@@ -320,7 +389,8 @@ def propagate_piecewise(
 
     Returns the trajectory sampled at every bin edge together with the list
     of per-bin propagators U_k = exp(-i K(g1_k, g2_k) dt), in application
-    order.  It works on the full space with the Taylor exponential, which
+    order.  The photon peak interpolates each bin with that bin's generator
+    at both of its edges, since d<n>/dt jumps where the couplings do.  It works on the full space with the Taylor exponential, which
     makes it the independent check of the gradient engine's block
     propagators.
     """
@@ -343,4 +413,7 @@ def propagate_piecewise(
         states.append(psi)
     if not np.all(np.isfinite(psi)):
         raise IntegrationError("state became non-finite during propagation")
-    return Trajectory(np.array(times), np.array(states), psi), propagators
+    times, states = np.array(times), np.array(states)
+    bins = np.column_stack([sched.values1, sched.values2])
+    (peak,) = _photon_peaks(times, states[None], params, opts.rwa, np.ones(1), bins, bins)
+    return Trajectory(times, states, psi, float(peak)), propagators

@@ -3,7 +3,10 @@
 The figure of merit is the squared overlap |<target|final>|^2 evaluated with
 the raw (possibly sub-normalized) final state, so population leaked through
 the cavity directly reduces the efficiency.  Populations, photon number and
-leakage diagnostics operate on sampled trajectories.
+leakage diagnostics operate on sampled trajectories.  The peak photon
+number is not a maximum over samples: the propagators compute it from a
+cubic Hermite interpolant with exact slopes and store it on the
+:class:`~usctransfer.dynamics.Trajectory`, so it does not move with the step.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "subspace_indices",
     "cavity_indices",
     "mean_photon",
-    "peak_mean_photon",
     "leakage",
 ]
 
@@ -58,13 +60,16 @@ class RunRecord:
         duration: float,
         wall_time: float = 0.0,
     ) -> "RunRecord":
-        """Record of a finished run, with its figures measured on ``traj``."""
+        """Record of a finished run, with its figures measured on ``traj``.
+
+        The photon peak is the one the propagator stored on ``traj``.
+        """
         return cls(
             params=params,
             schedule=schedule,
             fidelity=transfer_efficiency(traj.final, target),
             leakage=leakage(traj),
-            peak_mean_photon=peak_mean_photon(traj, params),
+            peak_mean_photon=traj.peak_mean_photon,
             duration=duration,
             wall_time=wall_time,
         )
@@ -121,12 +126,6 @@ def mean_photon(state: np.ndarray, params: ModelParams) -> float:
         raise ValueError(f"state has shape {state.shape}, expected ({params.dim},)")
     n_values = np.repeat(np.arange(params.n_max + 1), 4)
     return float(np.sum(n_values * np.abs(state) ** 2))
-
-
-def peak_mean_photon(traj: Trajectory, params: ModelParams) -> float:
-    """Largest photon-number expectation over the sampled trajectory."""
-    n_values = np.repeat(np.arange(params.n_max + 1), 4)
-    return float((np.abs(traj.states) ** 2 @ n_values).max())
 
 
 def leakage(traj: Trajectory) -> float:

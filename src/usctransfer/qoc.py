@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm_frechet
-from scipy.optimize import minimize
 
 from .dynamics import PropagationOptions, _check_initial, generators, propagate_piecewise
 from .metrics import transfer_efficiency
@@ -133,6 +131,8 @@ def _block_pass(
     block state and the (2, M) array of <chi_k| dU_k/dg_jk |phi_k>, with
     phi_k the state entering bin k and <chi_k| = <target| U_M-1 ... U_k+1.
     """
+    from scipy.linalg import expm_frechet  # imported here so the CLI starts without scipy
+
     g1, g2 = (np.asarray(v)[:, None, None] for v in values)
     gens = k0 + g1 * controls[0] + g2 * controls[1]
     m = gens.shape[0]
@@ -336,6 +336,8 @@ def optimize(
         Best schedule, its fidelity, the (iteration, F, |grad|) trace and
         whether the best restart terminated by tolerance rather than budget.
     """
+    from scipy.optimize import minimize  # imported here so the CLI starts without scipy
+
     m = config.bins
     dt = config.duration / m
     lo, hi = config.bounds

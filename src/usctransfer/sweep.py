@@ -117,19 +117,9 @@ def gaussian_row(
 
     runs = []
     for pair, traj in zip(pairs, trajs):
-        descriptor = {
-            "kind": "gaussian",
-            "model": model,
-            "t_inv": float(t_inv),
-            "g0": pair.g0,
-            "T": width,
-            "tau": pair.tau,
-            "tau_ratio": fixed.tau_ratio,
-            "cutoff": fixed.cutoff,
-            "window": [window[0], window[1]],
-            "alpha": fixed.alpha,
-            "beta": fixed.beta,
-        }
+        descriptor = _descriptor(
+            t_inv, pair.g0, fixed, model, T=width, tau=pair.tau, window=[window[0], window[1]]
+        )
         record = RunRecord.from_trajectory(
             params, descriptor, traj, target, effective_duration(pair), wall
         )
@@ -153,8 +143,13 @@ def run_point(t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi") -
     return gaussian_run(t_inv, g0, fixed, model)[0]
 
 
-def _failed_record(t_inv, g0, fixed, model, exc) -> RunRecord:
-    descriptor = {
+def _descriptor(t_inv, g0, fixed: SweepFixed, model: str, **pulse) -> dict:
+    """Schedule descriptor of the Gaussian point (``t_inv``, ``g0``).
+
+    ``pulse`` adds what only a built run knows (``T``, ``tau``, ``window``);
+    a failed point's record goes without them.
+    """
+    return {
         "kind": "gaussian",
         "model": model,
         "t_inv": float(t_inv),
@@ -163,11 +158,15 @@ def _failed_record(t_inv, g0, fixed, model, exc) -> RunRecord:
         "cutoff": fixed.cutoff,
         "alpha": fixed.alpha,
         "beta": fixed.beta,
+        **pulse,
     }
+
+
+def _failed_record(t_inv, g0, fixed, model, exc) -> RunRecord:
     nan = float("nan")
     return RunRecord(
         params=fixed.params,
-        schedule=descriptor,
+        schedule=_descriptor(t_inv, g0, fixed, model),
         fidelity=nan,
         leakage=nan,
         peak_mean_photon=nan,

@@ -21,6 +21,15 @@ def fast_sim_args():
     return ["simulate", "--t-inv", "0.2", "--g0", "0.25", "--dt", "0.02", "--nmax", "6"]
 
 
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported by the optimizer only when it runs
+        code = "import sys, usctransfer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestSimulate:
     def test_emits_run_record_json(self, fast_sim_args):
         proc = run_cli(*fast_sim_args)

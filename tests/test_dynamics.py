@@ -253,7 +253,7 @@ class TestBatchedPropagation:
         # generator per step, chained on the n_max=2 space
         pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
         window = (-4.0, 4.0)
-        opts = PropagationOptions(dt=0.05, record_stride=7)
+        opts = PropagationOptions(dt=0.05)
         amplitudes = [0.35, 0.0, 0.6]
         psi0 = superposition_initial(alpha, beta, self.PARAMS)
         trajs = propagate(psi0, pair, self.PARAMS, window, opts, amplitudes=amplitudes)
@@ -261,9 +261,8 @@ class TestBatchedPropagation:
         n_steps = 160
         for amp, traj in zip(amplitudes, trajs):
             chain = dense_cf4_chain(psi0, pair, self.PARAMS, window, n_steps, amp)
-            states = chain[:: opts.record_stride] + [chain[-1]]
             np.testing.assert_allclose(traj.final, chain[-1], atol=1e-10)
-            np.testing.assert_allclose(traj.states, np.array(states), atol=1e-10)
+            np.testing.assert_allclose(traj.states, np.array(chain), atol=1e-10)
             np.testing.assert_array_equal(traj.times, trajs[0].times)
 
     def test_bad_amplitudes_rejected(self):
@@ -315,6 +314,62 @@ class TestBlockPropagation:
         if alpha == 0.0:
             even, _ = parity_blocks(params)
             assert np.all(traj.states[:, even] == 0)
+
+
+class TestPhotonPeak:
+    # the reference point t_inv = 0.04, g0 = 0.3, at the default delay tau = 0.6 T
+    PAIR = GaussianPair(g0=0.3, T=25.0, tau=15.0)
+
+    def test_reference_point_peak_converges(self):
+        # the default step's peak is within 1e-7 of the dt = 0.0125 peak, and
+        # the error shrinks as the step halves toward the default
+        params = ModelParams(kappa=0.005, n_max=8)
+        psi0 = superposition_initial(0.0, 1.0, params)
+        window = integration_window(self.PAIR)
+
+        def peak(dt):
+            return propagate(psi0, self.PAIR, params, window, PropagationOptions(dt=dt)).peak_mean_photon
+
+        reference = peak(0.0125)
+        default = PropagationOptions().dt
+        errors = [abs(peak(dt) - reference) / reference for dt in (4 * default, 2 * default, default)]
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] <= 1e-7
+
+    @pytest.mark.parametrize(
+        "alpha, beta, seed",
+        [
+            pytest.param(0.0, 1.0, 0, id="in-bin-odd-block"),
+            pytest.param(0.6, 0.8, 0, id="in-bin-both-blocks"),
+            pytest.param(0.0, 1.0, 1, id="at-edge-odd-block"),
+            pytest.param(0.6, 0.8, 3, id="at-edge-both-blocks"),
+        ],
+    )
+    def test_piecewise_peak_beats_bin_edge_max(self, alpha, beta, seed):
+        # oracle: each bin stepped densely with scipy expm of the dense
+        # generator, <n> read after every substep.  With seed 0 the photon
+        # peak falls inside a bin, where the bin-edge samples miss it; with
+        # the other seeds it sits on a bin edge where d<n>/dt jumps, which
+        # only slopes taken from each bin's own couplings reproduce
+        params = ModelParams(kappa=0.005, n_max=6)
+        rng = np.random.default_rng(seed)
+        m, substeps = 20, 200
+        sched = PiecewiseConstantSchedule(
+            0.0, 1.25, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m), (0.0, 0.3)
+        )
+        psi = superposition_initial(alpha, beta, params)
+        traj, _ = propagate_piecewise(psi, sched, params)
+        n_values = np.repeat(np.arange(params.n_max + 1), 4)
+        dense_peak = 0.0
+        for k in range(m):
+            step = scipy.linalg.expm(
+                -1j * sched.dt / substeps * dense_generator(params, sched.values1[k], sched.values2[k])
+            )
+            for _ in range(substeps):
+                psi = step @ psi
+                dense_peak = max(dense_peak, float(np.abs(psi) ** 2 @ n_values))
+        edge_peak = float((np.abs(traj.states) ** 2 @ n_values).max())
+        assert abs(traj.peak_mean_photon - dense_peak) < 0.5 * (dense_peak - edge_peak) + 1e-12
 
 
 class TestIntegratorAgreement:

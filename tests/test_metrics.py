@@ -19,7 +19,6 @@ from usctransfer import (
     integration_window,
     leakage,
     mean_photon,
-    peak_mean_photon,
     populations,
     propagate,
     subspace_indices,
@@ -142,11 +141,13 @@ class TestPhotonDiagnostics:
         assert mean_photon(basis_state(2, 0, 0, PARAMS), PARAMS) == 2.0
 
     def test_peak_over_trajectory(self):
+        # the interpolated peak can only exceed the sampled maximum, and at
+        # dt = 0.01 only by far less than the sampled maximum's own error
         params, traj = short_gaussian_run()
-        peak = peak_mean_photon(traj, params)
+        peak = traj.peak_mean_photon
         assert peak > 0
-        per_sample = [mean_photon(state, params) for state in traj.states]
-        np.testing.assert_allclose(peak, max(per_sample), rtol=1e-12)
+        sampled = max(mean_photon(state, params) for state in traj.states)
+        assert sampled <= peak <= sampled * (1 + 1e-6)
 
     def test_lossless_run_has_no_leakage(self):
         _, traj = short_gaussian_run(kappa=0.0)

@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from usctransfer import (
 )
 from usctransfer import sweep
 from usctransfer.formats import sweep_csv
-from usctransfer.sweep import default_grid
+from usctransfer.sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, default_grid
 
 FAST_OPTS = PropagationOptions(dt=0.02)
 CRASH_T_INV = 0.1
@@ -188,6 +189,22 @@ class TestRunSweep:
             rwa = run_point(t_inv, g0, fixed, model="rwa")
             wins += rwa.fidelity >= rabi.fidelity
         assert wins >= 0.9 * len(points)
+
+
+class TestDefaultStep:
+    @pytest.mark.parametrize("model", ["rabi", "rwa"])
+    @pytest.mark.parametrize(
+        "alpha, beta", [pytest.param(0.0, 1.0, id="odd-block"), pytest.param(0.6, 0.8, id="both-blocks")]
+    )
+    def test_default_step_matches_fine_step(self, model, alpha, beta):
+        # t_inv = 0.1 is the default map's row with the largest step error
+        fixed = SweepFixed(alpha=alpha, beta=beta)
+        fine = replace(fixed, options=PropagationOptions(dt=0.0125))
+        t_inv = DEFAULT_T_INV_VALUES[-1]
+        row = gaussian_row(t_inv, DEFAULT_G0_VALUES, fixed, model)
+        reference = gaussian_row(t_inv, DEFAULT_G0_VALUES, fine, model)
+        error = max(abs(rec.fidelity - ref.fidelity) for (rec, _), (ref, _) in zip(row, reference))
+        assert error <= 2e-10
 
 
 class TestGridValidation:
