@@ -3,10 +3,12 @@
 Subcommands: ``simulate`` (one Gaussian or imported-schedule run, RunRecord
 JSON), ``optimize`` (schedule optimization, OptimizationResult JSON plus
 schedule CSV), ``sweep`` (efficiency-map CSV) and ``gradcheck`` (gradient
-oracle health check).  A flat JSON config file can supply any flag value
-(a key naming no flag of the subcommand is a usage error); flags given on
-the command line win.  Outputs go to stdout unless ``--out`` is
-given, in which case files are written atomically.
+oracle health check).  A flag's default is the library's where the library
+has one (``--help`` shows it).  A flat JSON config file can supply any flag
+value: its keys are read as flags placed before the typed ones, so they pass
+the same checks and typed flags win (a key naming no flag of the subcommand
+is a usage error).  Outputs go to stdout unless ``--out`` is given, in which
+case files are written atomically.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure.
 """
@@ -14,12 +16,11 @@ Exit codes: 0 success, 1 usage error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 import time
-
-import numpy as np
 
 from .dynamics import IntegrationError, PropagationOptions, propagate_piecewise
 from .formats import (
@@ -34,16 +35,16 @@ from .formats import (
 )
 from .metrics import RunRecord
 from .model import ModelParams, superposition_initial, superposition_target
-from .pulses import DEFAULT_TAU_RATIO, DEFAULT_WINDOW_CUTOFF
 from .qoc import NumericError, OptimizationConfig, gradient_check, optimize
-from .sweep import SweepFixed, SweepGrid, gaussian_run, run_sweep
-from . import sweep as sweep_mod
+from .sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, SweepFixed, SweepGrid, gaussian_run, run_sweep
 
 __all__ = ["main"]
 
 USAGE_ERROR = 1
 NUMERIC_ERROR = 2
 JOBS_ENV_VAR = "USCTRANSFER_JOBS"
+# sweep config keys that name no flag: the axes of the map
+GRID_KEYS = ("t_inv_values", "g0_values")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,11 +66,7 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
 
 
-def _load_config(args: argparse.Namespace, extra_keys: tuple[str, ...] = ()) -> dict:
-    """Flat JSON config of ``--config``; every key must name a flag of the subcommand."""
-    path = args.config
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -77,35 +74,35 @@ def _load_config(args: argparse.Namespace, extra_keys: tuple[str, ...] = ()) -> 
         raise SystemExit(f"usctransfer: cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise SystemExit(f"usctransfer: config {path} must hold a JSON object")
-    known = set(vars(args)) - {"command", "run"} | set(extra_keys)
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SystemExit(f"usctransfer: config {path} has unknown key(s): {', '.join(unknown)}")
     return data
 
 
-class _Settings:
-    """Flag values merged over config-file values merged over defaults."""
+def _config_flags(config: dict, path: str) -> list[str]:
+    """Flag form ``--key=value`` of config values; a [re, im] list becomes 're,im'."""
+    flags = []
+    for key, value in config.items():
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise SystemExit(f"usctransfer: config {path} key {key}: {json.dumps(value)} is not a flag value")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
-    def __init__(self, args: argparse.Namespace, config: dict, defaults: dict):
-        self._args = vars(args)
-        self._config = config
-        self._defaults = defaults
 
-    def get(self, key: str):
-        cli = self._args.get(key)
-        if cli is not None:
-            return cli
-        if key in self._config:
-            value = self._config[key]
-            if key in ("alpha", "beta") and isinstance(value, (list, str, int, float)):
-                if isinstance(value, str):
-                    return _parse_complex(value)
-                if isinstance(value, (list, tuple)):
-                    return complex(value[0], value[1])
-                return complex(value)
-            return value
-        return self._defaults.get(key)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Typed flags over ``--config`` values over the library defaults."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    config = _load_config(args.config)
+    unknown = sorted(set(config) - (set(vars(args)) - {"command", "run"}))
+    if unknown:
+        raise SystemExit(f"usctransfer: config {args.config} has unknown key(s): {', '.join(unknown)}")
+    grid = {key: config.pop(key) for key in GRID_KEYS if key in config}
+    args = parser.parse_args([argv[0], *_config_flags(config, args.config), *argv[1:]])
+    vars(args).update(grid)
+    return args
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -115,61 +112,30 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_fixed(settings: _Settings) -> SweepFixed:
-    params = ModelParams(
-        kappa=float(settings.get("kappa")),
-        n_max=int(settings.get("nmax")),
-    )
-    opts = PropagationOptions(dt=float(settings.get("dt")))
+def _params(args: argparse.Namespace) -> ModelParams:
+    return ModelParams(kappa=args.kappa, n_max=args.nmax)
+
+
+def _fixed(args: argparse.Namespace) -> SweepFixed:
     return SweepFixed(
-        params=params,
-        tau_ratio=float(settings.get("tau_ratio")),
-        cutoff=float(settings.get("cutoff")),
-        alpha=settings.get("alpha"),
-        beta=settings.get("beta"),
-        options=opts,
+        params=_params(args),
+        tau_ratio=args.tau_ratio,
+        cutoff=args.cutoff,
+        alpha=args.alpha,
+        beta=args.beta,
+        options=PropagationOptions(dt=args.dt),
     )
-
-
-_COMMON_DEFAULTS = {
-    "kappa": 0.005,
-    "nmax": 8,
-    "tau_ratio": DEFAULT_TAU_RATIO,
-    "cutoff": DEFAULT_WINDOW_CUTOFF,
-    "alpha": 0j,
-    "beta": 1 + 0j,
-    "model": "rabi",
-    "dt": 0.1,
-}
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kappa", type=float, help="cavity decay rate (units of omega_c)")
-    sub.add_argument("--nmax", type=int, help="Fock cutoff (default 8)")
-    sub.add_argument("--tau-ratio", dest="tau_ratio", type=float, help="pulse half-delay over width (default 0.6)")
-    sub.add_argument("--cutoff", type=float, help="window truncation level relative to g0")
-    sub.add_argument("--alpha", type=_parse_complex, help="input amplitude on |g1>, as 're,im'")
-    sub.add_argument("--beta", type=_parse_complex, help="input amplitude on |e1>, as 're,im'")
-    sub.add_argument("--model", choices=("rabi", "rwa"), help="full Rabi or rotating-wave dynamics")
-    sub.add_argument("--dt", type=float, help="propagation step and trajectory sample spacing (default 0.1)")
-    sub.add_argument("--out", help="output path (stdout when omitted)")
-    sub.add_argument("--config", help="flat JSON config file; flags override its values")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _Settings(args, _load_config(args), _COMMON_DEFAULTS | {"t_inv": 0.04, "g0": 0.3})
-    fixed = _build_fixed(settings)
-    model = settings.get("model")
-    schedule_path = settings.get("schedule")
-
-    if schedule_path:
-        record, traj = _simulate_schedule(schedule_path, fixed, model)
+    fixed = _fixed(args)
+    if args.schedule:
+        record, traj = _simulate_schedule(args.schedule, fixed, args.model)
     else:
-        record, traj = gaussian_run(float(settings.get("t_inv")), float(settings.get("g0")), fixed, model)
-    _emit(run_record_json(record), settings.get("out"))
-    traj_out = settings.get("traj_out")
-    if traj_out:
-        atomic_write_text(traj_out, trajectory_csv(traj, fixed.params))
+        record, traj = gaussian_run(args.t_inv, args.g0, fixed, args.model)
+    _emit(run_record_json(record), args.out)
+    if args.traj_out:
+        atomic_write_text(args.traj_out, trajectory_csv(traj, fixed.params))
     return 0
 
 
@@ -190,7 +156,7 @@ def _simulate_schedule(path: str, fixed: SweepFixed, model: str):
     target = superposition_target(fixed.alpha, fixed.beta, params)
     opts = PropagationOptions(rwa=(model == "rwa"))
     start = time.perf_counter()
-    traj, _ = propagate_piecewise(initial, sched, params, opts)
+    traj = propagate_piecewise(initial, sched, params, opts)
     wall = time.perf_counter() - start
     descriptor = {
         "kind": "piecewise",
@@ -207,78 +173,68 @@ def _simulate_schedule(path: str, fixed: SweepFixed, model: str):
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    defaults = _COMMON_DEFAULTS | {
-        "t_inv": 0.04,
-        "g0": 0.3,
-        "bins": 20,
-        "seed": 0,
-        "restarts": 5,
-        "max_iters": 500,
-        "init": "gaussian-sampled",
-        "duration": None,
-    }
-    settings = _Settings(args, _load_config(args), defaults)
-    fixed = _build_fixed(settings)
-    model = settings.get("model")
-    g0 = float(settings.get("g0"))
-    duration = settings.get("duration")
-    if duration is None:
-        duration = 1.0 / (fixed.params.omega_c * float(settings.get("t_inv")))
-
+    params = _params(args)
+    duration = args.duration if args.duration is not None else 1.0 / (params.omega_c * args.t_inv)
     config = OptimizationConfig(
-        duration=float(duration),
-        bounds=(0.0, g0),
-        bins=int(settings.get("bins")),
-        max_iters=int(settings.get("max_iters")),
-        seed=int(settings.get("seed")),
-        init=settings.get("init"),
-        restarts=int(settings.get("restarts")),
+        duration=duration,
+        bounds=(0.0, args.g0),
+        bins=args.bins,
+        max_iters=args.max_iters,
+        seed=args.seed,
+        init=args.init,
+        restarts=args.restarts,
     )
-    params = fixed.params
-    initial = superposition_initial(fixed.alpha, fixed.beta, params)
-    target = superposition_target(fixed.alpha, fixed.beta, params)
-    opts = PropagationOptions(rwa=(model == "rwa"))
+    initial = superposition_initial(args.alpha, args.beta, params)
+    target = superposition_target(args.alpha, args.beta, params)
+    opts = PropagationOptions(rwa=(args.model == "rwa"))
     result = optimize(config, params, initial, target, opts)
-    _emit(optimization_result_json(result), settings.get("out"))
-    if settings.get("schedule_out"):
-        atomic_write_text(settings.get("schedule_out"), schedule_csv(result.best_schedule))
+    _emit(optimization_result_json(result), args.out)
+    if args.schedule_out:
+        atomic_write_text(args.schedule_out, schedule_csv(result.best_schedule))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    defaults = _COMMON_DEFAULTS | {"jobs": None}
-    config = _load_config(args, ("t_inv_values", "g0_values"))
-    settings = _Settings(args, config, defaults)
-    fixed = _build_fixed(settings)
-    t_inv_values = config.get("t_inv_values", sweep_mod.DEFAULT_T_INV_VALUES)
-    g0_values = config.get("g0_values", sweep_mod.DEFAULT_G0_VALUES)
-    grid = SweepGrid(
-        t_inv_values=np.asarray(t_inv_values, dtype=float),
-        g0_values=np.asarray(g0_values, dtype=float),
-        fixed=fixed,
-        model=settings.get("model"),
-    )
-    jobs = settings.get("jobs")
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
-    records = run_sweep(grid, jobs=int(jobs))
-    _emit(sweep_csv(records), settings.get("out"))
+    grid = SweepGrid(args.t_inv_values, args.g0_values, _fixed(args), args.model)
+    _emit(sweep_csv(run_sweep(grid, jobs=args.jobs)), args.out)
     return 0
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    defaults = {"seed": 0, "nmax": 2, "bins": 5, "kappa": 0.005, "tolerance": 1e-5}
-    settings = _Settings(args, _load_config(args), defaults)
-    seed = int(settings.get("seed"))
-    params = ModelParams(kappa=float(settings.get("kappa")), n_max=int(settings.get("nmax")))
-    results = gradient_check(params, seeds=(seed, seed + 1, seed + 2), bins=int(settings.get("bins")))
-    tolerance = float(settings.get("tolerance"))
+    seeds = (args.seed, args.seed + 1, args.seed + 2)
     ok = True
-    for s, rel in results:
-        status = "ok" if rel < tolerance else "FAIL"
+    for s, rel in gradient_check(_params(args), seeds=seeds, bins=args.bins):
+        status = "ok" if rel < args.tolerance else "FAIL"
         print(f"seed {s}: relative error {rel:.3e} {status}")
-        ok = ok and rel < tolerance
+        ok = ok and rel < args.tolerance
     return 0 if ok else 1
+
+
+def _add_point_flags(sub: argparse.ArgumentParser, t_inv_help: str, g0_help: str) -> None:
+    sub.add_argument("--t-inv", dest="t_inv", type=float, default=0.04, help=f"{t_inv_help} (default %(default)s)")
+    sub.add_argument("--g0", type=float, default=0.3, help=f"{g0_help} (default %(default)s)")
+
+
+def _add_common_flags(sub: argparse.ArgumentParser, dt: bool = True) -> None:
+    fixed = SweepFixed()
+    sub.add_argument("--kappa", type=float, default=fixed.params.kappa,
+                     help="cavity decay rate in units of omega_c (default %(default)s)")
+    sub.add_argument("--nmax", type=int, default=fixed.params.n_max, help="Fock cutoff (default %(default)s)")
+    sub.add_argument("--tau-ratio", dest="tau_ratio", type=float, default=fixed.tau_ratio,
+                     help="pulse half-delay over width (default %(default)s)")
+    sub.add_argument("--cutoff", type=float, default=fixed.cutoff,
+                     help="window truncation level relative to g0 (default %(default)s)")
+    sub.add_argument("--alpha", type=_parse_complex, default=str(fixed.alpha),
+                     help="input amplitude on |g1>, as 're,im' (default %(default)s)")
+    sub.add_argument("--beta", type=_parse_complex, default=str(fixed.beta),
+                     help="input amplitude on |e1>, as 're,im' (default %(default)s)")
+    sub.add_argument("--model", choices=("rabi", "rwa"), default="rabi",
+                     help="full Rabi or rotating-wave dynamics (default %(default)s)")
+    if dt:
+        sub.add_argument("--dt", type=float, default=fixed.options.dt,
+                         help="propagation step and trajectory sample spacing (default %(default)s)")
+    sub.add_argument("--out", help="output path (stdout when omitted)")
+    sub.add_argument("--config", help="flat JSON config file; flags override its values")
 
 
 def _build_parser() -> _Parser:
@@ -286,37 +242,41 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sim = commands.add_parser("simulate", help="one protocol run, RunRecord JSON")
-    sim.add_argument("--t-inv", dest="t_inv", type=float, help="inverse speed (omega_c T)^-1")
-    sim.add_argument("--g0", type=float, help="peak coupling over omega_c")
+    _add_point_flags(sim, "inverse speed (omega_c T)^-1", "peak coupling over omega_c")
     sim.add_argument("--schedule", help="re-simulate a schedule from CSV or optimization JSON")
     sim.add_argument("--traj-out", dest="traj_out", help="also write the trajectory CSV here")
     _add_common_flags(sim)
     sim.set_defaults(run=_cmd_simulate)
 
     opt = commands.add_parser("optimize", help="optimize a piecewise schedule, result JSON")
-    opt.add_argument("--t-inv", dest="t_inv", type=float, help="sets duration 1/t_inv unless --duration is given")
-    opt.add_argument("--g0", type=float, help="amplitude bound (controls stay in [0, g0])")
-    opt.add_argument("--bins", type=int, help="piecewise bins per control (default 20)")
-    opt.add_argument("--duration", type=float, help="total control time")
-    opt.add_argument("--seed", type=int, help="restart RNG seed")
-    opt.add_argument("--restarts", type=int, help="number of optimization starts (default 5)")
-    opt.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap per start")
-    opt.add_argument("--init", choices=("gaussian-sampled", "constant", "random"), help="first-start mode")
+    _add_point_flags(opt, "sets duration 1/t_inv unless --duration is given", "amplitude bound (controls stay in [0, g0])")
+    opt.add_argument("--bins", type=int, default=OptimizationConfig.bins,
+                     help="piecewise bins per control (default %(default)s)")
+    opt.add_argument("--duration", type=float, help="total control time (default 1/t_inv)")
+    opt.add_argument("--seed", type=int, default=OptimizationConfig.seed, help="restart RNG seed (default %(default)s)")
+    opt.add_argument("--restarts", type=int, default=OptimizationConfig.restarts,
+                     help="number of optimization starts (default %(default)s)")
+    opt.add_argument("--max-iters", dest="max_iters", type=int, default=OptimizationConfig.max_iters,
+                     help="iteration cap per start (default %(default)s)")
+    opt.add_argument("--init", choices=("gaussian-sampled", "constant", "random"), default=OptimizationConfig.init,
+                     help="first-start mode (default %(default)s)")
     opt.add_argument("--schedule-out", dest="schedule_out", help="also write the schedule CSV here")
-    _add_common_flags(opt)
+    _add_common_flags(opt, dt=False)  # the optimizer takes exact per-bin exponentials, no step
     opt.set_defaults(run=_cmd_optimize)
 
     swp = commands.add_parser("sweep", help="2-D efficiency map CSV")
-    swp.add_argument("--jobs", type=int, help=f"parallel workers (default ${JOBS_ENV_VAR} or 1)")
+    swp.add_argument("--jobs", type=int, default=os.environ.get(JOBS_ENV_VAR, "1"),
+                     help=f"parallel workers (default ${JOBS_ENV_VAR}, else 1)")
     _add_common_flags(swp)
-    swp.set_defaults(run=_cmd_sweep)
+    swp.set_defaults(run=_cmd_sweep, t_inv_values=DEFAULT_T_INV_VALUES, g0_values=DEFAULT_G0_VALUES)
 
     grad = commands.add_parser("gradcheck", help="gradient vs finite differences, exit 0/1")
-    grad.add_argument("--seed", type=int, help="base seed; three consecutive seeds are checked")
-    grad.add_argument("--nmax", type=int, help="Fock cutoff of the check system (default 2)")
-    grad.add_argument("--bins", type=int, help="schedule bins (default 5)")
-    grad.add_argument("--kappa", type=float, help="cavity decay rate")
-    grad.add_argument("--tolerance", type=float, help="pass threshold (default 1e-5)")
+    grad.add_argument("--seed", type=int, default=0, help="base seed; three consecutive seeds are checked (default %(default)s)")
+    grad.add_argument("--nmax", type=int, default=2, help="Fock cutoff of the check system (default %(default)s)")
+    grad.add_argument("--bins", type=int, default=inspect.signature(gradient_check).parameters["bins"].default,
+                      help="schedule bins (default %(default)s)")
+    grad.add_argument("--kappa", type=float, default=ModelParams.kappa, help="cavity decay rate (default %(default)s)")
+    grad.add_argument("--tolerance", type=float, default=1e-5, help="pass threshold (default %(default)s)")
     grad.add_argument("--config", help="flat JSON config file")
     grad.set_defaults(run=_cmd_gradcheck)
 
@@ -324,8 +284,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.run(args)
     except SystemExit:

@@ -384,15 +384,15 @@ def propagate_piecewise(
     sched,
     params: ModelParams,
     opts: PropagationOptions | None = None,
-) -> tuple[Trajectory, list[np.ndarray]]:
+) -> Trajectory:
     """Evolve under a piecewise-constant schedule, one exact exponential per bin.
 
-    Returns the trajectory sampled at every bin edge together with the list
-    of per-bin propagators U_k = exp(-i K(g1_k, g2_k) dt), in application
-    order.  The photon peak interpolates each bin with that bin's generator
-    at both of its edges, since d<n>/dt jumps where the couplings do.  It works on the full space with the Taylor exponential, which
-    makes it the independent check of the gradient engine's block
-    propagators.
+    Returns the trajectory sampled at every bin edge.  Bin k advances the
+    state by U_k = exp(-i K(g1_k, g2_k) dt).  The photon peak interpolates
+    each bin with that bin's generator at both of its edges, since d<n>/dt
+    jumps where the couplings do.  It works on the full space with the
+    Taylor exponential, which makes it the independent check of the gradient
+    engine's block propagators.
     """
     opts = opts or PropagationOptions()
     state0 = _check_initial(state0, params)
@@ -403,12 +403,9 @@ def propagate_piecewise(
     psi = state0
     times = [sched.t_start]
     states = [psi]
-    propagators = []
     for k in range(sched.bins):
         gen = k0 + sched.values1[k] * v1 + sched.values2[k] * v2
-        u = matrix_exponential(gen, -1j * sched.dt)
-        propagators.append(u)
-        psi = u @ psi
+        psi = matrix_exponential(gen, -1j * sched.dt) @ psi
         times.append(sched.t_start + (k + 1) * sched.dt)
         states.append(psi)
     if not np.all(np.isfinite(psi)):
@@ -416,4 +413,4 @@ def propagate_piecewise(
     times, states = np.array(times), np.array(states)
     bins = np.column_stack([sched.values1, sched.values2])
     (peak,) = _photon_peaks(times, states[None], params, opts.rwa, np.ones(1), bins, bins)
-    return Trajectory(times, states, psi, float(peak)), propagators
+    return Trajectory(times, states, psi, float(peak))

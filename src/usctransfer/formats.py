@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .metrics import RunRecord, cavity_indices, populations
-from .model import ModelParams, flat_index
+from .model import ModelParams, basis_labels, flat_index
 from .pulses import PiecewiseConstantSchedule
 from .qoc import OptimizationResult
 
@@ -115,8 +115,7 @@ def trajectory_csv(traj: Trajectory, params: ModelParams) -> str:
     p_source = populations(traj, [flat_index(0, 0, 1, params)])
     p_target = populations(traj, [flat_index(0, 1, 0, params)])
     p_cavity = populations(traj, cavity_indices(params))
-    n_values = np.repeat(np.arange(params.n_max + 1), 4)
-    mean_n = np.abs(traj.states) ** 2 @ n_values
+    mean_n = np.abs(traj.states) ** 2 @ basis_labels(params)[0]
     norm2 = traj.norms2()
     lines = ["time,p_source,p_target,p_cavity,mean_photon,norm2"]
     for k in range(traj.times.size):

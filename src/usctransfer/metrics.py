@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .dynamics import Trajectory
-from .model import BasisIndex, ModelParams, basis_index
+from .model import BasisIndex, ModelParams, basis_index, basis_labels
 
 __all__ = [
     "RunRecord",
@@ -124,8 +124,7 @@ def mean_photon(state: np.ndarray, params: ModelParams) -> float:
     state = np.asarray(state, dtype=complex)
     if state.shape != (params.dim,):
         raise ValueError(f"state has shape {state.shape}, expected ({params.dim},)")
-    n_values = np.repeat(np.arange(params.n_max + 1), 4)
-    return float(np.sum(n_values * np.abs(state) ** 2))
+    return float(np.sum(basis_labels(params)[0] * np.abs(state) ** 2))
 
 
 def leakage(traj: Trajectory) -> float:

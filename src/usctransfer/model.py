@@ -12,8 +12,9 @@ of a propagated state decays by exactly the leaked population.
 
 The oscillator ladder is truncated at ``n_max`` photons and the basis is the
 factorized set ``|n, s2, s1>`` with the first qubit varying fastest, i.e.
-flat index ``n*4 + s2*2 + s1``.  All operators are dense complex matrices;
-the spaces of interest stay small (dim = 4*(n_max+1)).
+flat index ``n*4 + s2*2 + s1``; :func:`basis_labels` tabulates the labels
+once per ``ModelParams``.  All operators are dense complex matrices; the
+spaces of interest stay small (dim = 4*(n_max+1)).
 
 Frequencies are expressed in units of a reference frequency (``omega_c = 1``
 by convention) and times in the inverse of that unit.
@@ -21,6 +22,7 @@ by convention) and times in the inverse of that unit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +31,7 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "BasisIndex",
+    "basis_labels",
     "flat_index",
     "basis_index",
     "basis_state",
@@ -86,6 +89,18 @@ class BasisIndex(NamedTuple):
     n: int
     s2: int
     s1: int
+
+
+@functools.lru_cache(maxsize=32)
+def basis_labels(params: ModelParams) -> np.ndarray:
+    """Read-only (3, dim) integer table of the labels n, s2 and s1 of every flat index.
+
+    Column ``n*4 + s2*2 + s1`` holds (n, s2, s1), so
+    ``n, s2, s1 = basis_labels(params)`` gives each label per basis state.
+    """
+    labels = np.indices((params.n_max + 1, 2, 2)).reshape(3, params.dim)
+    labels.flags.writeable = False
+    return labels
 
 
 def flat_index(n: int, s2: int, s1: int, params: ModelParams) -> int:
@@ -159,8 +174,7 @@ def creation(params: ModelParams) -> np.ndarray:
 
 def number_operator(params: ModelParams) -> np.ndarray:
     """Photon number operator a^dag a (diagonal)."""
-    n_values = np.repeat(np.arange(params.n_max + 1), 4)
-    return np.diag(n_values).astype(complex)
+    return np.diag(basis_labels(params)[0]).astype(complex)
 
 
 def qubit_lowering(i: int, params: ModelParams) -> np.ndarray:
@@ -182,12 +196,8 @@ def qubit_raising(i: int, params: ModelParams) -> np.ndarray:
 
 def drift_hamiltonian(params: ModelParams) -> np.ndarray:
     """Uncoupled part omega_c a^dag a + sum_i eps_i sigma_+^i sigma_-^i."""
-    diag = np.zeros(params.dim)
-    for flat in range(params.dim):
-        n, rest = divmod(flat, 4)
-        s2, s1 = divmod(rest, 2)
-        diag[flat] = params.omega_c * n + params.eps1 * s1 + params.eps2 * s2
-    return np.diag(diag).astype(complex)
+    n, s2, s1 = basis_labels(params)
+    return np.diag(params.omega_c * n + params.eps1 * s1 + params.eps2 * s2).astype(complex)
 
 
 def coupling_operator(i: int, params: ModelParams, rwa: bool = False) -> np.ndarray:
@@ -206,18 +216,13 @@ def coupling_operator(i: int, params: ModelParams, rwa: bool = False) -> np.ndar
 
 def excitation_operator(params: ModelParams) -> np.ndarray:
     """Total excitation number a^dag a + sum_i sigma_+^i sigma_-^i (diagonal)."""
-    diag = np.zeros(params.dim)
-    for flat in range(params.dim):
-        n, rest = divmod(flat, 4)
-        s2, s1 = divmod(rest, 2)
-        diag[flat] = n + s1 + s2
-    return np.diag(diag).astype(complex)
+    n, s2, s1 = basis_labels(params)
+    return np.diag(n + s1 + s2).astype(complex)
 
 
 def parity_operator(params: ModelParams) -> np.ndarray:
     """Excitation parity (-1)^N, conserved by the full Rabi Hamiltonian."""
-    n_exc = np.real(np.diag(excitation_operator(params)))
-    return np.diag((-1.0) ** n_exc).astype(complex)
+    return np.diag((-1.0) ** basis_labels(params).sum(axis=0)).astype(complex)
 
 
 def parity_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -227,5 +232,5 @@ def parity_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     every generator built from these operators is block diagonal on the two
     sectors, each of dimension 2*(n_max+1).
     """
-    n_exc = np.real(np.diag(excitation_operator(params))).astype(int)
-    return np.flatnonzero(n_exc % 2 == 0), np.flatnonzero(n_exc % 2 == 1)
+    odd = basis_labels(params).sum(axis=0) % 2
+    return np.flatnonzero(odd == 0), np.flatnonzero(odd == 1)

@@ -106,7 +106,7 @@ def objective(
     opts: PropagationOptions | None = None,
 ) -> float:
     """Transfer efficiency of the piecewise-constant schedule."""
-    traj, _ = propagate_piecewise(initial, sched, params, opts)
+    traj = propagate_piecewise(initial, sched, params, opts)
     return transfer_efficiency(traj.final, target)
 
 

@@ -121,7 +121,7 @@ def test_criterion_4_population_histories(reference_scan_rabi, reference_qoc):
     pair = GaussianPair(g0=best.schedule["g0"], T=best.schedule["T"], tau=best.schedule["tau"])
     psi0 = superposition_initial(0.0, 1.0, params)
     gauss_traj = propagate(psi0, pair, params, integration_window(pair))
-    qoc_traj, _ = propagate_piecewise(
+    qoc_traj = propagate_piecewise(
         psi0, reference_qoc["result"].best_schedule, params
     )
 
@@ -177,7 +177,7 @@ def test_criterion_5_property_suite():
         0.0, 0.8, rng.uniform(0, 0.3, 6), rng.uniform(0, 0.3, 6), (0.0, 0.3)
     )
     psi0 = superposition_initial(0.0, 1.0, params3)
-    traj, _ = propagate_piecewise(psi0, sched, params3)
+    traj = propagate_piecewise(psi0, sched, params3)
     psi = psi0.copy()
     for k in range(sched.bins):
         gen = dense_generator(params3, sched.values1[k], sched.values2[k])
@@ -223,7 +223,7 @@ def test_criterion_5_property_suite():
     check("truncation convergence F(8) vs F(12)", gap < 1e-4, f"(gap {gap:.1e})")
 
     # --- repeated sweeps produce byte-identical CSV
-    fixed = SweepFixed(params=ModelParams(kappa=REF_KAPPA, n_max=5), options=PropagationOptions(dt=0.02))
+    fixed = SweepFixed(params=ModelParams(kappa=REF_KAPPA, n_max=5))
     grid = SweepGrid([0.1, 0.2], [0.15, 0.25], fixed=fixed)
     first = sweep_csv(run_sweep(grid)).encode()
     second = sweep_csv(run_sweep(grid)).encode()

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, config handling, exit codes."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -18,7 +19,7 @@ def run_cli(*args, **kwargs):
 @pytest.fixture(scope="module")
 def fast_sim_args():
     # t_inv = 0.2 keeps the window short; fine for exercising plumbing
-    return ["simulate", "--t-inv", "0.2", "--g0", "0.25", "--dt", "0.02", "--nmax", "6"]
+    return ["simulate", "--t-inv", "0.2", "--g0", "0.25", "--nmax", "6"]
 
 
 class TestStartup:
@@ -86,7 +87,7 @@ class TestSimulate:
         pair = GaussianPair(g0=0.25, T=width, tau=0.6 * width)
         direct = propagate(
             superposition_initial(0.0, 1.0, params), pair, params,
-            integration_window(pair), PropagationOptions(dt=0.02),
+            integration_window(pair), PropagationOptions(),
         )
         assert traj.read_text() == trajectory_csv(direct, params)
 
@@ -151,7 +152,7 @@ class TestSweepCommand:
     def test_single_point_grid(self, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text(
-            json.dumps({"t_inv_values": [0.2], "g0_values": [0.2], "dt": 0.02, "nmax": 6})
+            json.dumps({"t_inv_values": [0.2], "g0_values": [0.2], "nmax": 6})
         )
         proc = run_cli("sweep", "--config", str(config))
         assert proc.returncode == 0, proc.stderr
@@ -163,7 +164,7 @@ class TestSweepCommand:
         config = tmp_path / "grid.json"
         config.write_text(
             json.dumps(
-                {"t_inv_values": [0.2], "g0_values": [0.2], "dt": 0.02, "nmax": 6, "model": "rabi"}
+                {"t_inv_values": [0.2], "g0_values": [0.2], "nmax": 6, "model": "rabi"}
             )
         )
         proc = run_cli("sweep", "--config", str(config), "--model", "rwa")
@@ -173,7 +174,7 @@ class TestSweepCommand:
     def test_byte_identical_reruns_with_jobs(self, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text(
-            json.dumps({"t_inv_values": [0.15, 0.2], "g0_values": [0.2, 0.3], "dt": 0.02, "nmax": 5})
+            json.dumps({"t_inv_values": [0.15, 0.2], "g0_values": [0.2, 0.3], "nmax": 5})
         )
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli("sweep", "--config", str(config), "--out", str(out1)).returncode == 0
@@ -219,7 +220,6 @@ class TestConfigRoundTrip:
             "model": "rwa",
             "alpha": [0.6, 0.0],
             "beta": [0.8, 0.0],
-            "dt": 0.02,
         }
         config.write_text(json.dumps(values))
         proc = run_cli("simulate", "--config", str(config))
@@ -233,6 +233,72 @@ class TestConfigRoundTrip:
         assert data["schedule"]["beta"] == [0.8, 0.0]
         assert data["params"]["kappa"] == values["kappa"]
         assert data["params"]["n_max"] == values["nmax"]
+
+
+class TestFlagDefaults:
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "sweep", "gradcheck"])
+    def test_parser_holds_library_defaults(self, command):
+        from usctransfer import ModelParams, OptimizationConfig, PropagationOptions, gradient_check
+        from usctransfer.cli import _build_parser
+
+        args = _build_parser().parse_args([command])
+        assert args.kappa == ModelParams.kappa
+        if command == "gradcheck":
+            assert args.bins == inspect.signature(gradient_check).parameters["bins"].default
+            return
+        assert args.nmax == ModelParams.n_max
+        # optimize takes one exact exponential per bin and has no step flag
+        assert getattr(args, "dt", None) == (None if command == "optimize" else PropagationOptions.dt)
+        if command == "optimize":
+            for key in ("bins", "restarts", "max_iters", "init", "seed"):
+                assert getattr(args, key) == getattr(OptimizationConfig, key)
+
+
+class TestConfigAsFlags:
+    SMALL_OPTIMIZE = ["--t-inv", "0.2", "--bins", "2", "--restarts", "1", "--max-iters", "3", "--nmax", "2"]
+
+    def test_values_parse_like_flags_and_typed_flags_win(self, tmp_path):
+        from usctransfer.cli import _parse_args
+
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(
+            {"dt": 0.05, "nmax": 6, "alpha": [0.6, 0.0], "beta": "0.8", "model": "rwa", "t_inv_values": [0.2]}
+        ))
+        args = _parse_args(["sweep", "--nmax", "5", "--config", str(config)])
+        assert (args.dt, args.nmax, args.alpha, args.beta, args.model) == (0.05, 5, 0.6 + 0j, 0.8 + 0j, "rwa")
+        assert args.t_inv_values == [0.2]
+
+    @pytest.mark.parametrize(
+        "value", [{"model": "RWA"}, {"nmax": 6.0}, {"kappa": True}, {"alpha": None}],
+        ids=["model-case", "int-as-float", "bool", "null"],
+    )
+    def test_bad_value_exits_one(self, value, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(value))
+        proc = run_cli("simulate", "--t-inv", "0.2", "--nmax", "3", "--config", str(config))
+        assert proc.returncode == 1
+        assert next(iter(value)) in proc.stderr
+
+    def test_schedule_replay_checks_model(self, tmp_path):
+        sched = tmp_path / "schedule.csv"
+        sched.write_text("bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2,0.1\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "RWA"}))
+        proc = run_cli("simulate", "--schedule", str(sched), "--nmax", "2", "--config", str(config))
+        assert proc.returncode == 1
+        assert "RWA" in proc.stderr
+
+    def test_optimize_checks_model(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "RWA"}))
+        proc = run_cli("optimize", *self.SMALL_OPTIMIZE, "--config", str(config))
+        assert proc.returncode == 1
+        assert "RWA" in proc.stderr
+
+    def test_optimize_has_no_step(self):
+        proc = run_cli("optimize", *self.SMALL_OPTIMIZE, "--dt", "0.1")
+        assert proc.returncode == 1
+        assert "--dt" in proc.stderr
 
 
 class TestExitCodes:

@@ -204,7 +204,7 @@ class TestPiecewisePropagation:
     def test_single_bin_matches_stepper(self):
         sched = constant_schedule(0.21, 0.13, 4.0)
         psi0 = superposition_initial(0.0, 1.0, self.PARAMS)
-        traj_pw, _ = propagate_piecewise(psi0, sched, self.PARAMS)
+        traj_pw = propagate_piecewise(psi0, sched, self.PARAMS)
         traj = propagate(psi0, sched, self.PARAMS, (0.0, 4.0), PropagationOptions(dt=4.0))
         np.testing.assert_allclose(traj_pw.final, traj.final, atol=1e-12)
 
@@ -215,8 +215,8 @@ class TestPiecewisePropagation:
         many = PiecewiseConstantSchedule(
             0.0, dur / m, np.full(m, 0.18), np.full(m, 0.27), (0.0, 1.0)
         )
-        final_one, _ = propagate_piecewise(psi0, one_bin, self.PARAMS)
-        final_many, _ = propagate_piecewise(psi0, many, self.PARAMS)
+        final_one = propagate_piecewise(psi0, one_bin, self.PARAMS)
+        final_many = propagate_piecewise(psi0, many, self.PARAMS)
         np.testing.assert_allclose(final_one.final, final_many.final, atol=1e-10)
 
     def test_dense_exponential_chain_oracle(self):
@@ -227,19 +227,12 @@ class TestPiecewisePropagation:
             0.0, 0.9, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m), (0.0, 0.3)
         )
         psi0 = superposition_initial(0.0, 1.0, self.PARAMS)
-        traj, us = propagate_piecewise(psi0, sched, self.PARAMS)
+        traj = propagate_piecewise(psi0, sched, self.PARAMS)
         psi = psi0.copy()
         for k in range(m):
             k_eff = dense_generator(self.PARAMS, sched.values1[k], sched.values2[k])
             psi = scipy.linalg.expm(-1j * sched.dt * k_eff) @ psi
         np.testing.assert_allclose(traj.final, psi, atol=1e-10)
-        assert len(us) == m
-
-    def test_propagators_returned_in_application_order(self):
-        sched = PiecewiseConstantSchedule(0.0, 1.5, [0.1, 0.3], [0.2, 0.0], (0.0, 0.3))
-        psi0 = superposition_initial(1.0, 0.0, self.PARAMS)
-        traj, us = propagate_piecewise(psi0, sched, self.PARAMS)
-        np.testing.assert_allclose(us[1] @ (us[0] @ psi0), traj.final, atol=1e-13)
 
 
 class TestBatchedPropagation:
@@ -358,7 +351,7 @@ class TestPhotonPeak:
             0.0, 1.25, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m), (0.0, 0.3)
         )
         psi = superposition_initial(alpha, beta, params)
-        traj, _ = propagate_piecewise(psi, sched, params)
+        traj = propagate_piecewise(psi, sched, params)
         n_values = np.repeat(np.arange(params.n_max + 1), 4)
         dense_peak = 0.0
         for k in range(m):

@@ -126,7 +126,7 @@ class TestTrajectoryCsv:
         params = ModelParams(kappa=0.002, n_max=3)
         psi0 = superposition_initial(0.0, 1.0, params)
         sched = PiecewiseConstantSchedule(0.0, 1.0, [0.2, 0.2], [0.1, 0.1], (0.0, 0.3))
-        traj, _ = propagate_piecewise(psi0, sched, params)
+        traj = propagate_piecewise(psi0, sched, params)
         text = trajectory_csv(traj, params)
         lines = text.splitlines()
         assert lines[0] == "time,p_source,p_target,p_cavity,mean_photon,norm2"

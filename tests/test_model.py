@@ -19,6 +19,7 @@ from usctransfer import (
 )
 from usctransfer.model import (
     annihilation,
+    basis_labels,
     coupling_operator,
     creation,
     drift_hamiltonian,
@@ -65,6 +66,18 @@ class TestIndexing:
             assert flat_index(idx.n, idx.s2, idx.s1, P3) == flat
             state = basis_state(idx.n, idx.s2, idx.s1, P3)
             assert int(np.argmax(np.abs(state))) == flat
+
+    def test_label_table_matches_basis_index(self):
+        params = ModelParams(omega_c=1.3, eps1=0.97, eps2=1.11, n_max=3)
+        labels = basis_labels(params)
+        assert labels.shape == (3, params.dim) and not labels.flags.writeable
+        assert basis_labels(replace(params)) is labels
+        drift = drift_hamiltonian(params).diagonal()
+        for flat in range(params.dim):
+            n, s2, s1 = basis_index(flat, params)
+            assert tuple(labels[:, flat]) == (n, s2, s1)
+            # the per-state loop that the table replaced, to the last bit
+            assert drift[flat] == params.omega_c * n + params.eps1 * s1 + params.eps2 * s2
 
     def test_dim(self):
         assert P1.dim == 8 and P3.dim == 16

@@ -23,7 +23,6 @@ from usctransfer import sweep
 from usctransfer.formats import sweep_csv
 from usctransfer.sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, default_grid
 
-FAST_OPTS = PropagationOptions(dt=0.02)
 CRASH_T_INV = 0.1
 ROW_TASK = sweep._row_task
 
@@ -37,7 +36,7 @@ def crash_on_row(task):
 
 def fast_fixed(**overrides):
     params = overrides.pop("params", ModelParams(kappa=0.005, n_max=6))
-    return SweepFixed(params=params, options=overrides.pop("options", FAST_OPTS), **overrides)
+    return SweepFixed(params=params, **overrides)
 
 
 class TestRunPoint:
