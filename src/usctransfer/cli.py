@@ -53,6 +53,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _GaussianFlag(argparse.Action):
+    """Store a value only the Gaussian run reads, and record the flag as given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.gaussian_flags = [*namespace.gaussian_flags, option_string]
+
+
 def _parse_complex(text: str) -> complex:
     """Complex flag value, either 're,im' or a bare real part."""
     parts = text.split(",")
@@ -96,7 +104,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     if args.config is None:
         return args
     config = _load_config(args.config)
-    unknown = sorted(set(config) - (set(vars(args)) - {"command", "run"}))
+    unknown = sorted(set(config) - (set(vars(args)) - {"command", "run", "gaussian_flags"}))
     if unknown:
         raise SystemExit(f"usctransfer: config {args.config} has unknown key(s): {', '.join(unknown)}")
     grid = {key: config.pop(key) for key in GRID_KEYS if key in config}
@@ -130,6 +138,9 @@ def _fixed(args: argparse.Namespace) -> SweepFixed:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     fixed = _fixed(args)
     if args.schedule:
+        if args.gaussian_flags:  # given as flags or as config keys
+            flags = ", ".join(dict.fromkeys(args.gaussian_flags))
+            raise SystemExit(f"usctransfer: simulate --schedule replays the schedule's bins and takes no {flags} (as a flag or a config key)")
         record, traj = _simulate_schedule(args.schedule, fixed, args.model)
     else:
         record, traj = gaussian_run(args.t_inv, args.g0, fixed, args.model)
@@ -211,18 +222,20 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _add_point_flags(sub: argparse.ArgumentParser, t_inv_help: str, g0_help: str) -> None:
-    sub.add_argument("--t-inv", dest="t_inv", type=float, default=0.04, help=f"{t_inv_help} (default %(default)s)")
-    sub.add_argument("--g0", type=float, default=0.3, help=f"{g0_help} (default %(default)s)")
+    sub.add_argument("--t-inv", dest="t_inv", type=float, default=0.04, action=_GaussianFlag,
+                     help=f"{t_inv_help} (default %(default)s)")
+    sub.add_argument("--g0", type=float, default=0.3, action=_GaussianFlag, help=f"{g0_help} (default %(default)s)")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser, dt: bool = True) -> None:
     fixed = SweepFixed()
+    sub.set_defaults(gaussian_flags=[])
     sub.add_argument("--kappa", type=float, default=fixed.params.kappa,
                      help="cavity decay rate in units of omega_c (default %(default)s)")
     sub.add_argument("--nmax", type=int, default=fixed.params.n_max, help="Fock cutoff (default %(default)s)")
-    sub.add_argument("--tau-ratio", dest="tau_ratio", type=float, default=fixed.tau_ratio,
+    sub.add_argument("--tau-ratio", dest="tau_ratio", type=float, default=fixed.tau_ratio, action=_GaussianFlag,
                      help="pulse half-delay over width (default %(default)s)")
-    sub.add_argument("--cutoff", type=float, default=fixed.cutoff,
+    sub.add_argument("--cutoff", type=float, default=fixed.cutoff, action=_GaussianFlag,
                      help="window truncation level relative to g0 (default %(default)s)")
     sub.add_argument("--alpha", type=_parse_complex, default=str(fixed.alpha),
                      help="input amplitude on |g1>, as 're,im' (default %(default)s)")
@@ -231,7 +244,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, dt: bool = True) -> None:
     sub.add_argument("--model", choices=("rabi", "rwa"), default="rabi",
                      help="full Rabi or rotating-wave dynamics (default %(default)s)")
     if dt:
-        sub.add_argument("--dt", type=float, default=fixed.options.dt,
+        sub.add_argument("--dt", type=float, default=fixed.options.dt, action=_GaussianFlag,
                          help="propagation step and trajectory sample spacing (default %(default)s)")
     sub.add_argument("--out", help="output path (stdout when omitted)")
     sub.add_argument("--config", help="flat JSON config file; flags override its values")

@@ -43,11 +43,23 @@ Taylor kernel; for state propagation the exponential is applied directly to
 the amplitude vectors, which avoids forming per-step propagators.  There the
 substep count and the Taylor degree follow from a norm bound on the
 generators (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+
+The blocks are small (18 x 18 at the default cutoff), so the stepper's
+cost is the number of numpy calls, not arithmetic, and :func:`_cf4_steps`
+is arranged to make few of them.  It reads the couplings at both Gauss
+nodes of every step once, before stepping, and plans the substeps and the
+degree of every exponential in one vectorised pass (:func:`_taylor_plan`).
+It then builds the generators of a chunk of steps with one matrix product
+into a reused buffer, and :func:`_taylor_chunk` applies each exponential as
+a stack of powers X^j psi, one product per power, summed with the 1/j!
+weights in one contraction.  The states of a chunk go to the samples at
+once, with the trace phase restored.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,6 +80,7 @@ __all__ = [
 _TAYLOR_THETA = 0.5  # scale matrices below this 1-norm before the Taylor sum
 _MAX_TAYLOR_TERMS = 64
 _TAYLOR_TOL = 2.0**-53  # Taylor remainder bound per substep, relative to the state's 1-norm
+_CHUNK_BYTES = 2**18  # most generator bytes the stepper builds with one BLAS product
 # fourth-order commutator-free Magnus weights a_1, a_2 and Gauss nodes c_1, c_2
 _CF4_A = (0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0)
 _CF4_C = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -161,38 +174,57 @@ def matrix_exponential(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return np.exp(mu) * result
 
 
-def _taylor_degree(x: float) -> int:
-    """Smallest degree m with remainder bound e^x x^(m+1)/(m+1)! <= _TAYLOR_TOL.
+def _taylor_plan(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Substep counts and Taylor degrees for a 1-d array of 1-norm bounds x = |scale| |B|_1.
 
-    This bounds the 1-norm error of the degree-m Taylor sum of exp(B) v
-    relative to |v|_1 whenever |B|_1 <= x.
+    Entry i gets s_i = max(1, ceil(x_i / _TAYLOR_THETA)) substeps of the
+    smallest degree m whose remainder bound e^y y^(m+1)/(m+1)! at
+    y = x_i / s_i is at most _TAYLOR_TOL; that bounds the 1-norm error of
+    each substep's degree-m Taylor sum of exp(B / s_i) v relative to |v|_1.
+    The bound is updated term by term, y/(m+1) at a time, on all entries at
+    once, with the floating-point operations of the scalar loop (``math.exp``
+    included), so each degree equals the scalar one bit for bit.
     """
-    degree, bound = 0, math.exp(x) * x
-    while bound > _TAYLOR_TOL:
-        degree += 1
-        bound *= x / (degree + 1)
-    return degree
+    substeps = np.maximum(1, np.ceil(x / _TAYLOR_THETA)).astype(int)
+    x = x / substeps
+    degrees = np.zeros(x.size, dtype=int)
+    bound = np.fromiter(map(math.exp, x), float, x.size) * x
+    live = np.flatnonzero(bound > _TAYLOR_TOL)
+    while live.size:
+        degrees[live] += 1
+        bound[live] *= x[live] / (degrees[live] + 1)
+        live = live[bound[live] > _TAYLOR_TOL]
+    return substeps, degrees
 
 
-def _expm_apply(gens: np.ndarray, psi: np.ndarray, scale: complex, norm_bound: float) -> np.ndarray:
-    """Apply exp(scale * gens[p]) to psi[p] for every p via sub-stepped Taylor sums.
+def _taylor_chunk(product, gens, substeps, degrees, stacks, cur, states) -> int:
+    """Apply a chunk of CF4 exponentials to the state in row 0 of power stack ``cur``.
 
-    ``gens`` has shape (G, d, d) and ``psi`` (G, d, 1); ``norm_bound`` bounds
-    the 1-norm of every ``gens[p]``.  The substep count and the Taylor degree
-    follow from that bound, so the sum needs no convergence test per term.
+    ``gens[f]`` is exponential f's generator already scaled to one substep,
+    X = -i (h / s) K.  It is applied ``substeps[f]`` times with Taylor
+    degree ``degrees[f]``: this chunk's part of the plan that
+    :func:`_taylor_plan` made for every exponential before stepping.
+    ``stacks`` = (rows, sums, heads) views two power stacks: ``rows[c][j]``
+    is row j of stack c in the shape ``product`` multiplies by X,
+    ``sums[c][m]`` pairs the weights 1/j! for j <= m with rows 0..m, and
+    ``heads[c]`` is row 0.  A substep of degree m fills rows 1..m of the
+    current stack with v_j = X^j v_0, one product per power, and takes
+    sum_j v_j / j! as one more product into row 0 of the other stack, which
+    becomes current.  Exponentials come in CF4 pairs, the right-hand factor
+    first, and the state after step k is copied to ``states[k]``.  Returns
+    the index of the stack that holds the state.
     """
-    x = abs(scale) * norm_bound
-    substeps = max(1, math.ceil(x / _TAYLOR_THETA))
-    degree = _taylor_degree(x / substeps)
-    h = scale / substeps
-    for _ in range(substeps):
-        acc = psi.copy()
-        term = psi
-        for j in range(1, degree + 1):
-            term = (h / j) * (gens @ term)
-            acc += term
-        psi = acc
-    return psi
+    rows, sums, heads = stacks
+    for f, (x, s, m) in enumerate(zip(gens, substeps, degrees)):
+        for _ in range(s):
+            power = rows[cur]
+            for j in range(m):
+                product(x, power[j], out=power[j + 1])
+            product(*sums[cur][m], out=heads[1 - cur])
+            cur = 1 - cur
+        if f % 2:
+            np.copyto(states[f // 2], heads[cur])
+    return cur
 
 
 @functools.lru_cache(maxsize=32)
@@ -273,6 +305,99 @@ def _photon_peaks(
     return np.maximum(mean_n.max(axis=1), inner.max(axis=(0, 2)))
 
 
+def _cf4_steps(state0, schedule, times, h, params, rwa, amps) -> np.ndarray:
+    """The states at ``times``, steps of length h apart, shape (G, steps + 1, dim).
+
+    State p evolves under K0 + amps[p] (g1 V1 + g2 V2) from ``state0``.  The
+    couplings at the Gauss nodes, the plan, the generator chunks and the
+    power stacks live only while stepping.
+    """
+    (a1, a2), n_steps, g = _CF4_A, times.size - 1, amps.size
+    # the couplings (g1, g2) at both Gauss nodes of every step, read once
+    # and streamed into the array, without a list of pairs
+    node_times = map(float, (times[:-1, None] + np.multiply(_CF4_C, h)).ravel())
+    nodes = np.fromiter(itertools.chain.from_iterable(map(schedule.values, node_times)), float)
+    if nodes.size != 4 * n_steps:
+        raise ValueError("schedule.values(t) must return the two couplings (g1, g2)")
+    nodes = nodes.reshape(n_steps, 2, 2)
+    bad = ~np.isfinite(nodes).all(axis=(1, 2))
+    if bad.any():
+        raise IntegrationError(
+            f"schedule produced non-finite couplings in the step from t={float(times[bad.argmax()])}"
+        )
+    # exponential f = 2 i + e of step i weighs the nodes by weights[e]; the
+    # right-hand factor acts first
+    weights = np.array([[a2, a1], [a1, a2]])
+    u = weights[:, 0, None] * nodes[:, None, 0] + weights[:, 1, None] * nodes[:, None, 1]
+    u = u.reshape(-1, 2)  # the couplings (u1, u2) of every exponential
+
+    # the occupied parity blocks, each of dimension d
+    blocks = [idx for idx in parity_blocks(params) if np.any(state0[idx])]
+    k0, v1, v2 = (np.stack([op[np.ix_(idx, idx)] for idx in blocks]) for op in generators(params, rwa))
+    nb, d = len(blocks), blocks[0].size
+    mu = np.trace(k0, axis1=1, axis2=2) / d
+    half_k0 = 0.5 * (k0 - mu[:, None, None] * np.eye(d))  # each factor's share of the shifted drift
+    n0, nv1, nv2 = (max(map(_one_norm, ops)) for ops in (half_k0, v1, v2))
+    a_max = float(np.abs(amps).max())
+    bound = n0 + a_max * (np.abs(u[:, 0]) * nv1 + np.abs(u[:, 1]) * nv2)
+    substeps, degrees = _taylor_plan(h * bound)
+    scale = -1j * h / substeps
+    scaled_u = scale[:, None] * u
+
+    # the generators of a chunk of steps in one reused buffer: row (f, p) is
+    # X = scale_f (a_p (u1 V1 + u2 V2) + (K0 - mu) / 2) on every block, a
+    # matrix product of the coefficients and the stacked operators.  Each
+    # product fills at most _CHUNK_BYTES, which keeps it below OpenBLAS's
+    # threading threshold, so pool workers never start BLAS threads
+    ops = np.stack([v1, v2, half_k0]).reshape(3, -1)
+    rows = max(1, _CHUNK_BYTES // ops[0].nbytes)  # generator rows per product
+    chunk = max(1, rows // (2 * g))  # in steps
+    coef = np.empty((2 * chunk * g, 3), dtype=complex)
+    gens = np.empty((2 * chunk, g * nb, d, d), dtype=complex)
+    flat_gens = gens.reshape(coef.shape[0], -1)
+    # two power stacks, each holding rows 0..top for every (amplitude p,
+    # block b) pair in row p nb + b; the products are batched over the pairs
+    # and stay small, one per pair, whatever the number of amplitudes
+    top = int(degrees.max())
+    stacks = np.zeros((2, g * nb, top + 1, d), dtype=complex)
+    stacks[0, :, 0] = np.tile(np.concatenate([state0[idx] for idx in blocks]), g).reshape(g * nb, d)
+    if g * nb == 1:  # one matrix: np.dot skips the per-call cost of the batched np.matmul
+        product, mats, views = np.dot, gens[:, 0], stacks[:, 0]
+        powers = [list(view) for view in views]
+    else:
+        product, mats, views = np.matmul, gens, stacks
+        powers = [list(view.transpose(1, 0, 2)[..., None]) for view in views]
+    coefs = np.array([[1.0 / math.factorial(j) for j in range(top + 1)]], dtype=complex)
+    sums = [[(coefs[:, : m + 1], view[..., : m + 1, :]) for m in range(top + 1)] for view in views]
+    heads = [view[..., :1, :] for view in views]
+    # the trace shift comes back as the phase exp(-i h mu)^k of each block after step k
+    phases = np.cumprod(np.tile(np.exp(-1j * h * mu), (n_steps, 1)), axis=0)[:, None, :, None]
+    stepped = np.empty((chunk, g, nb, d), dtype=complex)  # the states after a chunk's steps
+    samples = np.zeros((g, n_steps + 1, params.dim), dtype=complex)
+    samples[:, 0] = state0
+    substeps, degrees = substeps.tolist(), degrees.tolist()
+    cur = 0
+    for lo in range(0, n_steps, chunk):
+        hi = min(lo + chunk, n_steps)
+        f = slice(2 * lo, 2 * hi)
+        n = 2 * (hi - lo)
+        block_coef = coef[: n * g].reshape(n, g, 3)
+        np.multiply(scaled_u[f, None], amps[:, None], out=block_coef[:, :, :2])
+        block_coef[:, :, 2] = scale[f, None]
+        for r in range(0, n * g, rows):
+            end = min(r + rows, n * g)
+            np.matmul(coef[r:end], ops, out=flat_gens[r:end])
+        cur = _taylor_chunk(
+            product, mats[:n], substeps[f], degrees[f], (powers, sums, heads), cur,
+            stepped.reshape(chunk, *heads[0].shape),
+        )
+        done = stepped[: hi - lo]
+        done *= phases[lo:hi]
+        for b, idx in enumerate(blocks):
+            samples[:, lo + 1 : hi + 1, idx] = done[:, :, b].transpose(1, 0, 2)
+    return samples
+
+
 def _check_initial(state0: np.ndarray, params: ModelParams) -> np.ndarray:
     state0 = np.asarray(state0, dtype=complex)
     if state0.shape != (params.dim,):
@@ -330,46 +455,11 @@ def propagate(
     if not np.all(np.isfinite(amps)):
         raise IntegrationError(f"non-finite coupling amplitude in {amps.tolist()}")
 
-    # stack the occupied parity blocks on the batch axis: row b*G + p holds
-    # amplitude p in block b, and every block has the same dimension d
-    blocks = [idx for idx in parity_blocks(params) if np.any(state0[idx])]
-    k0, v1, v2 = (
-        np.stack([op[np.ix_(idx, idx)] for idx in blocks]) for op in generators(params, opts.rwa)
-    )
-    d = blocks[0].size
-    mu = np.trace(k0, axis1=1, axis2=2) / d
-    half_k0 = 0.5 * (k0 - mu[:, None, None] * np.eye(d))  # each factor's share of the shifted drift
-    n0, nv1, nv2 = (max(map(_one_norm, ops)) for ops in (half_k0, v1, v2))
-    half_k0, v1, v2 = half_k0[:, None], v1[:, None], v2[:, None]  # broadcast over amplitudes
-
     n_steps = max(1, math.ceil((t1 - t0) / opts.dt))
     h = (t1 - t0) / n_steps
-    phase = np.repeat(np.exp(-1j * h * mu), amps.size)[:, None, None]
-    a_max = float(np.abs(amps).max())
-    a_col = amps[None, :, None, None]
-    gens = np.empty((len(blocks), amps.size, d, d), dtype=complex)
-    flat_gens = gens.reshape(-1, d, d)
-    (a1, a2), (c1, c2) = _CF4_A, _CF4_C
-
     times = t0 + h * np.arange(n_steps + 1)
-    samples = np.zeros((amps.size, times.size, params.dim), dtype=complex)
-    samples[:, 0] = state0
-    psi = np.concatenate([np.tile(state0[idx, None], (amps.size, 1, 1)) for idx in blocks])
-    for i in range(n_steps):
-        t = t0 + i * h
-        g1a, g2a = schedule.values(t + c1 * h)
-        g1b, g2b = schedule.values(t + c2 * h)
-        if not all(map(math.isfinite, (g1a, g2a, g1b, g2b))):
-            raise IntegrationError(f"schedule produced non-finite couplings in the step from t={t}")
-        for w1, w2 in ((a2, a1), (a1, a2)):  # the right-hand factor acts first
-            u1, u2 = w1 * g1a + w2 * g1b, w1 * g2a + w2 * g2b
-            np.multiply(a_col, u1 * v1 + u2 * v2, out=gens)
-            gens += half_k0
-            psi = _expm_apply(flat_gens, psi, -1j * h, n0 + a_max * (abs(u1) * nv1 + abs(u2) * nv2))
-        psi *= phase
-        for idx, block in zip(blocks, psi.reshape(len(blocks), amps.size, d)):
-            samples[:, i + 1, idx] = block
-    if not np.all(np.isfinite(psi)):
+    samples = _cf4_steps(state0, schedule, times, h, params, opts.rwa, amps)
+    if not np.all(np.isfinite(samples[:, -1])):
         raise IntegrationError("state became non-finite during propagation")
     couplings = np.array([schedule.values(t) for t in times], dtype=float)
     if not np.all(np.isfinite(couplings)):

@@ -117,15 +117,10 @@ def trajectory_csv(traj: Trajectory, params: ModelParams) -> str:
     p_cavity = populations(traj, cavity_indices(params))
     mean_n = np.abs(traj.states) ** 2 @ basis_labels(params)[0]
     norm2 = traj.norms2()
-    lines = ["time,p_source,p_target,p_cavity,mean_photon,norm2"]
-    for k in range(traj.times.size):
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (traj.times[k], p_source[k], p_target[k], p_cavity[k], mean_n[k], norm2[k])
-            )
-        )
-    return "\n".join(lines) + "\n"
+    header = "time,p_source,p_target,p_cavity,mean_photon,norm2"
+    row = ",".join(["%.12g"] * 6)  # fmt's format, applied to a whole row at once
+    table = np.column_stack([traj.times, p_source, p_target, p_cavity, mean_n, norm2]).tolist()
+    return "\n".join([header, *(row % tuple(values) for values in table)]) + "\n"
 
 
 def schedule_csv(sched: PiecewiseConstantSchedule) -> str:

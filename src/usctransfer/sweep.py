@@ -15,8 +15,6 @@ is recorded in-row and the sweep continues.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,6 +206,10 @@ def run_sweep(grid: SweepGrid, jobs: int = 1) -> list[RunRecord]:
     tasks = [(float(t_inv), g0_values, grid.fixed, grid.model) for t_inv in grid.t_inv_values]
     if jobs == 1:
         return [record for task in tasks for record in _row_task(task)]
+    # imported here so that simulate and optimize start without multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     records = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_row_task, task) for task in tasks]

@@ -30,6 +30,13 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_process_pool(self):
+        # the process pool is imported by a parallel sweep only when it runs
+        code = "import sys, usctransfer.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestSimulate:
     def test_emits_run_record_json(self, fast_sim_args):
@@ -299,6 +306,31 @@ class TestConfigAsFlags:
         proc = run_cli("optimize", *self.SMALL_OPTIMIZE, "--dt", "0.1")
         assert proc.returncode == 1
         assert "--dt" in proc.stderr
+
+
+class TestScheduleReplayFlags:
+    SCHEDULE = "bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2,0.1\n"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--dt", "7.5"), ("--t-inv", "0.9"), ("--g0", "5"), ("--tau-ratio", "3"), ("--cutoff", "0.5")]
+    )
+    def test_gaussian_only_flag_exits_one(self, flag, value, tmp_path):
+        # the replay takes its bins from the schedule; these flags only shape a Gaussian run
+        sched = tmp_path / "schedule.csv"
+        sched.write_text(self.SCHEDULE)
+        proc = run_cli("simulate", "--schedule", str(sched), "--nmax", "2", flag, value)
+        assert proc.returncode == 1
+        assert flag in proc.stderr
+        assert run_cli("simulate", "--schedule", str(sched), "--nmax", "2").returncode == 0
+
+    def test_gaussian_only_config_key_exits_one(self, tmp_path):
+        sched = tmp_path / "schedule.csv"
+        sched.write_text(self.SCHEDULE)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"dt": 0.02, "tau_ratio": 0.5, "nmax": 2}))
+        proc = run_cli("simulate", "--schedule", str(sched), "--config", str(config))
+        assert proc.returncode == 1
+        assert "--dt" in proc.stderr and "--tau-ratio" in proc.stderr and "--nmax" not in proc.stderr
 
 
 class TestExitCodes:

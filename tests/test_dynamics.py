@@ -60,6 +60,51 @@ def dense_cf4_chain(psi0, schedule, params, window, n_steps, amp=1.0, rwa=False)
     return states
 
 
+def taylor_degree(x):
+    """Smallest degree m with remainder bound e^x x^(m+1)/(m+1)! <= 2^-53; the scalar loop reference."""
+    degree, bound = 0, math.exp(x) * x
+    while bound > 2.0**-53:
+        degree += 1
+        bound *= x / (degree + 1)
+    return degree
+
+
+def scalar_plan(psi0, schedule, params, window, opts, amps=(1.0,)):
+    """(substeps, degree) of every CF4 exponential, chosen one exponential at a time.
+
+    Each exponential's 1-norm bound is that of its generator on the occupied
+    parity blocks with the trace shifted out, at the largest amplitude.
+    """
+    a1, a2 = 0.25 - math.sqrt(3) / 6, 0.25 + math.sqrt(3) / 6
+    c1, c2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
+    blocks = [idx for idx in parity_blocks(params) if np.any(psi0[idx])]
+    k0, v1, v2 = generators(params, opts.rwa)
+
+    def norm(op, shift=False):
+        norms = []
+        for idx in blocks:
+            block = op[np.ix_(idx, idx)]
+            if shift:
+                block = 0.5 * (block - np.trace(block) / idx.size * np.eye(idx.size))
+            norms.append(float(np.abs(block).sum(axis=0).max()))
+        return max(norms)
+
+    n0, nv1, nv2 = norm(k0, shift=True), norm(v1), norm(v2)
+    a_max = max(abs(a) for a in amps)
+    n_steps = max(1, math.ceil((window[1] - window[0]) / opts.dt))
+    h = (window[1] - window[0]) / n_steps
+    plan = []
+    for i in range(n_steps):
+        t = window[0] + i * h
+        (g1a, g2a), (g1b, g2b) = schedule.values(t + c1 * h), schedule.values(t + c2 * h)
+        for w1, w2 in ((a2, a1), (a1, a2)):
+            u1, u2 = w1 * g1a + w2 * g1b, w1 * g2a + w2 * g2b
+            x = h * (n0 + a_max * (abs(u1) * nv1 + abs(u2) * nv2))
+            substeps = max(1, math.ceil(x / dynamics._TAYLOR_THETA))
+            plan.append((substeps, taylor_degree(x / substeps)))
+    return plan
+
+
 class TestMatrixExponential:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(matrix_exponential(np.zeros((4, 4))), np.eye(4))
@@ -258,6 +303,20 @@ class TestBatchedPropagation:
             np.testing.assert_allclose(traj.states, np.array(chain), atol=1e-10)
             np.testing.assert_array_equal(traj.times, trajs[0].times)
 
+    def test_chunk_size_changes_no_result(self, monkeypatch):
+        # a generator buffer of one row splits every step into one product
+        # per (amplitude, block) row; the states come out the same
+        pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
+        psi0 = superposition_initial(0.6, 0.8, self.PARAMS)
+        opts = PropagationOptions(dt=0.2)
+        runs = []
+        for chunk_bytes in (dynamics._CHUNK_BYTES, 2048):
+            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk_bytes)
+            runs.append(propagate(psi0, pair, self.PARAMS, (-4.0, 4.0), opts, amplitudes=[0.35, 0.0, 0.6]))
+        for default, split in zip(*runs):
+            np.testing.assert_array_equal(split.states, default.states)
+            assert split.peak_mean_photon == default.peak_mean_photon
+
     def test_bad_amplitudes_rejected(self):
         psi0 = basis_state(0, 0, 0, self.PARAMS)
         sched = constant_schedule(0.1, 0.1, 1.0)
@@ -265,6 +324,78 @@ class TestBatchedPropagation:
             propagate(psi0, sched, self.PARAMS, (0.0, 1.0), amplitudes=[])
         with pytest.raises(IntegrationError):
             propagate(psi0, sched, self.PARAMS, (0.0, 1.0), amplitudes=[0.1, np.nan])
+
+
+class TestTaylorPlan:
+    def test_plan_matches_scalar_loop_on_dense_grid(self):
+        # the last x of each degree and the first of the next, found by
+        # bisection to adjacent floats, then the same points at 2 to 5
+        # substeps and the substep boundaries
+        probe = np.concatenate([[0.0], np.geomspace(1e-18, dynamics._TAYLOR_THETA, 2000)])
+        edges = []
+        for lo, hi in zip(probe[:-1], probe[1:]):
+            if taylor_degree(lo) == taylor_degree(hi):
+                continue
+            while np.nextafter(lo, np.inf) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if taylor_degree(mid) > taylor_degree(lo) else (mid, hi)
+            edges += [lo, hi]
+        assert len(edges) == 2 * taylor_degree(dynamics._TAYLOR_THETA)
+        edges = np.array(edges)
+        half = dynamics._TAYLOR_THETA * np.arange(1, 7)
+        grid = np.linspace(0.0, 3.0, 3001)
+        x = np.concatenate([grid, edges, *(k * edges for k in range(2, 6)), half, np.nextafter(half, np.inf)])
+        substeps, degrees = dynamics._taylor_plan(x)
+        expected_s = [max(1, math.ceil(v / dynamics._TAYLOR_THETA)) for v in x.tolist()]
+        assert substeps.tolist() == expected_s
+        assert degrees.tolist() == [taylor_degree(v / s) for v, s in zip(x.tolist(), expected_s)]
+
+    @pytest.mark.parametrize(
+        "alpha, amplitudes",
+        [pytest.param(0.0, None, id="one-state"), pytest.param(0.6, [0.3, 1.0], id="batched-both-blocks")],
+    )
+    def test_every_exponential_takes_the_scalar_plan(self, alpha, amplitudes, monkeypatch):
+        # each exponential gets the substeps and degree that the scalar loop
+        # gives for its own bound, and the kernel takes exactly substeps *
+        # (degree + 1) products: one per power and one for the weighted sum
+        params = ModelParams(kappa=0.01, n_max=3)
+        pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
+        window, opts = (-4.0, 4.0), PropagationOptions(dt=0.2)
+        psi0 = superposition_initial(alpha, math.sqrt(1.0 - alpha**2), params)
+        taken, products = [], []
+        kernel = dynamics._taylor_chunk
+
+        def spy(product, gens, substeps, degrees, *rest):
+            taken.extend(zip(substeps, degrees))
+
+            def counted(*args, **kwargs):
+                products.append(1)
+                return product(*args, **kwargs)
+
+            return kernel(counted, gens, substeps, degrees, *rest)
+
+        monkeypatch.setattr(dynamics, "_taylor_chunk", spy)
+        propagate(psi0, pair, params, window, opts, amplitudes=amplitudes)
+        plan = scalar_plan(psi0, pair, params, window, opts, amplitudes or (1.0,))
+        assert taken == plan
+        assert {s for s, _ in plan} == {1, 2}
+        assert len(products) == sum(s * (m + 1) for s, m in plan)
+
+    def test_schedule_read_three_times_per_step_plus_one(self):
+        # two Gauss nodes per step and every sample time, each read once
+        params = ModelParams(n_max=2)
+        pair = GaussianPair(g0=0.3, T=2.0, tau=1.0)
+        reads = []
+
+        class Counting:
+            def values(self, t):
+                reads.append(t)
+                return pair.values(t)
+
+        traj = propagate(basis_state(0, 0, 1, params), Counting(), params, (-3.0, 3.0), PropagationOptions(dt=0.25))
+        n_steps = traj.times.size - 1
+        assert n_steps == 24
+        assert len(reads) == 3 * n_steps + 1
 
 
 class TestStepperOrder:
@@ -420,3 +551,26 @@ class TestValidation:
         psi0 = basis_state(0, 0, 0, self.PARAMS)
         with pytest.raises(IntegrationError):
             propagate(psi0, BadSchedule(), self.PARAMS, (0.0, 1.0))
+
+    def test_schedule_must_return_two_couplings(self):
+        class ThreeCouplings:
+            def values(self, t):
+                return (0.1, 0.1, 0.1)
+
+        psi0 = basis_state(0, 0, 0, self.PARAMS)
+        with pytest.raises(ValueError):
+            propagate(psi0, ThreeCouplings(), self.PARAMS, (0.0, 1.0))
+
+    def test_nonfinite_node_coupling_names_its_step(self):
+        # NaN only strictly inside step 3, so only its Gauss nodes see it
+        h = 0.1
+        start = 0.0 + 3 * h
+
+        class NodeNaN:
+            def values(self, t):
+                return (math.nan, 0.0) if start < t < start + h else (0.1, 0.1)
+
+        psi0 = basis_state(0, 0, 0, self.PARAMS)
+        with pytest.raises(IntegrationError) as info:
+            propagate(psi0, NodeNaN(), self.PARAMS, (0.0, 1.0), PropagationOptions(dt=h))
+        assert str(info.value).endswith(f"in the step from t={start}")

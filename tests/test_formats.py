@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from usctransfer import (
+    GaussianPair,
     ModelParams,
     OptimizationResult,
     PiecewiseConstantSchedule,
     PropagationOptions,
     SweepFixed,
     SweepGrid,
+    Trajectory,
+    cavity_indices,
+    flat_index,
+    populations,
+    propagate,
     propagate_piecewise,
     run_sweep,
     superposition_initial,
@@ -31,6 +37,7 @@ from usctransfer.formats import (
     sweep_csv,
     trajectory_csv,
 )
+from usctransfer.model import basis_labels
 
 
 def small_records():
@@ -132,6 +139,32 @@ class TestTrajectoryCsv:
         assert lines[0] == "time,p_source,p_target,p_cavity,mean_photon,norm2"
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0 and first[1] == 1.0 and first[5] == 1.0
+
+    def test_rows_match_per_cell_fmt(self):
+        # reference: every cell through fmt, joined per row; rows of tiny,
+        # non-finite and negative-zero values cover the format's edge cases
+        params = ModelParams(n_max=3)
+        pair = GaussianPair(g0=0.3, T=4.0, tau=2.4)
+        traj = propagate(superposition_initial(0.6, 0.8, params), pair, params, (-8.0, 8.0))
+        states = traj.states.copy()
+        states[1] *= 1e-170
+        states[2] = np.nan
+        states[3, 0] = np.inf
+        times = traj.times.copy()
+        times[4] = -0.0
+        traj = Trajectory(times, states, states[-1])
+        with np.errstate(invalid="ignore"):  # inf * 0 in the inf row
+            table = np.column_stack([
+                times,
+                populations(traj, [flat_index(0, 0, 1, params)]),
+                populations(traj, [flat_index(0, 1, 0, params)]),
+                populations(traj, cavity_indices(params)),
+                np.abs(states) ** 2 @ basis_labels(params)[0],
+                traj.norms2(),
+            ])
+            lines = ["time,p_source,p_target,p_cavity,mean_photon,norm2"]
+            lines += [",".join(fmt(v) for v in row) for row in table]
+            assert trajectory_csv(traj, params) == "\n".join(lines) + "\n"
 
 
 class TestAtomicWrite:
