@@ -227,23 +227,24 @@ def _add_point_flags(sub: argparse.ArgumentParser, t_inv_help: str, g0_help: str
     sub.add_argument("--g0", type=float, default=0.3, action=_GaussianFlag, help=f"{g0_help} (default %(default)s)")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, dt: bool = True) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser, gaussian: bool = True) -> None:
+    """Model, input and output flags; with ``gaussian``, also the Gaussian pulse's shape and step."""
     fixed = SweepFixed()
     sub.set_defaults(gaussian_flags=[])
     sub.add_argument("--kappa", type=float, default=fixed.params.kappa,
                      help="cavity decay rate in units of omega_c (default %(default)s)")
     sub.add_argument("--nmax", type=int, default=fixed.params.n_max, help="Fock cutoff (default %(default)s)")
-    sub.add_argument("--tau-ratio", dest="tau_ratio", type=float, default=fixed.tau_ratio, action=_GaussianFlag,
-                     help="pulse half-delay over width (default %(default)s)")
-    sub.add_argument("--cutoff", type=float, default=fixed.cutoff, action=_GaussianFlag,
-                     help="window truncation level relative to g0 (default %(default)s)")
     sub.add_argument("--alpha", type=_parse_complex, default=str(fixed.alpha),
                      help="input amplitude on |g1>, as 're,im' (default %(default)s)")
     sub.add_argument("--beta", type=_parse_complex, default=str(fixed.beta),
                      help="input amplitude on |e1>, as 're,im' (default %(default)s)")
     sub.add_argument("--model", choices=("rabi", "rwa"), default="rabi",
                      help="full Rabi or rotating-wave dynamics (default %(default)s)")
-    if dt:
+    if gaussian:
+        sub.add_argument("--tau-ratio", dest="tau_ratio", type=float, default=fixed.tau_ratio, action=_GaussianFlag,
+                         help="pulse half-delay over width (default %(default)s)")
+        sub.add_argument("--cutoff", type=float, default=fixed.cutoff, action=_GaussianFlag,
+                         help="window truncation level relative to g0 (default %(default)s)")
         sub.add_argument("--dt", type=float, default=fixed.options.dt, action=_GaussianFlag,
                          help="propagation step and trajectory sample spacing (default %(default)s)")
     sub.add_argument("--out", help="output path (stdout when omitted)")
@@ -274,7 +275,7 @@ def _build_parser() -> _Parser:
     opt.add_argument("--init", choices=("gaussian-sampled", "constant", "random"), default=OptimizationConfig.init,
                      help="first-start mode (default %(default)s)")
     opt.add_argument("--schedule-out", dest="schedule_out", help="also write the schedule CSV here")
-    _add_common_flags(opt, dt=False)  # the optimizer takes exact per-bin exponentials, no step
+    _add_common_flags(opt, gaussian=False)  # piecewise bins with exact exponentials: no pulse shape, no step
     opt.set_defaults(run=_cmd_optimize)
 
     swp = commands.add_parser("sweep", help="2-D efficiency map CSV")

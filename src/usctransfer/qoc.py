@@ -22,6 +22,12 @@ exponential of :func:`dynamics.propagate_piecewise`, so it and the
 finite-difference gradient built on it are an independent oracle for the
 exact gradient; both are public so they can be re-run as a health check at
 any time.
+
+:func:`optimize` runs every loaded OpenBLAS on one thread and restores the
+previous thread counts when it returns.  A second BLAS thread does not speed
+up the 18-dim block algebra, and once L-BFGS-B has woken scipy's OpenBLAS
+worker, that worker spins between iterations for the whole run, about
+doubling the CPU time for the same wall time.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .dynamics import PropagationOptions, _check_initial, generators, propagate_piecewise
 from .metrics import transfer_efficiency
 from .model import ModelParams, parity_blocks, superposition_initial, superposition_target
@@ -315,7 +322,9 @@ def optimize(
     Runs ``config.restarts`` L-BFGS-B ascents (first start per ``config.init``
     or ``initial_schedule`` when given, the rest random) and keeps the best.
     The reported fidelity is re-evaluated from the returned schedule, not
-    read from optimizer state.
+    read from optimizer state.  The ascents and the re-evaluation run every
+    loaded OpenBLAS on one thread (see the module docstring); the previous
+    thread counts are restored on return, also when an ascent raises.
 
     Parameters
     ----------
@@ -364,42 +373,43 @@ def optimize(
     best_f = -np.inf
     best_converged = False
 
-    for x0 in starts:
-        last_eval = {"f": np.nan, "gnorm": np.nan}
+    with single_blas_thread():
+        for x0 in starts:
+            last_eval = {"f": np.nan, "gnorm": np.nan}
 
-        def negated(x):
-            f, g = objective_and_gradient(
-                template.with_values(x), params, initial, target, opts
+            def negated(x):
+                f, g = objective_and_gradient(
+                    template.with_values(x), params, initial, target, opts
+                )
+                last_eval["f"] = f
+                last_eval["gnorm"] = float(np.linalg.norm(g))
+                return -f, -g
+
+            def record(_xk):
+                nonlocal iteration
+                iteration += 1
+                history.append((iteration, last_eval["f"], last_eval["gnorm"]))
+
+            res = minimize(
+                negated,
+                x0,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(lo, hi)] * (2 * m),
+                callback=record,
+                options={
+                    "maxiter": config.max_iters,
+                    "ftol": config.objective_tol,
+                    "gtol": config.gradient_tol,
+                },
             )
-            last_eval["f"] = f
-            last_eval["gnorm"] = float(np.linalg.norm(g))
-            return -f, -g
+            if -res.fun > best_f:
+                best_f = -res.fun
+                best_x = np.clip(res.x, lo, hi)
+                best_converged = bool(res.success)
 
-        def record(_xk):
-            nonlocal iteration
-            iteration += 1
-            history.append((iteration, last_eval["f"], last_eval["gnorm"]))
-
-        res = minimize(
-            negated,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(lo, hi)] * (2 * m),
-            callback=record,
-            options={
-                "maxiter": config.max_iters,
-                "ftol": config.objective_tol,
-                "gtol": config.gradient_tol,
-            },
-        )
-        if -res.fun > best_f:
-            best_f = -res.fun
-            best_x = np.clip(res.x, lo, hi)
-            best_converged = bool(res.success)
-
-    best_schedule = template.with_values(best_x)
-    fresh = objective(best_schedule, params, initial, target, opts)
+        best_schedule = template.with_values(best_x)
+        fresh = objective(best_schedule, params, initial, target, opts)
     return OptimizationResult(
         best_schedule=best_schedule,
         best_fidelity=fresh,

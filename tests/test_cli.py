@@ -307,6 +307,21 @@ class TestConfigAsFlags:
         assert proc.returncode == 1
         assert "--dt" in proc.stderr
 
+    @pytest.mark.parametrize("flag, value", [("--tau-ratio", "3"), ("--cutoff", "0.5")])
+    def test_optimize_has_no_pulse_shape(self, flag, value):
+        # only the Gaussian pulse of simulate and sweep has a delay ratio and a window cutoff
+        proc = run_cli("optimize", *self.SMALL_OPTIMIZE, flag, value)
+        assert proc.returncode == 1
+        assert flag in proc.stderr
+
+    @pytest.mark.parametrize("key", ["tau_ratio", "cutoff"])
+    def test_optimize_pulse_shape_config_key_is_unknown(self, key, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 0.5}))
+        proc = run_cli("optimize", *self.SMALL_OPTIMIZE, "--config", str(config))
+        assert proc.returncode == 1
+        assert "unknown key" in proc.stderr and key in proc.stderr
+
 
 class TestScheduleReplayFlags:
     SCHEDULE = "bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2,0.1\n"

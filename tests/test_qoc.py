@@ -67,6 +67,31 @@ def frechet_reference(sched, params, initial, target, rwa=False):
     return float(abs(overlap) ** 2), np.array(grad)
 
 
+def openblas_thread_controls():
+    """(get, set) of the thread count of each scipy-bundled OpenBLAS in this process."""
+    import ctypes
+
+    import scipy.optimize  # noqa: F401  loads scipy's OpenBLAS, as optimize does
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("", "64_"):
+            try:
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            controls.append((get, put))
+    return controls
+
+
 class TestObjective:
     def test_zero_schedule_cannot_transfer(self):
         sched = PiecewiseConstantSchedule(0.0, 2.0, [0.0, 0.0], [0.0, 0.0], (0.0, 0.3))
@@ -327,6 +352,38 @@ class TestOptimize:
         iters = [entry[0] for entry in result.iteration_history]
         assert iters == sorted(iters)
         assert all(np.isfinite(entry[1]) and np.isfinite(entry[2]) for entry in result.iteration_history)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_runs_blas_on_one_thread_and_restores(self, fails, monkeypatch):
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no scipy-bundled OpenBLAS loaded")
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            if fails:
+                raise qoc_mod.NumericError("injected")
+            return objective_and_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(qoc_mod, "objective_and_gradient", spy)
+        params, initial, photon_target = self.toy_problem()
+        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=4, restarts=2)
+        original = [get() for get, _ in controls]
+        try:
+            for _, put in controls:
+                put(2)  # a count the pin has to change, also on a one-core host
+            if fails:
+                with pytest.raises(qoc_mod.NumericError):
+                    optimize(config, params, initial, photon_target, PropagationOptions(rwa=True))
+            else:
+                optimize(config, params, initial, photon_target, PropagationOptions(rwa=True))
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, put), threads in zip(controls, original):
+                put(threads)
+        assert seen and all(counts == [1] * len(controls) for counts in seen)
+        assert after == [2] * len(controls)
 
     def test_lossless_not_worse_than_lossy(self):
         # losses can only reduce the achievable overlap here; verified, not assumed
