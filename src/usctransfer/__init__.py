@@ -39,7 +39,6 @@ from .metrics import (
     leakage,
     mean_photon,
     populations,
-    subspace_indices,
     transfer_efficiency,
 )
 from .qoc import (

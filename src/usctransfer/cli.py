@@ -165,9 +165,8 @@ def _simulate_schedule(path: str, fixed: SweepFixed, model: str):
     params = fixed.params
     initial = superposition_initial(fixed.alpha, fixed.beta, params)
     target = superposition_target(fixed.alpha, fixed.beta, params)
-    opts = PropagationOptions(rwa=(model == "rwa"))
     start = time.perf_counter()
-    traj = propagate_piecewise(initial, sched, params, opts)
+    traj = propagate_piecewise(initial, sched, params, rwa=(model == "rwa"))
     wall = time.perf_counter() - start
     descriptor = {
         "kind": "piecewise",
@@ -197,8 +196,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     )
     initial = superposition_initial(args.alpha, args.beta, params)
     target = superposition_target(args.alpha, args.beta, params)
-    opts = PropagationOptions(rwa=(args.model == "rwa"))
-    result = optimize(config, params, initial, target, opts)
+    result = optimize(config, params, initial, target, rwa=(args.model == "rwa"))
     _emit(optimization_result_json(result), args.out)
     if args.schedule_out:
         atomic_write_text(args.schedule_out, schedule_csv(result.best_schedule))

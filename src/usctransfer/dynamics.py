@@ -92,19 +92,18 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagationOptions:
-    """Stepper settings.
+    """Step of :func:`propagate`, the only function that reads it.
 
     The stepper takes fixed fourth-order commutator-free Magnus steps of at
     most ``dt`` (two exponentials per step, controls sampled at the two
     Gauss nodes, on the occupied parity blocks with their trace shifted
     out) and stores every step, so the default trajectory is sampled every
     0.1; at that step every transfer efficiency of the default 10 x 10 map
-    is within 1e-10 of a dt = 0.0125 run.  ``rwa`` selects the
-    excitation-conserving Hamiltonian instead of the full Rabi one.
+    is within 1e-10 of a dt = 0.0125 run.  The model is not a stepper
+    setting: every propagator takes it as its ``rwa`` keyword.
     """
 
     dt: float = 0.1
-    rwa: bool = False
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
@@ -415,6 +414,8 @@ def propagate(
     window: tuple[float, float],
     opts: PropagationOptions | None = None,
     amplitudes=None,
+    *,
+    rwa: bool = False,
 ) -> Trajectory | list[Trajectory]:
     """Evolve ``state0`` under the scheduled couplings over ``window``.
 
@@ -429,12 +430,14 @@ def propagate(
     window : (t_begin, t_end)
         Finite integration window.
     opts : PropagationOptions, optional
-        Stepper settings (defaults when omitted).
+        The step (the default when omitted).
     amplitudes : sequence of float, optional
         Coupling amplitudes a_1..a_G.  When given, G states start from
         ``state0`` and are stepped together; state p evolves under the
         couplings ``a_p * schedule.values(t)``.  The substep count and the
         Taylor degree of every step come from the largest ``|a_p|``.
+    rwa : bool, keyword-only
+        Evolve under the rotating-wave controls of :func:`generators`.
 
     Returns
     -------
@@ -458,13 +461,13 @@ def propagate(
     n_steps = max(1, math.ceil((t1 - t0) / opts.dt))
     h = (t1 - t0) / n_steps
     times = t0 + h * np.arange(n_steps + 1)
-    samples = _cf4_steps(state0, schedule, times, h, params, opts.rwa, amps)
+    samples = _cf4_steps(state0, schedule, times, h, params, rwa, amps)
     if not np.all(np.isfinite(samples[:, -1])):
         raise IntegrationError("state became non-finite during propagation")
     couplings = np.array([schedule.values(t) for t in times], dtype=float)
     if not np.all(np.isfinite(couplings)):
         raise IntegrationError("schedule produced non-finite couplings at a sample time")
-    peaks = _photon_peaks(times, samples, params, opts.rwa, amps, couplings[:-1], couplings[1:])
+    peaks = _photon_peaks(times, samples, params, rwa, amps, couplings[:-1], couplings[1:])
     trajs = [Trajectory(times, states, states[-1], float(peak)) for states, peak in zip(samples, peaks)]
     return trajs[0] if amplitudes is None else trajs
 
@@ -473,7 +476,8 @@ def propagate_piecewise(
     state0: np.ndarray,
     sched,
     params: ModelParams,
-    opts: PropagationOptions | None = None,
+    *,
+    rwa: bool = False,
 ) -> Trajectory:
     """Evolve under a piecewise-constant schedule, one exact exponential per bin.
 
@@ -482,14 +486,14 @@ def propagate_piecewise(
     each bin with that bin's generator at both of its edges, since d<n>/dt
     jumps where the couplings do.  It works on the full space with the
     Taylor exponential, which makes it the independent check of the gradient
-    engine's block propagators.
+    engine's block propagators.  The bins set the times, so it takes no step;
+    ``rwa=True`` (keyword-only) replays under the rotating-wave controls.
     """
-    opts = opts or PropagationOptions()
     state0 = _check_initial(state0, params)
     if sched.bins < 1:
         raise ValueError("schedule has no bins")
 
-    k0, v1, v2 = generators(params, opts.rwa)
+    k0, v1, v2 = generators(params, rwa)
     psi = state0
     times = [sched.t_start]
     states = [psi]
@@ -502,5 +506,5 @@ def propagate_piecewise(
         raise IntegrationError("state became non-finite during propagation")
     times, states = np.array(times), np.array(states)
     bins = np.column_stack([sched.values1, sched.values2])
-    (peak,) = _photon_peaks(times, states[None], params, opts.rwa, np.ones(1), bins, bins)
+    (peak,) = _photon_peaks(times, states[None], params, rwa, np.ones(1), bins, bins)
     return Trajectory(times, states, psi, float(peak))

@@ -12,18 +12,17 @@ cubic Hermite interpolant with exact slopes and store it on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .model import BasisIndex, ModelParams, basis_index, basis_labels
+from .model import ModelParams, basis_labels
 
 __all__ = [
     "RunRecord",
     "transfer_efficiency",
     "populations",
-    "subspace_indices",
     "cavity_indices",
     "mean_photon",
     "leakage",
@@ -99,18 +98,9 @@ def transfer_efficiency(final: np.ndarray, target: np.ndarray) -> float:
     return efficiency
 
 
-def subspace_indices(
-    params: ModelParams, predicate: Callable[[BasisIndex], bool]
-) -> np.ndarray:
-    """Flat indices of all basis states satisfying ``predicate``."""
-    return np.array(
-        [k for k in range(params.dim) if predicate(basis_index(k, params))], dtype=int
-    )
-
-
 def cavity_indices(params: ModelParams) -> np.ndarray:
     """Indices of every basis state carrying at least one photon."""
-    return subspace_indices(params, lambda b: b.n >= 1)
+    return np.flatnonzero(basis_labels(params)[0] >= 1)
 
 
 def populations(traj: Trajectory, indices: Iterable[int]) -> np.ndarray:

@@ -21,7 +21,7 @@ best schedule found.  :func:`objective` propagates with the dense
 exponential of :func:`dynamics.propagate_piecewise`, so it and the
 finite-difference gradient built on it are an independent oracle for the
 exact gradient; both are public so they can be re-run as a health check at
-any time.
+any time.  Per-bin exponentials need no step; the model is the keyword ``rwa``.
 
 :func:`optimize` runs every loaded OpenBLAS on one thread and restores the
 previous thread counts when it returns.  A second BLAS thread does not speed
@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from ._blas import single_blas_thread
-from .dynamics import PropagationOptions, _check_initial, generators, propagate_piecewise
+from .dynamics import _check_initial, generators, propagate_piecewise
 from .metrics import transfer_efficiency
 from .model import ModelParams, parity_blocks, superposition_initial, superposition_target
 from .pulses import DEFAULT_TAU_RATIO, GaussianPair, PiecewiseConstantSchedule
@@ -54,6 +54,10 @@ __all__ = [
     "gradient_check",
     "optimize",
 ]
+
+# L-BFGS-B stops when the relative decrease of -F or the largest projected gradient entry falls below these
+_OBJECTIVE_TOL = 1e-12
+_GRADIENT_TOL = 1e-8
 
 
 class NumericError(RuntimeError):
@@ -75,8 +79,6 @@ class OptimizationConfig:
     bounds: tuple[float, float]
     bins: int = 20
     max_iters: int = 500
-    gradient_tol: float = 1e-8
-    objective_tol: float = 1e-12
     seed: int = 0
     init: str = "gaussian-sampled"
     restarts: int = 5
@@ -110,10 +112,11 @@ def objective(
     params: ModelParams,
     initial: np.ndarray,
     target: np.ndarray,
-    opts: PropagationOptions | None = None,
+    *,
+    rwa: bool = False,
 ) -> float:
     """Transfer efficiency of the piecewise-constant schedule."""
-    traj = propagate_piecewise(initial, sched, params, opts)
+    traj = propagate_piecewise(initial, sched, params, rwa=rwa)
     return transfer_efficiency(traj.final, target)
 
 
@@ -196,10 +199,11 @@ def gradient(
     params: ModelParams,
     initial: np.ndarray,
     target: np.ndarray,
-    opts: PropagationOptions | None = None,
+    *,
+    rwa: bool = False,
 ) -> np.ndarray:
     """Exact gradient of the efficiency, stacked as (all g1 bins, all g2 bins)."""
-    return objective_and_gradient(sched, params, initial, target, opts)[1]
+    return objective_and_gradient(sched, params, initial, target, rwa=rwa)[1]
 
 
 def objective_and_gradient(
@@ -207,7 +211,8 @@ def objective_and_gradient(
     params: ModelParams,
     initial: np.ndarray,
     target: np.ndarray,
-    opts: PropagationOptions | None = None,
+    *,
+    rwa: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Efficiency and its exact gradient in one forward/backward pass per parity block."""
     initial = _check_initial(initial, params)
@@ -217,7 +222,7 @@ def objective_and_gradient(
     values = (sched.values1, sched.values2)
     if not np.all(np.isfinite(values)):
         raise ValueError("schedule has non-finite values")
-    k0, v1, v2 = generators(params, opts.rwa if opts else False)
+    k0, v1, v2 = generators(params, rwa)
     final = np.zeros(params.dim, dtype=complex)
     terms = np.zeros((2, sched.bins), dtype=complex)
     for block in parity_blocks(params):
@@ -244,7 +249,8 @@ def finite_difference_gradient(
     initial: np.ndarray,
     target: np.ndarray,
     h: float = 1e-6,
-    opts: PropagationOptions | None = None,
+    *,
+    rwa: bool = False,
 ) -> np.ndarray:
     """Central-difference gradient, the independent oracle for the exact one."""
     x0 = sched.stacked()
@@ -253,8 +259,8 @@ def finite_difference_gradient(
         x_plus, x_minus = x0.copy(), x0.copy()
         x_plus[j] += h
         x_minus[j] -= h
-        f_plus = objective(sched.with_values(x_plus), params, initial, target, opts)
-        f_minus = objective(sched.with_values(x_minus), params, initial, target, opts)
+        f_plus = objective(sched.with_values(x_plus), params, initial, target, rwa=rwa)
+        f_minus = objective(sched.with_values(x_minus), params, initial, target, rwa=rwa)
         grad[j] = (f_plus - f_minus) / (2 * h)
     return grad
 
@@ -266,7 +272,8 @@ def gradient_check(
     duration: float = 5.0,
     bounds: tuple[float, float] = (0.0, 0.3),
     h: float = 1e-6,
-    opts: PropagationOptions | None = None,
+    *,
+    rwa: bool = False,
 ) -> list[tuple[int, float]]:
     """Relative error between exact and finite-difference gradients.
 
@@ -285,8 +292,8 @@ def gradient_check(
         sched = PiecewiseConstantSchedule(
             0.0, duration / bins, vals[:bins], vals[bins:], bounds
         )
-        exact = gradient(sched, params, initial, target, opts)
-        approx = finite_difference_gradient(sched, params, initial, target, h, opts)
+        exact = gradient(sched, params, initial, target, rwa=rwa)
+        approx = finite_difference_gradient(sched, params, initial, target, h, rwa=rwa)
         rel = float(np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), 1e-30))
         results.append((seed, rel))
     return results
@@ -314,7 +321,8 @@ def optimize(
     params: ModelParams,
     initial: np.ndarray,
     target: np.ndarray,
-    opts: PropagationOptions | None = None,
+    *,
+    rwa: bool = False,
     initial_schedule: PiecewiseConstantSchedule | None = None,
 ) -> OptimizationResult:
     """Maximize the transfer efficiency over bounded piecewise schedules.
@@ -334,8 +342,8 @@ def optimize(
         System constants (losses included in the propagation).
     initial, target : ndarray
         Normalized source and target amplitude vectors.
-    opts : PropagationOptions, optional
-        Model selection for the propagator (``rwa`` flag).
+    rwa : bool, keyword-only
+        Optimize under the rotating-wave controls instead of the Rabi ones.
     initial_schedule : PiecewiseConstantSchedule, optional
         Explicit first start; must match the configured grid.
 
@@ -378,9 +386,7 @@ def optimize(
             last_eval = {"f": np.nan, "gnorm": np.nan}
 
             def negated(x):
-                f, g = objective_and_gradient(
-                    template.with_values(x), params, initial, target, opts
-                )
+                f, g = objective_and_gradient(template.with_values(x), params, initial, target, rwa=rwa)
                 last_eval["f"] = f
                 last_eval["gnorm"] = float(np.linalg.norm(g))
                 return -f, -g
@@ -399,8 +405,8 @@ def optimize(
                 callback=record,
                 options={
                     "maxiter": config.max_iters,
-                    "ftol": config.objective_tol,
-                    "gtol": config.gradient_tol,
+                    "ftol": _OBJECTIVE_TOL,
+                    "gtol": _GRADIENT_TOL,
                 },
             )
             if -res.fun > best_f:
@@ -409,7 +415,7 @@ def optimize(
                 best_converged = bool(res.success)
 
         best_schedule = template.with_values(best_x)
-        fresh = objective(best_schedule, params, initial, target, opts)
+        fresh = objective(best_schedule, params, initial, target, rwa=rwa)
     return OptimizationResult(
         best_schedule=best_schedule,
         best_fidelity=fresh,

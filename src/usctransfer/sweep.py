@@ -105,12 +105,12 @@ def gaussian_row(
         raise ValueError("g0_values must be non-empty")
     unit = replace(pairs[0], g0=1.0)
     window = integration_window(unit, fixed.cutoff)
-    opts = replace(fixed.options, rwa=(model == "rwa"))
     initial = superposition_initial(fixed.alpha, fixed.beta, params)
     target = superposition_target(fixed.alpha, fixed.beta, params)
 
     start = time.perf_counter()
-    trajs = propagate(initial, unit, params, window, opts, amplitudes=[pair.g0 for pair in pairs])
+    amplitudes = [pair.g0 for pair in pairs]
+    trajs = propagate(initial, unit, params, window, fixed.options, amplitudes=amplitudes, rwa=(model == "rwa"))
     wall = (time.perf_counter() - start) / len(pairs)
 
     runs = []

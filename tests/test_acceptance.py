@@ -18,7 +18,6 @@ from usctransfer import (
     GaussianPair,
     ModelParams,
     PiecewiseConstantSchedule,
-    PropagationOptions,
     SweepFixed,
     SweepGrid,
     excitation_operator,
@@ -156,7 +155,7 @@ def test_criterion_5_property_suite():
     for kappa, rwa in ((0.0, False), (0.005, False), (0.0, True)):
         params = ModelParams(kappa=kappa, n_max=6)
         psi0 = superposition_initial(0.0, 1.0, params)
-        traj = propagate(psi0, pair, params, window, PropagationOptions(rwa=rwa))
+        traj = propagate(psi0, pair, params, window, rwa=rwa)
         norms = traj.norms2()
         if kappa == 0.0 and not rwa:
             check("norm conservation (kappa=0)", np.abs(norms - 1.0).max() < 1e-9)
@@ -193,7 +192,7 @@ def test_criterion_5_property_suite():
         PiecewiseConstantSchedule(0.0, 50.0, [g], [0.0], (0.0, 1.0)),
         params_rabi,
         (0.0, 50.0),
-        PropagationOptions(rwa=True),
+        rwa=True,
     )
     p_photon = np.abs(traj.states[:, 4]) ** 2
     check("vacuum Rabi sin^2 oracle", np.abs(p_photon - np.sin(g * traj.times) ** 2).max() < 1e-6)

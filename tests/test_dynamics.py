@@ -78,7 +78,7 @@ def scalar_plan(psi0, schedule, params, window, opts, amps=(1.0,)):
     a1, a2 = 0.25 - math.sqrt(3) / 6, 0.25 + math.sqrt(3) / 6
     c1, c2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
     blocks = [idx for idx in parity_blocks(params) if np.any(psi0[idx])]
-    k0, v1, v2 = generators(params, opts.rwa)
+    k0, v1, v2 = generators(params)
 
     def norm(op, shift=False):
         norms = []
@@ -194,7 +194,8 @@ class TestPropagateClosedForms:
             constant_schedule(g, 0.0, duration),
             params,
             (0.0, duration),
-            PropagationOptions(rwa=True, dt=0.005),
+            PropagationOptions(dt=0.005),
+            rwa=True,
         )
         p_transfer = np.abs(traj.states[:, 4]) ** 2  # |1,g,g>
         np.testing.assert_allclose(p_transfer, np.sin(g * traj.times) ** 2, atol=1e-6)
@@ -213,8 +214,7 @@ class TestConservationLaws:
         pair = GaussianPair(g0=0.3, T=10.0, tau=6.0)
         psi0 = superposition_initial(0.0, 1.0, params)
         window = integration_window(pair)
-        opts = PropagationOptions(rwa=rwa)
-        return params, propagate(psi0, pair, params, window, opts)
+        return params, propagate(psi0, pair, params, window, rwa=rwa)
 
     def test_norm_conserved_without_loss(self):
         _, traj = self.gaussian_run(kappa=0.0, rwa=False)
@@ -265,19 +265,21 @@ class TestPiecewisePropagation:
         np.testing.assert_allclose(final_one.final, final_many.final, atol=1e-10)
 
     def test_dense_exponential_chain_oracle(self):
-        # independent route: scipy expm per bin, chained on the n_max=3 space
+        # independent route: scipy expm per bin, chained on the n_max=3 space,
+        # for both models
         rng = np.random.default_rng(11)
         m = 6
         sched = PiecewiseConstantSchedule(
             0.0, 0.9, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m), (0.0, 0.3)
         )
         psi0 = superposition_initial(0.0, 1.0, self.PARAMS)
-        traj = propagate_piecewise(psi0, sched, self.PARAMS)
-        psi = psi0.copy()
-        for k in range(m):
-            k_eff = dense_generator(self.PARAMS, sched.values1[k], sched.values2[k])
-            psi = scipy.linalg.expm(-1j * sched.dt * k_eff) @ psi
-        np.testing.assert_allclose(traj.final, psi, atol=1e-10)
+        for rwa in (False, True):
+            traj = propagate_piecewise(psi0, sched, self.PARAMS, rwa=rwa)
+            psi = psi0.copy()
+            for k in range(m):
+                k_eff = dense_generator(self.PARAMS, sched.values1[k], sched.values2[k], rwa=rwa)
+                psi = scipy.linalg.expm(-1j * sched.dt * k_eff) @ psi
+            np.testing.assert_allclose(traj.final, psi, atol=1e-10, err_msg=f"rwa={rwa}")
 
 
 class TestBatchedPropagation:
@@ -431,8 +433,8 @@ class TestBlockPropagation:
         pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
         window, n_steps = (-4.0, 4.0), 40
         psi0 = superposition_initial(alpha, math.sqrt(1.0 - alpha**2), params)
-        opts = PropagationOptions(dt=(window[1] - window[0]) / n_steps, rwa=rwa)
-        (traj,) = propagate(psi0, pair, params, window, opts, amplitudes=[amp])
+        opts = PropagationOptions(dt=(window[1] - window[0]) / n_steps)
+        (traj,) = propagate(psi0, pair, params, window, opts, amplitudes=[amp], rwa=rwa)
         chain = dense_cf4_chain(psi0, pair, params, window, n_steps, amp, rwa)
         np.testing.assert_allclose(traj.final, chain[-1], rtol=0, atol=1e-10)
         if alpha == 0.0:
@@ -574,3 +576,8 @@ class TestValidation:
         with pytest.raises(IntegrationError) as info:
             propagate(psi0, NodeNaN(), self.PARAMS, (0.0, 1.0), PropagationOptions(dt=h))
         assert str(info.value).endswith(f"in the step from t={start}")
+
+    def test_options_carry_no_model(self):
+        # the model is the propagators' rwa keyword, not a stepper setting
+        with pytest.raises(TypeError):
+            PropagationOptions(rwa=True)

@@ -21,11 +21,10 @@ from usctransfer import (
     mean_photon,
     populations,
     propagate,
-    subspace_indices,
     superposition_initial,
     transfer_efficiency,
 )
-from usctransfer.model import flat_index
+from usctransfer.model import basis_index, flat_index
 
 PARAMS = ModelParams(kappa=0.0, n_max=3)
 
@@ -128,9 +127,11 @@ class TestPopulations:
         np.testing.assert_allclose(p_source[0], 1.0, atol=1e-12)
 
     def test_subspace_selector(self):
-        indices = subspace_indices(PARAMS, lambda b: b.n >= 1)
-        np.testing.assert_array_equal(indices, cavity_indices(PARAMS))
-        assert indices.size == PARAMS.dim - 4
+        for params in (PARAMS, ModelParams(n_max=1)):
+            indices = cavity_indices(params)
+            expected = [k for k in range(params.dim) if basis_index(k, params).n >= 1]
+            np.testing.assert_array_equal(indices, expected)
+            assert indices.size == params.dim - 4
 
 
 class TestPhotonDiagnostics:

@@ -20,6 +20,7 @@ from usctransfer import (
     objective_and_gradient,
     optimize,
     parity_blocks,
+    propagate_piecewise,
     superposition_initial,
     superposition_target,
 )
@@ -147,7 +148,7 @@ class TestObjective:
         photon_target = basis_state(1, 0, 0, params)
         for g, dt in ((0.2, 3.0), (0.1, 7.0)):
             sched = PiecewiseConstantSchedule(0.0, dt, [g], [0.0], (0.0, 1.0))
-            f = objective(sched, params, initial, photon_target, PropagationOptions(rwa=True))
+            f = objective(sched, params, initial, photon_target, rwa=True)
             np.testing.assert_allclose(f, np.sin(g * dt) ** 2, atol=1e-12)
 
 
@@ -185,8 +186,7 @@ class TestGradient:
         dt = 4.0
         g_star = np.pi / (2 * dt)
         sched = PiecewiseConstantSchedule(0.0, dt, [g_star], [0.0], (0.0, 1.0))
-        opts = PropagationOptions(rwa=True)
-        f, grad = objective_and_gradient(sched, params, initial, photon_target, opts)
+        f, grad = objective_and_gradient(sched, params, initial, photon_target, rwa=True)
         np.testing.assert_allclose(f, 1.0, atol=1e-12)
         np.testing.assert_allclose(grad[0], 0.0, atol=1e-10)
 
@@ -214,13 +214,13 @@ def oracle_case(kappa=0.005, alpha=0.0, values=None, rwa=False, n_max=8, seed=0,
         params,
         superposition_initial(alpha, beta, params),
         superposition_target(alpha, beta, params),
-        PropagationOptions(rwa=rwa),
+        rwa,
     )
 
 
-def assert_matches_frechet_reference(sched, params, initial, target, opts):
-    f, grad = objective_and_gradient(sched, params, initial, target, opts)
-    f_ref, grad_ref = frechet_reference(sched, params, initial, target, opts.rwa)
+def assert_matches_frechet_reference(sched, params, initial, target, rwa):
+    f, grad = objective_and_gradient(sched, params, initial, target, rwa=rwa)
+    f_ref, grad_ref = frechet_reference(sched, params, initial, target, rwa)
     assert abs(f - f_ref) <= 1e-12
     np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
 
@@ -288,7 +288,7 @@ class TestOptimize:
         config = OptimizationConfig(duration=dt, bounds=(0.0, 1.0), bins=1, restarts=1)
         result = optimize(
             config, params, initial, photon_target,
-            PropagationOptions(rwa=True), initial_schedule=start,
+            rwa=True, initial_schedule=start,
         )
         assert len(result.iteration_history) <= 2
         np.testing.assert_allclose(result.best_fidelity, 1.0, atol=1e-12)
@@ -299,7 +299,7 @@ class TestOptimize:
         config = OptimizationConfig(
             duration=6.0, bounds=(0.0, 0.5), bins=2, seed=1, init="random", restarts=3
         )
-        result = optimize(config, params, initial, photon_target, PropagationOptions(rwa=True))
+        result = optimize(config, params, initial, photon_target, rwa=True)
         assert result.best_fidelity > 1 - 1e-8
 
     def test_iterates_respect_bounds(self):
@@ -318,7 +318,7 @@ class TestOptimize:
         old = qoc_mod.objective_and_gradient
         qoc_mod.objective_and_gradient = spy
         try:
-            optimize(config, params, initial, photon_target, PropagationOptions(rwa=True))
+            optimize(config, params, initial, photon_target, rwa=True)
         finally:
             qoc_mod.objective_and_gradient = old
         stacked = np.array(seen)
@@ -327,9 +327,8 @@ class TestOptimize:
     def test_best_fidelity_is_fresh_evaluation(self):
         params, initial, photon_target = self.toy_problem()
         config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=3, restarts=1)
-        opts = PropagationOptions(rwa=True)
-        result = optimize(config, params, initial, photon_target, opts)
-        fresh = objective(result.best_schedule, params, initial, photon_target, opts)
+        result = optimize(config, params, initial, photon_target, rwa=True)
+        fresh = objective(result.best_schedule, params, initial, photon_target, rwa=True)
         assert abs(result.best_fidelity - fresh) < 1e-10
 
     def test_bit_for_bit_reproducible(self):
@@ -337,9 +336,8 @@ class TestOptimize:
         config = OptimizationConfig(
             duration=5.0, bounds=(0.0, 0.4), bins=3, seed=12, init="random", restarts=2
         )
-        opts = PropagationOptions(rwa=True)
-        first = optimize(config, params, initial, photon_target, opts)
-        second = optimize(config, params, initial, photon_target, opts)
+        first = optimize(config, params, initial, photon_target, rwa=True)
+        second = optimize(config, params, initial, photon_target, rwa=True)
         assert first.best_fidelity == second.best_fidelity
         np.testing.assert_array_equal(
             first.best_schedule.stacked(), second.best_schedule.stacked()
@@ -348,7 +346,7 @@ class TestOptimize:
     def test_history_records_iterations(self):
         params, initial, photon_target = self.toy_problem()
         config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=4, restarts=1)
-        result = optimize(config, params, initial, photon_target, PropagationOptions(rwa=True))
+        result = optimize(config, params, initial, photon_target, rwa=True)
         iters = [entry[0] for entry in result.iteration_history]
         assert iters == sorted(iters)
         assert all(np.isfinite(entry[1]) and np.isfinite(entry[2]) for entry in result.iteration_history)
@@ -375,9 +373,9 @@ class TestOptimize:
                 put(2)  # a count the pin has to change, also on a one-core host
             if fails:
                 with pytest.raises(qoc_mod.NumericError):
-                    optimize(config, params, initial, photon_target, PropagationOptions(rwa=True))
+                    optimize(config, params, initial, photon_target, rwa=True)
             else:
-                optimize(config, params, initial, photon_target, PropagationOptions(rwa=True))
+                optimize(config, params, initial, photon_target, rwa=True)
             after = [get() for get, _ in controls]
         finally:
             for (_, put), threads in zip(controls, original):
@@ -434,3 +432,23 @@ class TestRefinement:
             initial_schedule=fine_start,
         )
         assert fine.best_fidelity >= coarse.best_fidelity - 1e-3
+
+
+SCHED = random_schedule(0, bins=2)
+FORMER_OPTS_SLOT = [  # each function with the positional arguments before its former ``opts``
+    (objective, (SCHED, PARAMS, INITIAL, TARGET)),
+    (gradient, (SCHED, PARAMS, INITIAL, TARGET)),
+    (objective_and_gradient, (SCHED, PARAMS, INITIAL, TARGET)),
+    (finite_difference_gradient, (SCHED, PARAMS, INITIAL, TARGET, 1e-6)),
+    (gradient_check, (PARAMS, (0,), 2, 5.0, (0.0, 0.3), 1e-6)),
+    (optimize, (OptimizationConfig(duration=5.0, bounds=(0.0, 0.3), bins=2, restarts=1), PARAMS, INITIAL, TARGET)),
+    (propagate_piecewise, (INITIAL, SCHED, PARAMS)),
+]
+
+
+@pytest.mark.parametrize("fn, args", [pytest.param(fn, args, id=fn.__name__) for fn, args in FORMER_OPTS_SLOT])
+def test_positional_options_rejected(fn, args):
+    # rwa is keyword-only: a truthy PropagationOptions bound to a positional
+    # rwa would select the RWA model unseen
+    with pytest.raises(TypeError):
+        fn(*args, PropagationOptions())
