@@ -10,9 +10,9 @@ from .model import (
     ModelParams,
     basis_index,
     basis_state,
+    conserved_blocks,
     excitation_operator,
     flat_index,
-    parity_blocks,
     parity_operator,
     superposition_initial,
     superposition_target,

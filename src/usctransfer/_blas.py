@@ -1,9 +1,9 @@
 """Run the OpenBLAS libraries of this process on one thread for a while.
 
 numpy and scipy each bundle an OpenBLAS that starts a worker thread per
-extra core.  On the 18-dim parity blocks of :mod:`qoc` a second BLAS thread
-buys nothing, and once an L-BFGS-B run has woken scipy's worker it spins
-between calls for the rest of the run, doubling the CPU time.
+extra core.  On the conserved blocks of :mod:`qoc` (at most 18-dim) a second
+BLAS thread buys nothing, and once an L-BFGS-B run has woken scipy's worker
+it spins between calls for the rest of the run, doubling the CPU time.
 """
 
 from __future__ import annotations

@@ -18,13 +18,15 @@ right-hand factor first, with a_1,2 = 1/4 -+ sqrt(3)/6 and
 c_1,2 = 1/2 -+ sqrt(3)/6; K0 enters each factor with weight 1/2.  The scheme
 is exact for constant schedules.
 
-Every generator conserves the excitation parity, so the stepper works on the
-parity blocks of :func:`model.parity_blocks` that the initial state
-occupies; a pure-parity input never touches the other block, whose
-amplitudes stay exactly 0.  Each block's mean diagonal mu = tr(K0_block)/d
-is shifted out of K0 before the Taylor sums and restored as the phase
-exp(-i h mu) after each step, which lowers the norm bound and the Taylor
-degree.
+The stepper works on the blocks of :func:`model.conserved_blocks` that the
+initial state occupies: the parity sectors under the Rabi model and the
+excitation-number sectors under RWA, so the single-excitation RWA input
+lives in a 3-dim block.  Amplitudes outside the occupied blocks are never
+touched and stay exactly 0.  Blocks of different sizes are padded to the
+largest with all-zero rows and columns, whose amplitudes also stay exactly 0.
+Each block's mean diagonal mu = tr(K0_block)/d, d its true size, is shifted
+out of K0 before the Taylor sums and restored as the phase exp(-i h mu)
+after each step, which lowers the norm bound and the Taylor degree.
 
 The stepper advances a stack of G states at once: state p evolves under
 K0 + a_p (g1 V1 + g2 V2), so points that differ only in the coupling
@@ -44,16 +46,16 @@ the amplitude vectors, which avoids forming per-step propagators.  There the
 substep count and the Taylor degree follow from a norm bound on the
 generators (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
-The blocks are small (18 x 18 at the default cutoff), so the stepper's
-cost is the number of numpy calls, not arithmetic, and :func:`_cf4_steps`
-is arranged to make few of them.  It reads the couplings at both Gauss
-nodes of every step once, before stepping, and plans the substeps and the
-degree of every exponential in one vectorised pass (:func:`_taylor_plan`).
-It then builds the generators of a chunk of steps with one matrix product
-into a reused buffer, and :func:`_taylor_chunk` applies each exponential as
-a stack of powers X^j psi, one product per power, summed with the 1/j!
-weights in one contraction.  The states of a chunk go to the samples at
-once, with the trace phase restored.
+The blocks are small (at most 18 x 18 at the default cutoff), so the
+stepper's cost is the number of numpy calls, not arithmetic, and
+:func:`_cf4_steps` is arranged to make few of them.  It reads the couplings
+at both Gauss nodes of every step once, before stepping, and plans the
+substeps and the degree of every exponential in one vectorised pass
+(:func:`_taylor_plan`).  It then builds the generators of a chunk of steps
+with one matrix product into a reused buffer, and :func:`_taylor_chunk`
+applies each exponential as a stack of powers X^j psi, one product per
+power, summed with the 1/j! weights in one contraction.  The states of a
+chunk go to the samples at once, with the trace phase restored.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, coupling_operator, drift_hamiltonian, number_operator, parity_blocks
+from .model import ModelParams, conserved_blocks, coupling_operator, drift_hamiltonian, number_operator
 
 __all__ = [
     "IntegrationError",
@@ -96,7 +98,7 @@ class PropagationOptions:
 
     The stepper takes fixed fourth-order commutator-free Magnus steps of at
     most ``dt`` (two exponentials per step, controls sampled at the two
-    Gauss nodes, on the occupied parity blocks with their trace shifted
+    Gauss nodes, on the occupied conserved blocks with their trace shifted
     out) and stores every step, so the default trajectory is sampled every
     0.1; at that step every transfer efficiency of the default 10 x 10 map
     is within 1e-10 of a dt = 0.0125 run.  The model is not a stepper
@@ -263,12 +265,12 @@ def _photon_peaks(
     d<n>/dt = 2 Re <psi|N(-iK)psi>, and the peak is the largest value of
     these cubics.  K0 is diagonal and V1, V2 are real, so with
     psi = r + i s the slope is 2 sum_j |psi_j|^2 n_j Im K0_jj plus
-    2 a g r^T [N, V] s for each control; it is evaluated on the parity
-    blocks that the first sample occupies.
+    2 a g r^T [N, V] s for each control; it is evaluated on the conserved
+    blocks of :func:`model.conserved_blocks` that the first sample occupies.
     """
     k0, v1, v2 = generators(params, rwa)
     n_values = number_operator(params).diagonal().real
-    occupied = np.concatenate([idx for idx in parity_blocks(params) if np.any(states[:, 0, idx])])
+    occupied = np.concatenate([idx for idx in conserved_blocks(params, rwa) if np.any(states[:, 0, idx])])
     n_occ = n_values[occupied]
     decay = 2.0 * n_occ * k0.diagonal()[occupied].imag
     # [N, V]_jk = (n_j - n_k) V_jk is nonzero only where V changes the photon number
@@ -330,12 +332,22 @@ def _cf4_steps(state0, schedule, times, h, params, rwa, amps) -> np.ndarray:
     u = weights[:, 0, None] * nodes[:, None, 0] + weights[:, 1, None] * nodes[:, None, 1]
     u = u.reshape(-1, 2)  # the couplings (u1, u2) of every exponential
 
-    # the occupied parity blocks, each of dimension d
-    blocks = [idx for idx in parity_blocks(params) if np.any(state0[idx])]
-    k0, v1, v2 = (np.stack([op[np.ix_(idx, idx)] for idx in blocks]) for op in generators(params, rwa))
-    nb, d = len(blocks), blocks[0].size
-    mu = np.trace(k0, axis1=1, axis2=2) / d
+    # the occupied conserved blocks, zero-padded to the largest size d: the
+    # padded rows and columns of every operator are all zero, so padded
+    # amplitudes stay exactly 0
+    blocks = [idx for idx in conserved_blocks(params, rwa) if np.any(state0[idx])]
+    sizes = np.array([idx.size for idx in blocks])
+    nb, d = len(blocks), int(sizes.max())
+    k0, v1, v2 = block_ops = np.zeros((3, nb, d, d), dtype=complex)
+    block_state = np.zeros((nb, d), dtype=complex)
+    for b, idx in enumerate(blocks):
+        for out, op in zip(block_ops, generators(params, rwa)):
+            out[b, : idx.size, : idx.size] = op[np.ix_(idx, idx)]
+        block_state[b, : idx.size] = state0[idx]
+    mu = np.trace(k0, axis1=1, axis2=2) / sizes  # over each block's true size
     half_k0 = 0.5 * (k0 - mu[:, None, None] * np.eye(d))  # each factor's share of the shifted drift
+    for b, size in enumerate(sizes):
+        half_k0[b, size:] = 0.0  # padded rows stay all zero, out of the norm bound
     n0, nv1, nv2 = (max(map(_one_norm, ops)) for ops in (half_k0, v1, v2))
     a_max = float(np.abs(amps).max())
     bound = n0 + a_max * (np.abs(u[:, 0]) * nv1 + np.abs(u[:, 1]) * nv2)
@@ -359,7 +371,7 @@ def _cf4_steps(state0, schedule, times, h, params, rwa, amps) -> np.ndarray:
     # and stay small, one per pair, whatever the number of amplitudes
     top = int(degrees.max())
     stacks = np.zeros((2, g * nb, top + 1, d), dtype=complex)
-    stacks[0, :, 0] = np.tile(np.concatenate([state0[idx] for idx in blocks]), g).reshape(g * nb, d)
+    stacks[0, :, 0] = np.tile(block_state, (g, 1))
     if g * nb == 1:  # one matrix: np.dot skips the per-call cost of the batched np.matmul
         product, mats, views = np.dot, gens[:, 0], stacks[:, 0]
         powers = [list(view) for view in views]
@@ -393,7 +405,7 @@ def _cf4_steps(state0, schedule, times, h, params, rwa, amps) -> np.ndarray:
         done = stepped[: hi - lo]
         done *= phases[lo:hi]
         for b, idx in enumerate(blocks):
-            samples[:, lo + 1 : hi + 1, idx] = done[:, :, b].transpose(1, 0, 2)
+            samples[:, lo + 1 : hi + 1, idx] = done[:, :, b, : idx.size].transpose(1, 0, 2)
     return samples
 
 

@@ -10,6 +10,12 @@ Cavity photon loss at rate ``kappa`` enters as the anti-Hermitian term
 ``dynamics.generators`` assembles from these operators, so the squared norm
 of a propagated state decays by exactly the leaked population.
 
+:func:`conserved_blocks` turns the conservation laws into index sets, once,
+for every caller: the two parity sectors under the Rabi model and the
+excitation-number sectors under RWA, the smallest blocks on which each
+model's generator is block diagonal.  The stepper, the photon peak and the
+gradient engine all work on these blocks.
+
 The oscillator ladder is truncated at ``n_max`` photons and the basis is the
 factorized set ``|n, s2, s1>`` with the first qubit varying fastest, i.e.
 flat index ``n*4 + s2*2 + s1``; :func:`basis_labels` tabulates the labels
@@ -46,7 +52,7 @@ __all__ = [
     "coupling_operator",
     "excitation_operator",
     "parity_operator",
-    "parity_blocks",
+    "conserved_blocks",
 ]
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -225,12 +231,22 @@ def parity_operator(params: ModelParams) -> np.ndarray:
     return np.diag((-1.0) ** basis_labels(params).sum(axis=0)).astype(complex)
 
 
-def parity_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the even- and the odd-excitation sector, in that order.
+@functools.lru_cache(maxsize=32)
+def conserved_blocks(params: ModelParams, rwa: bool) -> tuple[np.ndarray, ...]:
+    """Flat indices of the smallest sectors that the model's generator never couples.
 
-    Both models conserve the excitation parity, and so does the cavity loss:
-    every generator built from these operators is block diagonal on the two
-    sectors, each of dimension 2*(n_max+1).
+    The full Rabi model and its cavity loss conserve only the excitation
+    parity: the blocks are the even and the odd sector, in that order, each
+    of dimension 2*(n_max+1).  The RWA generator, loss included, conserves
+    the excitation number N = a^dag a + sigma_+^1 sigma_-^1 +
+    sigma_+^2 sigma_-^2 itself: block N holds the states with N excitations,
+    for N = 0..n_max+2, of sizes 1, 3, 4, ..., 4, 3, 1.  Every block lists
+    its indices in ascending order and is read-only; the arrays are built
+    once per ``(params, rwa)``.
     """
-    odd = basis_labels(params).sum(axis=0) % 2
-    return np.flatnonzero(odd == 0), np.flatnonzero(odd == 1)
+    excitations = basis_labels(params).sum(axis=0)
+    sector = excitations if rwa else excitations % 2
+    blocks = tuple(np.flatnonzero(sector == q) for q in range(int(sector.max()) + 1))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks

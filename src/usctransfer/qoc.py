@@ -2,12 +2,13 @@
 
 The objective is the transfer efficiency F = |<target| U_M ... U_1 |initial>|^2
 with per-bin propagators U_k = exp(-i K(g1_k, g2_k) dt).  Gradients are exact
-(GRAPE, Khaneja et al., J. Magn. Reson. 172, 296 (2005)).  K conserves the
-excitation parity, so :func:`objective_and_gradient` works on the two parity
-blocks of :func:`model.parity_blocks` separately and skips a block that the
-initial or the target state leaves empty.  Per block, the generators of all
-bins are diagonalized together, K_k = V diag(lam) V^-1, which yields U_k and,
-through the divided differences of exp(-i lam dt), the exact dU_k/dg
+(GRAPE, Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
+:func:`objective_and_gradient` works on the blocks of
+:func:`model.conserved_blocks` separately (the two parity sectors under the
+Rabi model, the excitation-number sectors under RWA) and skips a block that
+the initial or the target state leaves empty.  Per block, the generators of
+all bins are diagonalized together, K_k = V diag(lam) V^-1, which yields U_k
+and, through the divided differences of exp(-i lam dt), the exact dU_k/dg
 (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  K is
 non-Hermitian and has exceptional points where V is singular; a bin whose
 eigenbasis is ill-conditioned takes U_k and dU_k/dg from the Frechet
@@ -25,9 +26,9 @@ any time.  Per-bin exponentials need no step; the model is the keyword ``rwa``.
 
 :func:`optimize` runs every loaded OpenBLAS on one thread and restores the
 previous thread counts when it returns.  A second BLAS thread does not speed
-up the 18-dim block algebra, and once L-BFGS-B has woken scipy's OpenBLAS
-worker, that worker spins between iterations for the whole run, about
-doubling the CPU time for the same wall time.
+up the block algebra (at most 18-dim), and once L-BFGS-B has woken scipy's
+OpenBLAS worker, that worker spins between iterations for the whole run,
+about doubling the CPU time for the same wall time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from ._blas import single_blas_thread
 from .dynamics import _check_initial, generators, propagate_piecewise
 from .metrics import transfer_efficiency
-from .model import ModelParams, parity_blocks, superposition_initial, superposition_target
+from .model import ModelParams, conserved_blocks, superposition_initial, superposition_target
 from .pulses import DEFAULT_TAU_RATIO, GaussianPair, PiecewiseConstantSchedule
 
 __all__ = [
@@ -133,7 +134,7 @@ def _block_pass(
     phi0: np.ndarray,
     chi_end: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward/backward pass on one parity block.
+    """Forward/backward pass on one conserved block.
 
     ``k0`` and ``controls`` are the block's drift generator and unit
     controls, ``values`` the per-bin couplings, ``phi0`` and ``chi_end`` the
@@ -214,7 +215,7 @@ def objective_and_gradient(
     *,
     rwa: bool = False,
 ) -> tuple[float, np.ndarray]:
-    """Efficiency and its exact gradient in one forward/backward pass per parity block."""
+    """Efficiency and its exact gradient in one forward/backward pass per conserved block."""
     initial = _check_initial(initial, params)
     target = np.asarray(target, dtype=complex)
     if target.shape != initial.shape:
@@ -225,7 +226,7 @@ def objective_and_gradient(
     k0, v1, v2 = generators(params, rwa)
     final = np.zeros(params.dim, dtype=complex)
     terms = np.zeros((2, sched.bins), dtype=complex)
-    for block in parity_blocks(params):
+    for block in conserved_blocks(params, rwa):
         if not (np.any(initial[block]) and np.any(target[block])):
             continue
         sub = np.ix_(block, block)
@@ -278,8 +279,8 @@ def gradient_check(
     """Relative error between exact and finite-difference gradients.
 
     One random in-bounds schedule per seed; returns (seed, norm-wise relative
-    error) pairs.  The input 0.6|g1> + 0.8|e1> has weight in both parity
-    blocks, so the check covers the gradient of each.
+    error) pairs.  The input 0.6|g1> + 0.8|e1> has weight in two conserved
+    blocks under either model, so the check covers the gradient of each.
     """
     initial = superposition_initial(0.6, 0.8, params)
     target = superposition_target(0.6, 0.8, params)

@@ -16,11 +16,11 @@ from usctransfer import (
     PiecewiseConstantSchedule,
     PropagationOptions,
     basis_state,
+    conserved_blocks,
     excitation_operator,
     generators,
     integration_window,
     matrix_exponential,
-    parity_blocks,
     parity_operator,
     propagate,
     propagate_piecewise,
@@ -69,16 +69,21 @@ def taylor_degree(x):
     return degree
 
 
-def scalar_plan(psi0, schedule, params, window, opts, amps=(1.0,)):
+def scalar_plan(psi0, schedule, params, window, opts, amps=(1.0,), rwa=False):
     """(substeps, degree) of every CF4 exponential, chosen one exponential at a time.
 
     Each exponential's 1-norm bound is that of its generator on the occupied
-    parity blocks with the trace shifted out, at the largest amplitude.
+    conserved blocks with the trace shifted out, at the largest amplitude.
+    The blocks come from the excitation operator: its parity sectors under
+    the Rabi model and its eigenspaces under RWA, each at its own size.
     """
     a1, a2 = 0.25 - math.sqrt(3) / 6, 0.25 + math.sqrt(3) / 6
     c1, c2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
-    blocks = [idx for idx in parity_blocks(params) if np.any(psi0[idx])]
-    k0, v1, v2 = generators(params)
+    n_exc = np.rint(excitation_operator(params).diagonal().real).astype(int)
+    sector = n_exc if rwa else n_exc % 2
+    blocks = [np.flatnonzero(sector == q) for q in np.unique(sector)]
+    blocks = [idx for idx in blocks if np.any(psi0[idx])]
+    k0, v1, v2 = generators(params, rwa)
 
     def norm(op, shift=False):
         norms = []
@@ -353,17 +358,26 @@ class TestTaylorPlan:
         assert degrees.tolist() == [taylor_degree(v / s) for v, s in zip(x.tolist(), expected_s)]
 
     @pytest.mark.parametrize(
-        "alpha, amplitudes",
-        [pytest.param(0.0, None, id="one-state"), pytest.param(0.6, [0.3, 1.0], id="batched-both-blocks")],
+        "kets, amplitudes, rwa",
+        [
+            pytest.param({(0, 0, 1): 1.0}, None, False, id="one-state"),
+            pytest.param({(0, 0, 0): 0.6, (0, 0, 1): 0.8}, [0.3, 1.0], False, id="batched-both-blocks"),
+            # RWA: the 1-dim vacuum block padded to the 3-dim single-excitation
+            # block, then the 3-dim block, whose drift has a nonzero trace,
+            # padded to the 4-dim double-excitation block; the amplitude 4 is
+            # strong enough for two-substep exponentials on these small blocks
+            pytest.param({(0, 0, 0): 0.6, (0, 0, 1): 0.8}, [0.3, 4.0], True, id="rwa-mixed-size-blocks"),
+            pytest.param({(0, 0, 1): 0.6, (1, 0, 1): 0.8}, [0.3, 4.0], True, id="rwa-padded-block-with-trace"),
+        ],
     )
-    def test_every_exponential_takes_the_scalar_plan(self, alpha, amplitudes, monkeypatch):
+    def test_every_exponential_takes_the_scalar_plan(self, kets, amplitudes, rwa, monkeypatch):
         # each exponential gets the substeps and degree that the scalar loop
         # gives for its own bound, and the kernel takes exactly substeps *
         # (degree + 1) products: one per power and one for the weighted sum
         params = ModelParams(kappa=0.01, n_max=3)
         pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
         window, opts = (-4.0, 4.0), PropagationOptions(dt=0.2)
-        psi0 = superposition_initial(alpha, math.sqrt(1.0 - alpha**2), params)
+        psi0 = sum(weight * basis_state(*ket, params) for ket, weight in kets.items())
         taken, products = [], []
         kernel = dynamics._taylor_chunk
 
@@ -377,8 +391,8 @@ class TestTaylorPlan:
             return kernel(counted, gens, substeps, degrees, *rest)
 
         monkeypatch.setattr(dynamics, "_taylor_chunk", spy)
-        propagate(psi0, pair, params, window, opts, amplitudes=amplitudes)
-        plan = scalar_plan(psi0, pair, params, window, opts, amplitudes or (1.0,))
+        propagate(psi0, pair, params, window, opts, amplitudes=amplitudes, rwa=rwa)
+        plan = scalar_plan(psi0, pair, params, window, opts, amplitudes or (1.0,), rwa)
         assert taken == plan
         assert {s for s, _ in plan} == {1, 2}
         assert len(products) == sum(s * (m + 1) for s, m in plan)
@@ -438,8 +452,33 @@ class TestBlockPropagation:
         chain = dense_cf4_chain(psi0, pair, params, window, n_steps, amp, rwa)
         np.testing.assert_allclose(traj.final, chain[-1], rtol=0, atol=1e-10)
         if alpha == 0.0:
-            even, _ = parity_blocks(params)
+            even, _ = conserved_blocks(params, False)
             assert np.all(traj.states[:, even] == 0)
+
+
+    @pytest.mark.parametrize("numbers", [(0, 1), (0, 1, 2)], ids=["sizes-1-3", "sizes-1-3-4"])
+    def test_rwa_mixed_size_blocks_match_dense_chain(self, numbers):
+        # under RWA an input spread over excitation numbers 0, 1 (and 2)
+        # fills blocks of sizes 1, 3 (and 4), which the stepper pads to one size
+        params = ModelParams(kappa=0.3, n_max=3)
+        pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
+        window, n_steps = (-4.0, 4.0), 40
+        n_exc = np.rint(excitation_operator(params).diagonal().real)
+        if numbers == (0, 1):
+            psi0 = superposition_initial(0.6, 0.8, params)
+        else:
+            rng = np.random.default_rng(5)
+            psi0 = np.where(n_exc <= 2, rng.normal(size=params.dim) + 1j * rng.normal(size=params.dim), 0.0)
+            psi0 /= np.linalg.norm(psi0)
+        assert set(n_exc[np.flatnonzero(psi0)]) == set(numbers)
+        amplitudes = [0.35, 0.6]
+        opts = PropagationOptions(dt=(window[1] - window[0]) / n_steps)
+        trajs = propagate(psi0, pair, params, window, opts, amplitudes=amplitudes, rwa=True)
+        outside = ~np.isin(n_exc, numbers)
+        for amp, traj in zip(amplitudes, trajs):
+            chain = dense_cf4_chain(psi0, pair, params, window, n_steps, amp, rwa=True)
+            np.testing.assert_allclose(traj.states, np.array(chain), rtol=0, atol=1e-10)
+            assert np.all(traj.states[:, outside] == 0)
 
 
 class TestPhotonPeak:

@@ -9,10 +9,10 @@ from usctransfer import (
     ModelParams,
     basis_index,
     basis_state,
+    conserved_blocks,
     excitation_operator,
     generators,
     flat_index,
-    parity_blocks,
     parity_operator,
     superposition_initial,
     superposition_target,
@@ -249,12 +249,43 @@ class TestConservedQuantities:
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
     def test_parity_blocks_split_the_generator(self, rwa):
-        even, odd = parity_blocks(P3)
+        even, odd = conserved_blocks(P3, False)
         np.testing.assert_array_equal(np.sort(np.concatenate([even, odd])), np.arange(P3.dim))
         np.testing.assert_array_equal(np.diag(parity_operator(P3))[even], 1.0)
         np.testing.assert_array_equal(np.diag(parity_operator(P3))[odd], -1.0)
         k = generator(replace(P3, kappa=0.3), 0.2, 0.1, rwa)
         assert not np.any(k[np.ix_(even, odd)]) and not np.any(k[np.ix_(odd, even)])
+
+    @pytest.mark.parametrize("params", [P3, ModelParams(n_max=8)], ids=["nmax3", "nmax8"])
+    def test_conserved_blocks_partition_the_space(self, params):
+        for rwa in (False, True):
+            blocks = conserved_blocks(params, rwa)
+            np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(params.dim))
+
+    @pytest.mark.parametrize("params", [P3, ModelParams(n_max=8)], ids=["nmax3", "nmax8"])
+    def test_excitation_blocks_sizes_and_labels(self, params):
+        blocks = conserved_blocks(params, True)
+        assert [b.size for b in blocks] == [1, 3] + [4] * (params.n_max - 1) + [3, 1]
+        n_exc = np.diag(excitation_operator(params)).real
+        for number, block in enumerate(blocks):
+            np.testing.assert_array_equal(n_exc[block], number)
+
+    def test_rwa_generator_is_block_diagonal_on_excitation_blocks(self):
+        # loss included: the check runs on the generator the library steps with
+        blocks = conserved_blocks(P3, True)
+        k = generator(replace(P3, kappa=0.3), 0.2, 0.1, rwa=True)
+        for i, row in enumerate(blocks):
+            for j, col in enumerate(blocks):
+                assert i == j or not np.any(k[np.ix_(row, col)])
+
+    def test_rabi_generator_couples_excitation_blocks(self):
+        # the counter-rotating terms change N by two, so excitation blocks
+        # must never be handed to a Rabi run
+        blocks = conserved_blocks(P3, True)
+        k = generator(replace(P3, kappa=0.3), 0.2, 0.1)
+        coupled = [(i, j) for i, row in enumerate(blocks) for j, col in enumerate(blocks)
+                   if i != j and np.any(k[np.ix_(row, col)])]
+        assert coupled and all(abs(i - j) == 2 for i, j in coupled)
 
     def test_coupling_operator_hermitian(self):
         for rwa in (False, True):

@@ -13,13 +13,13 @@ from usctransfer import (
     PiecewiseConstantSchedule,
     PropagationOptions,
     basis_state,
+    conserved_blocks,
     finite_difference_gradient,
     gradient,
     gradient_check,
     objective,
     objective_and_gradient,
     optimize,
-    parity_blocks,
     propagate_piecewise,
     superposition_initial,
     superposition_target,
@@ -42,7 +42,7 @@ def frechet_reference(sched, params, initial, target, rwa=False):
     """F and its gradient from per-bin dense expm and expm_frechet on the full space.
 
     Built from the model primitives, independent of the library's generator
-    builder, parity blocks and eigendecomposition.
+    builder, conserved blocks and eigendecomposition.
     """
     k0 = drift_hamiltonian(params) - 0.5j * params.kappa * number_operator(params)
     controls = [coupling_operator(i, params, rwa=rwa) for i in (1, 2)]
@@ -268,8 +268,21 @@ class TestGradientOracle:
     def test_gradient_check_catches_a_dropped_parity_block(self, monkeypatch):
         # the health check's input fills both blocks, so an even-block
         # gradient that goes missing shows up against finite differences
-        monkeypatch.setattr(qoc_mod, "parity_blocks", lambda params: parity_blocks(params)[1:])
+        monkeypatch.setattr(qoc_mod, "conserved_blocks", lambda params, rwa: conserved_blocks(params, rwa)[1:])
         results = gradient_check(PARAMS, seeds=(3,))
+        assert all(rel > 1e-3 for _, rel in results)
+
+    @pytest.mark.parametrize("dropped", [0, 1], ids=["vacuum-block", "single-excitation-block"])
+    def test_gradient_check_catches_a_dropped_excitation_block(self, dropped, monkeypatch):
+        # under RWA the check's input fills the 1-dim vacuum block and the
+        # 3-dim single-excitation block; losing either one shows up
+        def without(params, rwa):
+            blocks = conserved_blocks(params, rwa)
+            assert rwa and len(blocks) == PARAMS.n_max + 3
+            return blocks[:dropped] + blocks[dropped + 1 :]
+
+        monkeypatch.setattr(qoc_mod, "conserved_blocks", without)
+        results = gradient_check(PARAMS, seeds=(3,), rwa=True)
         assert all(rel > 1e-3 for _, rel in results)
 
 
