@@ -159,7 +159,7 @@ def _simulate_schedule(path: str, fixed: SweepFixed, model: str):
         raise SystemExit(f"usctransfer: cannot read schedule {path}: {exc}")
     if path.endswith(".json"):
         data = json.loads(text)
-        sched = schedule_from_dict(data["schedule"] if "schedule" in data else data)
+        sched = schedule_from_dict(data["schedule"] if isinstance(data, dict) and "schedule" in data else data)
     else:
         sched = schedule_from_csv(text)
     params = fixed.params

@@ -146,6 +146,8 @@ def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
     rows = [ln.split(",") for ln in lines[1:]]
     if not rows:
         raise ValueError("schedule CSV has no bins")
+    if short := [number for number, row in enumerate(rows, 2) if len(row) != 5]:
+        raise ValueError(f"schedule CSV line {short[0]} does not have the 5 fields of the header")
     t0s = np.array([float(r[1]) for r in rows])
     t1s = np.array([float(r[2]) for r in rows])
     v1 = np.array([float(r[3]) for r in rows])
@@ -170,12 +172,22 @@ def schedule_to_dict(sched: PiecewiseConstantSchedule) -> dict[str, Any]:
 
 
 def schedule_from_dict(data: dict[str, Any]) -> PiecewiseConstantSchedule:
+    """Rebuild a schedule from :func:`schedule_to_dict` output; a malformed one raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a schedule must be a JSON object, got {type(data).__name__}")
+
+    def field(key, convert=float):
+        try:
+            return convert(data[key])
+        except (TypeError, ValueError, IndexError):
+            raise ValueError(f"schedule field {key!r} is not valid: {data[key]!r}") from None
+
     return PiecewiseConstantSchedule(
-        float(data["t_start"]),
-        float(data["dt"]),
-        np.asarray(data["values1"], dtype=float),
-        np.asarray(data["values2"], dtype=float),
-        (float(data["bounds"][0]), float(data["bounds"][1])),
+        field("t_start"),
+        field("dt"),
+        field("values1", lambda v: np.asarray(v, dtype=float)),
+        field("values2", lambda v: np.asarray(v, dtype=float)),
+        field("bounds", lambda b: (float(b[0]), float(b[1]))),
         data.get("outside", "zero"),
     )
 

@@ -7,14 +7,12 @@ with per-bin propagators U_k = exp(-i K(g1_k, g2_k) dt).  Gradients are exact
 :func:`model.conserved_blocks` separately (the two parity sectors under the
 Rabi model, the excitation-number sectors under RWA) and skips a block that
 the initial or the target state leaves empty.  Per block, the generators of
-all bins are diagonalized together, K_k = V diag(lam) V^-1, which yields U_k
-and, through the divided differences of exp(-i lam dt), the exact dU_k/dg
-(de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  K is
-non-Hermitian and has exceptional points where V is singular; a bin whose
-eigenbasis is ill-conditioned takes U_k and dU_k/dg from the Frechet
-derivative of the matrix exponential instead (``scipy.linalg.expm_frechet``,
-Al-Mohy & Higham 2009).  All adjoint quantities are plain operator products,
-never inverses of U.
+all bins are exponentiated together by Taylor scaling-and-squaring with a
+trace shift, and the exact dU_k/dg is the reverse-mode derivative of that
+same evaluation (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
+(2009)).  Neither needs an eigenbasis, which K, being non-Hermitian, lacks
+at its exceptional points.  All adjoint quantities are plain operator
+products, never inverses of U.
 
 The bounded ascent itself is delegated to L-BFGS-B on -F; every iterate
 respects the amplitude bounds exactly and the multi-restart loop keeps the
@@ -33,13 +31,14 @@ about doubling the CPU time for the same wall time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ._blas import single_blas_thread
-from .dynamics import _check_initial, generators, propagate_piecewise
+from .dynamics import _TAYLOR_THETA, _check_initial, _taylor_plan, generators, propagate_piecewise
 from .metrics import transfer_efficiency
 from .model import ModelParams, conserved_blocks, superposition_initial, superposition_target
 from .pulses import DEFAULT_TAU_RATIO, GaussianPair, PiecewiseConstantSchedule
@@ -121,9 +120,11 @@ def objective(
     return transfer_efficiency(traj.final, target)
 
 
-# A bin whose eigenvector matrix has |V|_1 |V^-1|_1 above this bound (near an
-# exceptional point of K) takes its propagator and derivatives from expm_frechet.
-_EIG_COND_MAX = 1e2
+# Every Y with |Y|_1 < _TAYLOR_THETA takes the degree that the stepper's plan gives at
+# _TAYLOR_THETA, whose remainder bound covers them all; _PS_WEIGHTS[i, j] = 1/(4i + j)!,
+# zero above that degree, weighs Y^j in the Paterson-Stockmeyer chunk B_i
+_PS_WEIGHTS = 1.0 / np.array([math.factorial(j) for j in range(int(_taylor_plan(np.array([_TAYLOR_THETA]))[1][0]) + 1)])
+_PS_WEIGHTS = np.pad(_PS_WEIGHTS, (0, -_PS_WEIGHTS.size % 4)).reshape(-1, 4)
 
 
 def _block_pass(
@@ -141,58 +142,58 @@ def _block_pass(
     block's parts of the initial and the target state.  Returns the final
     block state and the (2, M) array of <chi_k| dU_k/dg_jk |phi_k>, with
     phi_k the state entering bin k and <chi_k| = <target| U_M-1 ... U_k+1.
+
+    U_k = exp(-i dt mu) P(Y_k)^(2^s), mu = tr(K0)/d, Y_k = -i dt (K_k - mu) / 2^s
+    and P the Taylor polynomial by Paterson-Stockmeyer: Y^1..Y^p, then
+    H_i = H_i+1 Y^p + B_i over the chunks B_i = sum_j<p Y^j / (ip + j)!.  In
+    reverse mode (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
+    (2009)), W_k = exp(-i dt mu) phi_k <chi_k| goes back through each squaring
+    R -> R R as W <- R W + W R, then through the Horner steps and the powers,
+    to one G_k with <chi_k| dU_k/dg_c |phi_k> = (-i dt / 2^s) tr(V_c G_k).
     """
-    from scipy.linalg import expm_frechet  # imported here so the CLI starts without scipy
+    m_bins, d = len(values[0]), k0.shape[0]
+    mu = np.trace(k0) / d
+    ops = np.stack([k0 - mu * np.eye(d), *controls])
+    y = (-1j * dt * np.array([np.ones(m_bins), *values]).T @ ops.reshape(3, -1)).reshape(m_bins, d, d)
+    s = max(0, math.frexp(float(np.abs(y).sum(axis=1).max()) / _TAYLOR_THETA)[1])
+    y *= 0.5**s  # now |Y|_1 < _TAYLOR_THETA
+    c, (n, p) = _PS_WEIGHTS, _PS_WEIGHTS.shape  # n chunks of p powers
+    powers = np.empty((p + 1, m_bins, d, d), dtype=complex)  # Y^0..Y^p
+    powers[0], powers[1] = np.eye(d), y
+    for j in range(2, p + 1):
+        np.matmul(powers[j - 1], y, out=powers[j])
+    # real weights act on the real and the imaginary parts alike: one real product
+    horner = (c @ powers[:p].reshape(p, -1).view(float)).view(complex).reshape(n, *y.shape)
+    for i in range(n - 2, -1, -1):
+        horner[i] += horner[i + 1] @ powers[p]
+    squares = [horner[0]]
+    for _ in range(s):
+        squares.append(squares[-1] @ squares[-1])
+    phase = np.exp(-1j * dt * mu)
+    us = squares[-1] * phase
 
-    g1, g2 = (np.asarray(v)[:, None, None] for v in values)
-    gens = k0 + g1 * controls[0] + g2 * controls[1]
-    m = gens.shape[0]
-    lam, vec = np.linalg.eig(gens)
-    vinv = np.linalg.inv(vec)
-    cond = np.abs(vec).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
-    fallback = np.flatnonzero(cond > _EIG_COND_MAX)
-    # keep the batched arithmetic finite; these bins are overwritten below
-    vec[fallback] = vinv[fallback] = np.eye(k0.shape[0])
+    phis, chis = np.empty((2, m_bins + 1, d), dtype=complex)  # chis[k] is the bra <chi_k|
+    phis[0], chis[m_bins - 1] = phi0, chi_end.conj()
+    for k in range(m_bins):
+        np.dot(us[k], phis[k], out=phis[k + 1])
+    for k in range(m_bins - 2, -1, -1):
+        np.dot(chis[k + 1], us[k + 1], out=chis[k])
 
-    a = -1j * dt * lam
-    e = np.exp(a)
-    us = vec @ (e[:, :, None] * vinv)
-    # U = V diag(e) V^-1 gives dU/dg = V [D o (V^-1 Vj V)] V^-1 with the
-    # divided differences D_ij = -i dt (e_i - e_j)/(a_i - a_j), written as
-    # -i dt e_j expm1(a_i - a_j)/(a_i - a_j) and equal to -i dt e_i where a_i = a_j
-    delta = a[:, :, None] - a[:, None, :]
-    ratio = np.ones_like(delta)
-    split = delta != 0
-    ratio[split] = np.expm1(delta[split]) / delta[split]
-    divided = -1j * dt * e[:, None, :] * ratio
-
-    frechet = {}
-    for k in fallback:
-        u, du1 = expm_frechet(-1j * dt * gens[k], -1j * dt * controls[0])
-        du2 = expm_frechet(-1j * dt * gens[k], -1j * dt * controls[1], compute_expm=False)
-        us[k] = u
-        frechet[k] = (du1, du2)
-
-    phis = np.empty((m + 1, phi0.size), dtype=complex)
-    phis[0] = phi0
-    for k in range(m):
-        phis[k + 1] = us[k] @ phis[k]
-    chis = np.empty((m, chi_end.size), dtype=complex)
-    chis[m - 1] = chi_end
-    for k in range(m - 2, -1, -1):
-        chis[k] = us[k + 1].conj().T @ chis[k + 1]
-
-    # <chi|dU/dg|phi> = sum_ij conj(b_i) D_ij (V^-1 Vj V)_ij c_j with
-    # b = V^dag chi and c = V^-1 phi, rewritten as sum_pq Y_pq (Vj)_pq with
-    # Y = V^-T X V^T and X_ij = conj(b_i) D_ij c_j, so one Y serves both controls
-    b = (vec.conj().transpose(0, 2, 1) @ chis[:, :, None])[:, :, 0]
-    c = (vinv @ phis[:-1, :, None])[:, :, 0]
-    x = b.conj()[:, :, None] * divided * c[:, None, :]
-    y = vinv.transpose(0, 2, 1) @ x @ vec.transpose(0, 2, 1)
-    terms = np.array([np.einsum("kpq,pq->k", y, v) for v in controls])
-    for k, dus in frechet.items():
-        terms[:, k] = [np.vdot(chis[k], du @ phis[k]) for du in dus]
-    return phis[m], terms
+    w = phis[:-1, :, None] * (phase * chis[:-1, None, :])
+    for r in reversed(squares[:-1]):
+        w = r @ w + w @ r
+    chunks = np.empty_like(horner)  # the adjoints of H_i, hence of B_i
+    chunks[0] = w
+    for i in range(n - 1):
+        np.matmul(powers[p], chunks[i], out=chunks[i + 1])
+    adjoint = np.empty_like(powers)  # of Y^0..Y^p; Y^0 = I needs none
+    adjoint[1:p] = (c[:, 1:].T @ chunks.reshape(n, -1).view(float)).view(complex).reshape(p - 1, *y.shape)
+    adjoint[p] = (chunks[:-1] @ horner[1:]).sum(axis=0)
+    for j in range(p, 1, -1):  # Y^j = Y^j-1 Y
+        adjoint[j - 1] += y @ adjoint[j]
+    g = adjoint[1] + (adjoint[2:] @ powers[1:p]).sum(axis=0)
+    terms = -1j * dt * 0.5**s * (np.swapaxes(ops[1:], 1, 2).reshape(2, -1) @ g.reshape(m_bins, -1).T)
+    return phis[m_bins], terms
 
 
 def gradient(
@@ -215,7 +216,7 @@ def objective_and_gradient(
     *,
     rwa: bool = False,
 ) -> tuple[float, np.ndarray]:
-    """Efficiency and its exact gradient in one forward/backward pass per conserved block."""
+    """Efficiency and its exact gradient: per conserved block, one batched Taylor exponential and its adjoint."""
     initial = _check_initial(initial, params)
     target = np.asarray(target, dtype=complex)
     if target.shape != initial.shape:

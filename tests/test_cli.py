@@ -24,11 +24,16 @@ def fast_sim_args():
 
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
-        # scipy is imported by the optimizer only when it runs
-        code = "import sys, usctransfer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        # scipy is imported by the optimizer only when it runs; the exact gradient needs none
+        runs = [
+            "import usctransfer.cli",
+            "from usctransfer import ModelParams, gradient_check; gradient_check(ModelParams(n_max=2), seeds=(0,))",
+        ]
+        for run in runs:
+            code = f"import sys; {run}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", run
 
     def test_cli_import_loads_no_process_pool(self):
         # the process pool is imported by a parallel sweep only when it runs
@@ -346,6 +351,31 @@ class TestScheduleReplayFlags:
         proc = run_cli("simulate", "--schedule", str(sched), "--config", str(config))
         assert proc.returncode == 1
         assert "--dt" in proc.stderr and "--tau-ratio" in proc.stderr and "--nmax" not in proc.stderr
+
+
+class TestMalformedSchedule:
+    @pytest.mark.parametrize(
+        "name, text, problem",
+        [
+            ("top-level.json", "[1, 2]", "JSON object"),
+            (
+                "null-dt.json",
+                json.dumps({"t_start": 0.0, "dt": None, "values1": [0.1], "values2": [0.2], "bounds": [0.0, 0.3]}),
+                "'dt'",
+            ),
+            ("short-row.csv", "bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2\n", "line 3"),
+        ],
+        ids=["json-not-an-object", "json-null-field", "csv-short-row"],
+    )
+    def test_usage_error_names_the_problem(self, name, text, problem, tmp_path, capsys):
+        from usctransfer.cli import main
+
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["simulate", "--schedule", str(path), "--nmax", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usctransfer: ") and err.count("\n") == 1
+        assert problem in err
 
 
 class TestExitCodes:

@@ -201,14 +201,14 @@ class TestGradient:
         np.testing.assert_allclose(grad, gradient(sched, PARAMS, INITIAL, TARGET), rtol=1e-14)
 
 
-def oracle_case(kappa=0.005, alpha=0.0, values=None, rwa=False, n_max=8, seed=0, bins=6):
+def oracle_case(kappa=0.005, alpha=0.0, values=None, rwa=False, n_max=8, seed=0, bins=6, duration=12.0):
     params = ModelParams(kappa=kappa, n_max=n_max)
     beta = np.sqrt(1.0 - alpha**2)
     if values is None:
         values = np.random.default_rng(seed).uniform(0.0, 0.3, 2 * bins)
     values = np.asarray(values, dtype=float)
     bins = values.size // 2
-    sched = PiecewiseConstantSchedule(0.0, 12.0 / bins, values[:bins], values[bins:], (0.0, 0.3))
+    sched = PiecewiseConstantSchedule(0.0, duration / bins, values[:bins], values[bins:], (0.0, 0.3))
     return (
         sched,
         params,
@@ -226,13 +226,14 @@ def assert_matches_frechet_reference(sched, params, initial, target, rwa):
 
 
 class TestGradientOracle:
-    """The eigen-path gradient against per-bin Frechet derivatives on the full space."""
+    """The adjoint Taylor gradient against per-bin Frechet derivatives on the full space."""
 
     @pytest.mark.parametrize(
         "case",
         [
             # RWA single-excitation block at g1 = kappa/4 is an exceptional
-            # point (defective K): only the per-bin fallback is accurate there
+            # point (defective K, no eigenbasis); the Taylor exponential and
+            # its adjoint do not depend on one
             pytest.param(
                 dict(rwa=True, alpha=0.6, values=[0.00125] * 6 + [0.0] * 6), id="rwa-exceptional-point"
             ),
@@ -244,6 +245,9 @@ class TestGradientOracle:
             ),
             pytest.param(dict(alpha=0.6, seed=1), id="both-blocks"),
             pytest.param(dict(kappa=0.5, seed=2), id="kappa0.5"),
+            # the optimizer's shape: 20 bins of 1.25, 5 squarings at the default n_max
+            pytest.param(dict(bins=20, duration=25.0), id="optimize-ref-shape"),
+            pytest.param(dict(alpha=0.6, bins=20, duration=25.0), id="optimize-ref-shape-both-blocks"),
         ],
     )
     def test_matches_frechet_reference(self, case):
