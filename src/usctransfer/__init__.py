@@ -20,7 +20,6 @@ from .model import (
 from .pulses import (
     GaussianPair,
     PiecewiseConstantSchedule,
-    clamp_schedule,
     effective_duration,
     integration_window,
 )
@@ -29,9 +28,7 @@ from .dynamics import (
     PropagationOptions,
     Trajectory,
     generators,
-    matrix_exponential,
     propagate,
-    propagate_piecewise,
 )
 from .metrics import (
     RunRecord,

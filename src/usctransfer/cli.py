@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from .dynamics import IntegrationError, PropagationOptions, propagate_piecewise
+from .dynamics import IntegrationError, PropagationOptions, propagate
 from .formats import (
     atomic_write_text,
     optimization_result_json,
@@ -166,7 +166,8 @@ def _simulate_schedule(path: str, fixed: SweepFixed, model: str):
     initial = superposition_initial(fixed.alpha, fixed.beta, params)
     target = superposition_target(fixed.alpha, fixed.beta, params)
     start = time.perf_counter()
-    traj = propagate_piecewise(initial, sched, params, rwa=(model == "rwa"))
+    window, opts = (sched.t_start, sched.t_end), PropagationOptions(dt=sched.dt)
+    traj = propagate(initial, sched, params, window, opts, rwa=(model == "rwa"))
     wall = time.perf_counter() - start
     descriptor = {
         "kind": "piecewise",

@@ -40,13 +40,10 @@ is the cubic Hermite interpolant of the sampled values and their exact
 slopes d<n>/dt = 2 Re <psi|N(-iK)psi>, so the peak does not move with the
 step the way a maximum over samples does.
 
-The matrix exponential uses scaling-and-squaring with a trace shift and a
-Taylor kernel; for state propagation the exponential is applied directly to
-the amplitude vectors, which avoids forming per-step propagators.  There the
-substep count and the Taylor degree follow from a norm bound on the
-generators (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-
-The blocks are small (at most 18 x 18 at the default cutoff), so the
+Each exponential is applied directly to the amplitude vectors, never
+formed as a propagator; its substep count and Taylor degree follow from a
+norm bound on the generators (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)).  The blocks are small (at most 18 x 18 at the default cutoff), so the
 stepper's cost is the number of numpy calls, not arithmetic, and
 :func:`_cf4_steps` is arranged to make few of them.  It reads the couplings
 at both Gauss nodes of every step once, before stepping, and plans the
@@ -74,13 +71,10 @@ __all__ = [
     "PropagationOptions",
     "Trajectory",
     "generators",
-    "matrix_exponential",
     "propagate",
-    "propagate_piecewise",
 ]
 
 _TAYLOR_THETA = 0.5  # scale matrices below this 1-norm before the Taylor sum
-_MAX_TAYLOR_TERMS = 64
 _TAYLOR_TOL = 2.0**-53  # Taylor remainder bound per substep, relative to the state's 1-norm
 _CHUNK_BYTES = 2**18  # most generator bytes the stepper builds with one BLAS product
 # fourth-order commutator-free Magnus weights a_1, a_2 and Gauss nodes c_1, c_2
@@ -89,7 +83,7 @@ _CF4_C = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 class IntegrationError(RuntimeError):
-    """Propagation failed (non-finite couplings or state, or a Taylor sum that did not converge)."""
+    """Propagation failed (non-finite couplings, amplitudes or state)."""
 
 
 @dataclass(frozen=True)
@@ -131,48 +125,6 @@ class Trajectory:
     def norms2(self) -> np.ndarray:
         """Squared norm at every sample (decays under cavity loss)."""
         return np.sum(np.abs(self.states) ** 2, axis=1)
-
-
-def _one_norm(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
-
-
-def matrix_exponential(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * a) by scaling-and-squaring with a shifted Taylor kernel.
-
-    Accurate to better than 1e-12 relative error for ``norm(scale * a)`` up
-    to about 10; larger norms are handled by additional squarings.  Raises
-    :class:`IntegrationError` if the Taylor sum has not converged after
-    ``_MAX_TAYLOR_TERMS`` terms.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        b = scale * a
-    if not np.all(np.isfinite(b)):
-        raise ValueError("matrix has non-finite entries")
-    dim = b.shape[0]
-    eye = np.eye(dim, dtype=complex)
-
-    mu = np.trace(b) / dim  # trace shift keeps the Taylor sum well-conditioned
-    b = b - mu * eye
-    norm = _one_norm(b)
-    squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm > _TAYLOR_THETA else 0
-    c = b / (2**squarings)
-
-    result = eye + c
-    term = c.copy()
-    for k in range(2, _MAX_TAYLOR_TERMS):
-        term = term @ c / k
-        result += term
-        if _one_norm(term) <= 1e-16 * _one_norm(result):
-            break
-    else:
-        raise IntegrationError(f"Taylor sum did not converge in {_MAX_TAYLOR_TERMS} terms")
-    for _ in range(squarings):
-        result = result @ result
-    return np.exp(mu) * result
 
 
 def _taylor_plan(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +300,7 @@ def _cf4_steps(state0, schedule, times, h, params, rwa, amps) -> np.ndarray:
     half_k0 = 0.5 * (k0 - mu[:, None, None] * np.eye(d))  # each factor's share of the shifted drift
     for b, size in enumerate(sizes):
         half_k0[b, size:] = 0.0  # padded rows stay all zero, out of the norm bound
-    n0, nv1, nv2 = (max(map(_one_norm, ops)) for ops in (half_k0, v1, v2))
+    n0, nv1, nv2 = (float(np.abs(ops).sum(axis=1).max()) for ops in (half_k0, v1, v2))  # largest block 1-norms
     a_max = float(np.abs(amps).max())
     bound = n0 + a_max * (np.abs(u[:, 0]) * nv1 + np.abs(u[:, 1]) * nv2)
     substeps, degrees = _taylor_plan(h * bound)
@@ -436,13 +388,22 @@ def propagate(
     state0 : ndarray
         Normalized initial amplitude vector.
     schedule : GaussianPair | PiecewiseConstantSchedule
-        Anything with a ``values(t) -> (g1, g2)`` method.
+        Anything with a ``values(t) -> (g1, g2)`` method.  A schedule that
+        also has ``interval_couplings(times)`` (see
+        :meth:`pulses.PiecewiseConstantSchedule.interval_couplings`) gives
+        the photon peak the couplings of each interval at both its ends.
     params : ModelParams
         System constants; ``params.kappa`` sets the cavity loss.
     window : (t_begin, t_end)
         Finite integration window.
     opts : PropagationOptions, optional
-        The step (the default when omitted).
+        The step (the default when omitted).  The window is cut into
+        ceil((t_end - t_begin) / dt) equal steps, or into the nearest whole
+        number of steps when the ratio is within a relative 1e-9 of it.  A
+        piecewise-constant schedule ``sched`` is therefore replayed exactly,
+        one step per bin on the bin edges, by ``window=(sched.t_start,
+        sched.t_end)`` and ``PropagationOptions(dt=sched.dt)``: the CF4 step
+        is exact for constant couplings.
     amplitudes : sequence of float, optional
         Coupling amplitudes a_1..a_G.  When given, G states start from
         ``state0`` and are stepped together; state p evolves under the
@@ -457,7 +418,8 @@ def propagate(
         The state after every step, the unnormalized final state, whose norm
         loss is the population lost through the cavity, and the photon peak
         of :func:`_photon_peaks` with the couplings read at the sample
-        times; with ``amplitudes``, one trajectory per amplitude, in order.
+        times (or from ``interval_couplings``); with ``amplitudes``, one
+        trajectory per amplitude, in order.
     """
     opts = opts or PropagationOptions()
     state0 = _check_initial(state0, params)
@@ -470,53 +432,22 @@ def propagate(
     if not np.all(np.isfinite(amps)):
         raise IntegrationError(f"non-finite coupling amplitude in {amps.tolist()}")
 
-    n_steps = max(1, math.ceil((t1 - t0) / opts.dt))
+    ratio = (t1 - t0) / opts.dt
+    n_steps = max(1, round(ratio) if math.isclose(ratio, round(ratio), rel_tol=1e-9) else math.ceil(ratio))
     h = (t1 - t0) / n_steps
     times = t0 + h * np.arange(n_steps + 1)
     samples = _cf4_steps(state0, schedule, times, h, params, rwa, amps)
     if not np.all(np.isfinite(samples[:, -1])):
         raise IntegrationError("state became non-finite during propagation")
-    couplings = np.array([schedule.values(t) for t in times], dtype=float)
-    if not np.all(np.isfinite(couplings)):
+    interval_couplings = getattr(schedule, "interval_couplings", None)
+    if interval_couplings is None:
+        couplings = np.array([schedule.values(t) for t in times], dtype=float)
+        left, right = couplings[:-1], couplings[1:]
+    else:
+        left, right = interval_couplings(times)
+    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
         raise IntegrationError("schedule produced non-finite couplings at a sample time")
-    peaks = _photon_peaks(times, samples, params, rwa, amps, couplings[:-1], couplings[1:])
+    peaks = _photon_peaks(times, samples, params, rwa, amps, left, right)
     trajs = [Trajectory(times, states, states[-1], float(peak)) for states, peak in zip(samples, peaks)]
     return trajs[0] if amplitudes is None else trajs
 
-
-def propagate_piecewise(
-    state0: np.ndarray,
-    sched,
-    params: ModelParams,
-    *,
-    rwa: bool = False,
-) -> Trajectory:
-    """Evolve under a piecewise-constant schedule, one exact exponential per bin.
-
-    Returns the trajectory sampled at every bin edge.  Bin k advances the
-    state by U_k = exp(-i K(g1_k, g2_k) dt).  The photon peak interpolates
-    each bin with that bin's generator at both of its edges, since d<n>/dt
-    jumps where the couplings do.  It works on the full space with the
-    Taylor exponential, which makes it the independent check of the gradient
-    engine's block propagators.  The bins set the times, so it takes no step;
-    ``rwa=True`` (keyword-only) replays under the rotating-wave controls.
-    """
-    state0 = _check_initial(state0, params)
-    if sched.bins < 1:
-        raise ValueError("schedule has no bins")
-
-    k0, v1, v2 = generators(params, rwa)
-    psi = state0
-    times = [sched.t_start]
-    states = [psi]
-    for k in range(sched.bins):
-        gen = k0 + sched.values1[k] * v1 + sched.values2[k] * v2
-        psi = matrix_exponential(gen, -1j * sched.dt) @ psi
-        times.append(sched.t_start + (k + 1) * sched.dt)
-        states.append(psi)
-    if not np.all(np.isfinite(psi)):
-        raise IntegrationError("state became non-finite during propagation")
-    times, states = np.array(times), np.array(states)
-    bins = np.column_stack([sched.values1, sched.values2])
-    (peak,) = _photon_peaks(times, states[None], params, rwa, np.ones(1), bins, bins)
-    return Trajectory(times, states, psi, float(peak))

@@ -135,11 +135,7 @@ def schedule_csv(sched: PiecewiseConstantSchedule) -> str:
 
 
 def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
-    """Rebuild a schedule from :func:`schedule_csv` output.
-
-    Bounds are not part of the CSV; they are recovered as the value range
-    (floored at zero), which is sufficient for re-simulation.
-    """
+    """Rebuild a schedule from :func:`schedule_csv` output."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "bin,t0,t1,g1,g2":
         raise ValueError("not a schedule CSV (missing 'bin,t0,t1,g1,g2' header)")
@@ -155,9 +151,7 @@ def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
     dts = t1s - t0s
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("schedule CSV has non-uniform bins")
-    lo = min(0.0, float(min(v1.min(), v2.min())))
-    hi = float(max(v1.max(), v2.max(), lo))
-    return PiecewiseConstantSchedule(float(t0s[0]), float(dts[0]), v1, v2, (lo, hi))
+    return PiecewiseConstantSchedule(float(t0s[0]), float(dts[0]), v1, v2)
 
 
 def schedule_to_dict(sched: PiecewiseConstantSchedule) -> dict[str, Any]:
@@ -166,13 +160,15 @@ def schedule_to_dict(sched: PiecewiseConstantSchedule) -> dict[str, Any]:
         "dt": sched.dt,
         "values1": sched.values1.tolist(),
         "values2": sched.values2.tolist(),
-        "bounds": list(sched.bounds),
-        "outside": sched.outside,
     }
 
 
 def schedule_from_dict(data: dict[str, Any]) -> PiecewiseConstantSchedule:
-    """Rebuild a schedule from :func:`schedule_to_dict` output; a malformed one raises ValueError."""
+    """Rebuild a schedule from :func:`schedule_to_dict` output; a malformed one raises ValueError.
+
+    Other keys are ignored, such as the ``bounds`` and ``outside`` that
+    older result files carry.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"a schedule must be a JSON object, got {type(data).__name__}")
 
@@ -187,8 +183,6 @@ def schedule_from_dict(data: dict[str, Any]) -> PiecewiseConstantSchedule:
         field("dt"),
         field("values1", lambda v: np.asarray(v, dtype=float)),
         field("values2", lambda v: np.asarray(v, dtype=float)),
-        field("bounds", lambda b: (float(b[0]), float(b[1]))),
-        data.get("outside", "zero"),
     )
 
 

@@ -2,7 +2,7 @@
 
 Two parameterizations: a pair of delayed Gaussians in counterintuitive order
 (the target-side coupling g2 peaks before the source-side g1, the standard
-STIRAP arrangement), and a bounded piecewise-constant schedule used as the
+STIRAP arrangement), and a piecewise-constant schedule used as the
 optimization search space.
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "GaussianPair",
     "PiecewiseConstantSchedule",
-    "clamp_schedule",
     "integration_window",
     "effective_duration",
 ]
@@ -57,19 +56,18 @@ class GaussianPair:
 class PiecewiseConstantSchedule:
     """Step-function schedule: M bins of width ``dt`` starting at ``t_start``.
 
-    ``values1``/``values2`` hold the per-bin couplings.  ``bounds`` is the
-    admissible amplitude range; :func:`clamp_schedule` projects stray values
-    into it and the optimizer never leaves it.  Outside the window the
-    schedule is either zero (default) or holds the edge bin, selected by
-    ``outside``.
+    ``values1``/``values2`` hold the per-bin couplings, which must be
+    finite; outside the window both couplings are zero.  The amplitude
+    bounds of an optimization belong to its ``OptimizationConfig``, not to
+    the schedule.  :func:`dynamics.propagate` replays a schedule exactly
+    with ``window=(sched.t_start, sched.t_end)`` and
+    ``PropagationOptions(dt=sched.dt)``: one step per bin, on the bin edges.
     """
 
     t_start: float
     dt: float
     values1: np.ndarray
     values2: np.ndarray
-    bounds: tuple[float, float]
-    outside: str = "zero"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values1", np.asarray(self.values1, dtype=float))
@@ -80,11 +78,10 @@ class PiecewiseConstantSchedule:
             raise ValueError("schedule needs at least one bin")
         if not self.dt > 0:
             raise ValueError(f"bin width must be positive, got {self.dt}")
-        lo, hi = self.bounds
-        if lo > hi:
-            raise ValueError(f"bounds must be ordered, got {self.bounds}")
-        if self.outside not in ("zero", "edge"):
-            raise ValueError(f"outside must be 'zero' or 'edge', got {self.outside!r}")
+        for name in ("values1", "values2"):
+            values = getattr(self, name)
+            if bad := np.flatnonzero(~np.isfinite(values)).tolist():
+                raise ValueError(f"schedule {name} has a non-finite coupling in bin {bad[0]}: {values[bad[0]]}")
 
     @property
     def bins(self) -> int:
@@ -98,52 +95,44 @@ class PiecewiseConstantSchedule:
     def t_end(self) -> float:
         return self.t_start + self.duration
 
-    def bin_of(self, t: float) -> int | None:
-        """Bin index for time ``t``; None outside the window.
+    def values(self, t: float) -> tuple[float, float]:
+        """Both couplings at time ``t``.
 
         Bins are left-closed, right-open; the final instant t_end maps to
         the last bin.
         """
         if t < self.t_start or t > self.t_end:
-            return None
-        k = int(math.floor((t - self.t_start) / self.dt))
-        return min(k, self.bins - 1)
-
-    def values(self, t: float) -> tuple[float, float]:
-        """Both couplings at time ``t``."""
-        k = self.bin_of(t)
-        if k is None:
-            if self.outside == "zero":
-                return 0.0, 0.0
-            k = 0 if t < self.t_start else self.bins - 1
+            return 0.0, 0.0
+        k = min(int(math.floor((t - self.t_start) / self.dt)), self.bins - 1)
         return float(self.values1[k]), float(self.values2[k])
+
+    def interval_couplings(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Couplings in force at the start and at the end of each interval between ``times``.
+
+        Returns (left, right), each of shape (len(times) - 1, 2), read 1e-9
+        of the interval inside each end: where the schedule jumps at a time,
+        the interval before it ends on the old bin and the one after it
+        starts on the new one, also when rounding puts the time a little off
+        the bin edge.  A step grid made of the bins therefore reads each
+        bin's couplings at both of its ends.
+        """
+        times = np.asarray(times, dtype=float)
+        inset = 1e-9 * np.diff(times)
+        left = [self.values(t) for t in (times[:-1] + inset).tolist()]
+        right = [self.values(t) for t in (times[1:] - inset).tolist()]
+        return np.array(left), np.array(right)
 
     def stacked(self) -> np.ndarray:
         """Control vector of length 2M: all g1 bins, then all g2 bins."""
         return np.concatenate([self.values1, self.values2])
 
     def with_values(self, stacked: np.ndarray) -> "PiecewiseConstantSchedule":
-        """Same grid and bounds with new values from a stacked 2M vector."""
+        """Same grid with new values from a stacked 2M vector."""
         stacked = np.asarray(stacked, dtype=float)
         m = self.bins
         if stacked.shape != (2 * m,):
             raise ValueError(f"expected a vector of length {2 * m}, got {stacked.shape}")
-        return PiecewiseConstantSchedule(
-            self.t_start, self.dt, stacked[:m], stacked[m:], self.bounds, self.outside
-        )
-
-
-def clamp_schedule(sched: PiecewiseConstantSchedule) -> PiecewiseConstantSchedule:
-    """Project every bin value into the schedule's bounds (idempotent)."""
-    lo, hi = sched.bounds
-    return PiecewiseConstantSchedule(
-        sched.t_start,
-        sched.dt,
-        np.clip(sched.values1, lo, hi),
-        np.clip(sched.values2, lo, hi),
-        sched.bounds,
-        sched.outside,
-    )
+        return PiecewiseConstantSchedule(self.t_start, self.dt, stacked[:m], stacked[m:])
 
 
 def integration_window(

@@ -16,11 +16,16 @@ products, never inverses of U.
 
 The bounded ascent itself is delegated to L-BFGS-B on -F; every iterate
 respects the amplitude bounds exactly and the multi-restart loop keeps the
-best schedule found.  :func:`objective` propagates with the dense
-exponential of :func:`dynamics.propagate_piecewise`, so it and the
-finite-difference gradient built on it are an independent oracle for the
-exact gradient; both are public so they can be re-run as a health check at
-any time.  Per-bin exponentials need no step; the model is the keyword ``rwa``.
+best schedule found.  :func:`objective` replays the schedule with
+:func:`dynamics.propagate`, one CF4 step per bin, which is exact for
+constant couplings.  It and the finite-difference gradient built on it stay
+an independent oracle for the exact gradient: the stepper applies two
+exponentials per bin to the state, each a Taylor sum planned on its own,
+while :func:`_block_pass` forms every bin's propagator as a matrix by
+Paterson-Stockmeyer and squaring and differentiates that.  The two share
+only the degree rule of :func:`dynamics._taylor_plan`.  Both oracles are
+public so they can be re-run as a health check at any time.  The bins set
+the steps; the model is the keyword ``rwa``.
 
 :func:`optimize` runs every loaded OpenBLAS on one thread and restores the
 previous thread counts when it returns.  A second BLAS thread does not speed
@@ -38,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from ._blas import single_blas_thread
-from .dynamics import _TAYLOR_THETA, _check_initial, _taylor_plan, generators, propagate_piecewise
+from .dynamics import _TAYLOR_THETA, PropagationOptions, _check_initial, _taylor_plan, generators, propagate
 from .metrics import transfer_efficiency
 from .model import ModelParams, conserved_blocks, superposition_initial, superposition_target
 from .pulses import DEFAULT_TAU_RATIO, GaussianPair, PiecewiseConstantSchedule
@@ -115,8 +120,8 @@ def objective(
     *,
     rwa: bool = False,
 ) -> float:
-    """Transfer efficiency of the piecewise-constant schedule."""
-    traj = propagate_piecewise(initial, sched, params, rwa=rwa)
+    """Transfer efficiency of the piecewise-constant schedule, replayed one CF4 step per bin."""
+    traj = propagate(initial, sched, params, (sched.t_start, sched.t_end), PropagationOptions(dt=sched.dt), rwa=rwa)
     return transfer_efficiency(traj.final, target)
 
 
@@ -222,8 +227,6 @@ def objective_and_gradient(
     if target.shape != initial.shape:
         raise ValueError(f"dimension mismatch: target {target.shape} vs state {initial.shape}")
     values = (sched.values1, sched.values2)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("schedule has non-finite values")
     k0, v1, v2 = generators(params, rwa)
     final = np.zeros(params.dim, dtype=complex)
     terms = np.zeros((2, sched.bins), dtype=complex)
@@ -291,9 +294,7 @@ def gradient_check(
         rng = np.random.default_rng(seed)
         margin = 0.05 * (hi - lo)
         vals = rng.uniform(lo + margin, hi - margin, size=2 * bins)
-        sched = PiecewiseConstantSchedule(
-            0.0, duration / bins, vals[:bins], vals[bins:], bounds
-        )
+        sched = PiecewiseConstantSchedule(0.0, duration / bins, vals[:bins], vals[bins:])
         exact = gradient(sched, params, initial, target, rwa=rwa)
         approx = finite_difference_gradient(sched, params, initial, target, h, rwa=rwa)
         rel = float(np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), 1e-30))
@@ -360,7 +361,7 @@ def optimize(
     m = config.bins
     dt = config.duration / m
     lo, hi = config.bounds
-    template = PiecewiseConstantSchedule(0.0, dt, np.full(m, lo), np.full(m, lo), config.bounds)
+    template = PiecewiseConstantSchedule(0.0, dt, np.full(m, lo), np.full(m, lo))
 
     rng = np.random.default_rng(config.seed)
     bin_mids = (np.arange(m) + 0.5) * dt

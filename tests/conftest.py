@@ -14,9 +14,11 @@ import pytest
 from usctransfer import (
     ModelParams,
     OptimizationConfig,
+    PropagationOptions,
     SweepFixed,
     calibrate_tau,
     optimize,
+    propagate,
     superposition_initial,
     superposition_target,
 )
@@ -42,6 +44,11 @@ def dense_generator(params, g1, g2, rwa=False):
         + g2 * coupling_operator(2, params, rwa=rwa)
         - 0.5j * params.kappa * number_operator(params)
     )
+
+
+def replay(psi0, sched, params, rwa=False):
+    """A piecewise-constant schedule replayed by the stepper, one step per bin."""
+    return propagate(psi0, sched, params, (sched.t_start, sched.t_end), PropagationOptions(dt=sched.dt), rwa=rwa)
 
 
 def reference_fixed(**overrides) -> SweepFixed:

@@ -26,7 +26,6 @@ from usctransfer import (
     integration_window,
     parity_operator,
     propagate,
-    propagate_piecewise,
     run_point,
     run_sweep,
     superposition_initial,
@@ -36,7 +35,7 @@ from usctransfer import (
 from usctransfer.formats import sweep_csv
 from usctransfer.metrics import cavity_indices, leakage, populations
 
-from conftest import REF_G0, REF_KAPPA, REF_T_INV, dense_generator, reference_fixed
+from conftest import REF_G0, REF_KAPPA, REF_T_INV, dense_generator, reference_fixed, replay
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -120,9 +119,7 @@ def test_criterion_4_population_histories(reference_scan_rabi, reference_qoc):
     pair = GaussianPair(g0=best.schedule["g0"], T=best.schedule["T"], tau=best.schedule["tau"])
     psi0 = superposition_initial(0.0, 1.0, params)
     gauss_traj = propagate(psi0, pair, params, integration_window(pair))
-    qoc_traj = propagate_piecewise(
-        psi0, reference_qoc["result"].best_schedule, params
-    )
+    qoc_traj = replay(psi0, reference_qoc["result"].best_schedule, params)
 
     cavity = cavity_indices(params)
     gauss_peak = populations(gauss_traj, cavity).max()
@@ -173,10 +170,10 @@ def test_criterion_5_property_suite():
     params3 = ModelParams(kappa=0.004, n_max=3)
     rng = np.random.default_rng(2)
     sched = PiecewiseConstantSchedule(
-        0.0, 0.8, rng.uniform(0, 0.3, 6), rng.uniform(0, 0.3, 6), (0.0, 0.3)
+        0.0, 0.8, rng.uniform(0, 0.3, 6), rng.uniform(0, 0.3, 6)
     )
     psi0 = superposition_initial(0.0, 1.0, params3)
-    traj = propagate_piecewise(psi0, sched, params3)
+    traj = replay(psi0, sched, params3)
     psi = psi0.copy()
     for k in range(sched.bins):
         gen = dense_generator(params3, sched.values1[k], sched.values2[k])
@@ -189,7 +186,7 @@ def test_criterion_5_property_suite():
     psi0 = superposition_initial(0.0, 1.0, params_rabi)
     traj = propagate(
         psi0,
-        PiecewiseConstantSchedule(0.0, 50.0, [g], [0.0], (0.0, 1.0)),
+        PiecewiseConstantSchedule(0.0, 50.0, [g], [0.0]),
         params_rabi,
         (0.0, 50.0),
         rwa=True,
@@ -205,7 +202,7 @@ def test_criterion_5_property_suite():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         vals = rng.uniform(0.02, 0.28, 10)
-        rand_sched = PiecewiseConstantSchedule(0.0, 1.0, vals[:5], vals[5:], (0.0, 0.3))
+        rand_sched = PiecewiseConstantSchedule(0.0, 1.0, vals[:5], vals[5:])
         exact = gradient(rand_sched, params_grad, initial, target)
         approx = finite_difference_gradient(rand_sched, params_grad, initial, target)
         worst = max(worst, np.linalg.norm(approx - exact) / np.linalg.norm(exact))

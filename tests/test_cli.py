@@ -364,8 +364,15 @@ class TestMalformedSchedule:
                 "'dt'",
             ),
             ("short-row.csv", "bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2\n", "line 3"),
+            (
+                "null-coupling.json",
+                json.dumps({"t_start": 0.0, "dt": 1.0, "values1": [None, 0.1], "values2": [0.2, 0.2]}),
+                "values1 has a non-finite coupling in bin 0",
+            ),
+            ("nan-coupling.csv", "bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2,nan\n",
+             "values2 has a non-finite coupling in bin 1"),
         ],
-        ids=["json-not-an-object", "json-null-field", "csv-short-row"],
+        ids=["json-not-an-object", "json-null-field", "csv-short-row", "json-null-coupling", "csv-nan-coupling"],
     )
     def test_usage_error_names_the_problem(self, name, text, problem, tmp_path, capsys):
         from usctransfer.cli import main

@@ -20,10 +20,8 @@ from usctransfer import (
     excitation_operator,
     generators,
     integration_window,
-    matrix_exponential,
     parity_operator,
     propagate,
-    propagate_piecewise,
     superposition_initial,
     transfer_efficiency,
     superposition_target,
@@ -31,11 +29,11 @@ from usctransfer import (
 from usctransfer import dynamics
 from usctransfer.model import coupling_operator
 
-from conftest import dense_generator
+from conftest import dense_generator, replay
 
 
-def constant_schedule(g1, g2, duration, bounds=(0.0, 1.0)):
-    return PiecewiseConstantSchedule(0.0, duration, [g1], [g2], bounds)
+def constant_schedule(g1, g2, duration):
+    return PiecewiseConstantSchedule(0.0, duration, [g1], [g2])
 
 
 def dense_cf4_chain(psi0, schedule, params, window, n_steps, amp=1.0, rwa=False):
@@ -108,64 +106,6 @@ def scalar_plan(psi0, schedule, params, window, opts, amps=(1.0,), rwa=False):
             substeps = max(1, math.ceil(x / dynamics._TAYLOR_THETA))
             plan.append((substeps, taylor_degree(x / substeps)))
     return plan
-
-
-class TestMatrixExponential:
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(matrix_exponential(np.zeros((4, 4))), np.eye(4))
-
-    def test_diagonal_case(self):
-        d = np.array([0.3, -1.2, 2.5])
-        t = 0.77
-        result = matrix_exponential(np.diag(d), -1j * t)
-        np.testing.assert_allclose(result, np.diag(np.exp(-1j * d * t)), atol=1e-14)
-
-    def test_coupling_block_rotation(self):
-        g, t = 0.3, 2.0
-        block = np.array([[0.0, g], [g, 0.0]])
-        expected = np.array(
-            [
-                [math.cos(g * t), -1j * math.sin(g * t)],
-                [-1j * math.sin(g * t), math.cos(g * t)],
-            ]
-        )
-        np.testing.assert_allclose(matrix_exponential(block, -1j * t), expected, atol=1e-14)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_against_scipy_oracle(self, seed):
-        # generator-shaped matrices scaled to the top of the contract range
-        params = ModelParams(kappa=0.01, n_max=3)
-        h = dense_generator(params, 0.3, 0.25)
-        rng = np.random.default_rng(seed)
-        h = h + 0.05 * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
-        scale = 10.0 / np.abs(h).sum(axis=0).max()
-        mine = matrix_exponential(h, scale)
-        reference = scipy.linalg.expm(scale * h)
-        rel = np.linalg.norm(mine - reference) / np.linalg.norm(reference)
-        assert rel < 1e-12
-
-    def test_large_norm_still_accurate(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        a *= 40.0 / np.abs(a).sum(axis=0).max()
-        rel = np.linalg.norm(matrix_exponential(a) - scipy.linalg.expm(a)) / np.linalg.norm(
-            scipy.linalg.expm(a)
-        )
-        assert rel < 1e-10
-
-    def test_nonfinite_rejected(self):
-        bad = np.array([[0.0, np.inf], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            matrix_exponential(bad)
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.zeros((2, 3)))
-
-    def test_unconverged_taylor_sum_raises(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_MAX_TAYLOR_TERMS", 3)
-        with pytest.raises(IntegrationError):
-            matrix_exponential(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 class TestGenerators:
@@ -252,10 +192,12 @@ class TestPiecewisePropagation:
     PARAMS = ModelParams(kappa=0.004, n_max=3)
 
     def test_single_bin_matches_stepper(self):
+        # one exact step over the bin against 80 steps of 0.05
         sched = constant_schedule(0.21, 0.13, 4.0)
         psi0 = superposition_initial(0.0, 1.0, self.PARAMS)
-        traj_pw = propagate_piecewise(psi0, sched, self.PARAMS)
-        traj = propagate(psi0, sched, self.PARAMS, (0.0, 4.0), PropagationOptions(dt=4.0))
+        traj_pw = replay(psi0, sched, self.PARAMS)
+        traj = propagate(psi0, sched, self.PARAMS, (0.0, 4.0), PropagationOptions(dt=0.05))
+        assert traj_pw.times.size == 2 and traj.times.size == 81
         np.testing.assert_allclose(traj_pw.final, traj.final, atol=1e-12)
 
     def test_semigroup_property(self):
@@ -263,28 +205,50 @@ class TestPiecewisePropagation:
         dur, m = 6.0, 8
         one_bin = constant_schedule(0.18, 0.27, dur)
         many = PiecewiseConstantSchedule(
-            0.0, dur / m, np.full(m, 0.18), np.full(m, 0.27), (0.0, 1.0)
+            0.0, dur / m, np.full(m, 0.18), np.full(m, 0.27)
         )
-        final_one = propagate_piecewise(psi0, one_bin, self.PARAMS)
-        final_many = propagate_piecewise(psi0, many, self.PARAMS)
+        final_one = replay(psi0, one_bin, self.PARAMS)
+        final_many = replay(psi0, many, self.PARAMS)
         np.testing.assert_allclose(final_one.final, final_many.final, atol=1e-10)
 
-    def test_dense_exponential_chain_oracle(self):
+    @staticmethod
+    def expm_chain(psi0, sched, params, rwa):
+        """The state at every bin edge: scipy expm of the dense generator per bin."""
+        states = [np.asarray(psi0, dtype=complex)]
+        for g1, g2 in zip(sched.values1, sched.values2):
+            k_eff = dense_generator(params, g1, g2, rwa=rwa)
+            states.append(scipy.linalg.expm(-1j * sched.dt * k_eff) @ states[-1])
+        return np.array(states)
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [pytest.param(0.0, 1.0, id="odd-block"), pytest.param(0.6, 0.8, id="both-blocks")]
+    )
+    def test_dense_exponential_chain_oracle(self, alpha, beta):
         # independent route: scipy expm per bin, chained on the n_max=3 space,
         # for both models
         rng = np.random.default_rng(11)
         m = 6
         sched = PiecewiseConstantSchedule(
-            0.0, 0.9, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m), (0.0, 0.3)
+            0.0, 0.9, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m)
         )
-        psi0 = superposition_initial(0.0, 1.0, self.PARAMS)
+        psi0 = superposition_initial(alpha, beta, self.PARAMS)
         for rwa in (False, True):
-            traj = propagate_piecewise(psi0, sched, self.PARAMS, rwa=rwa)
-            psi = psi0.copy()
-            for k in range(m):
-                k_eff = dense_generator(self.PARAMS, sched.values1[k], sched.values2[k], rwa=rwa)
-                psi = scipy.linalg.expm(-1j * sched.dt * k_eff) @ psi
-            np.testing.assert_allclose(traj.final, psi, atol=1e-10, err_msg=f"rwa={rwa}")
+            traj = replay(psi0, sched, self.PARAMS, rwa=rwa)
+            chain = self.expm_chain(psi0, sched, self.PARAMS, rwa)
+            np.testing.assert_allclose(traj.final, chain[-1], atol=1e-10, err_msg=f"rwa={rwa}")
+            np.testing.assert_allclose(traj.states, chain, atol=1e-10, err_msg=f"rwa={rwa}")
+
+    def test_one_step_per_bin_when_the_bin_ratio_rounds_up(self):
+        # 3 bins of 0.1 end at 0.30000000000000004, and the window over the
+        # bin width is 3.0000000000000004: still 3 steps, on the bin edges
+        sched = PiecewiseConstantSchedule(0.0, 0.1, [0.3, 0.1, 0.2], [0.05, 0.25, 0.15])
+        assert (sched.t_end - sched.t_start) / sched.dt > 3
+        psi0 = superposition_initial(0.6, 0.8, self.PARAMS)
+        traj = replay(psi0, sched, self.PARAMS)
+        assert traj.times.size == 4
+        np.testing.assert_allclose(traj.times, sched.t_start + sched.dt * np.arange(4), rtol=0, atol=1e-15)
+        chain = self.expm_chain(psi0, sched, self.PARAMS, False)
+        np.testing.assert_allclose(traj.states, chain, atol=1e-10)
 
 
 class TestBatchedPropagation:
@@ -520,10 +484,10 @@ class TestPhotonPeak:
         rng = np.random.default_rng(seed)
         m, substeps = 20, 200
         sched = PiecewiseConstantSchedule(
-            0.0, 1.25, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m), (0.0, 0.3)
+            0.0, 1.25, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m)
         )
         psi = superposition_initial(alpha, beta, params)
-        traj = propagate_piecewise(psi, sched, params)
+        traj = replay(psi, sched, params)
         n_values = np.repeat(np.arange(params.n_max + 1), 4)
         dense_peak = 0.0
         for k in range(m):

@@ -19,7 +19,6 @@ from usctransfer import (
     flat_index,
     populations,
     propagate,
-    propagate_piecewise,
     run_sweep,
     superposition_initial,
 )
@@ -38,6 +37,8 @@ from usctransfer.formats import (
     trajectory_csv,
 )
 from usctransfer.model import basis_labels
+
+from conftest import replay
 
 
 def small_records():
@@ -87,7 +88,7 @@ class TestRunRecordJson:
 
 class TestScheduleFormats:
     SCHED = PiecewiseConstantSchedule(
-        0.0, 1.25, [0.1, 0.3, 0.0], [0.25, 0.05, 0.15], (0.0, 0.3)
+        0.0, 1.25, [0.1, 0.3, 0.0], [0.25, 0.05, 0.15]
     )
 
     def test_csv_round_trip(self):
@@ -106,7 +107,21 @@ class TestScheduleFormats:
         back = schedule_from_dict(schedule_to_dict(self.SCHED))
         np.testing.assert_array_equal(back.values1, self.SCHED.values1)
         np.testing.assert_array_equal(back.values2, self.SCHED.values2)
-        assert back.bounds == self.SCHED.bounds
+
+    def test_result_json_with_bounds_and_outside_replays(self, tmp_path, capsys):
+        # result files of earlier versions carry "bounds" and "outside",
+        # which a replay ignores
+        from usctransfer.cli import main
+
+        data = {"schedule": {**schedule_to_dict(self.SCHED), "bounds": [0.0, 0.3], "outside": "zero"}}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        back = schedule_from_dict(data["schedule"])
+        np.testing.assert_array_equal(back.values1, self.SCHED.values1)
+        np.testing.assert_array_equal(back.values2, self.SCHED.values2)
+        assert main(["simulate", "--schedule", str(old), "--nmax", "2"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["schedule"]["bins"] == 3 and 0.0 <= record["fidelity"] <= 1.0
 
     def test_optimization_result_json_round_trip(self):
         result = OptimizationResult(
@@ -132,8 +147,8 @@ class TestTrajectoryCsv:
     def test_columns_and_initial_row(self):
         params = ModelParams(kappa=0.002, n_max=3)
         psi0 = superposition_initial(0.0, 1.0, params)
-        sched = PiecewiseConstantSchedule(0.0, 1.0, [0.2, 0.2], [0.1, 0.1], (0.0, 0.3))
-        traj = propagate_piecewise(psi0, sched, params)
+        sched = PiecewiseConstantSchedule(0.0, 1.0, [0.2, 0.2], [0.1, 0.1])
+        traj = replay(psi0, sched, params)
         text = trajectory_csv(traj, params)
         lines = text.splitlines()
         assert lines[0] == "time,p_source,p_target,p_cavity,mean_photon,norm2"

@@ -8,7 +8,6 @@ import pytest
 from usctransfer import (
     GaussianPair,
     PiecewiseConstantSchedule,
-    clamp_schedule,
     effective_duration,
     integration_window,
 )
@@ -56,7 +55,6 @@ def make_schedule(**kwargs):
         dt=0.5,
         values1=[0.1, 0.2, 0.3],
         values2=[0.3, 0.2, 0.1],
-        bounds=(0.0, 0.3),
     )
     defaults.update(kwargs)
     return PiecewiseConstantSchedule(**defaults)
@@ -80,17 +78,30 @@ class TestPiecewiseSchedule:
         assert sched.values(sched.t_start - 1.0)[0] == 0.0
         assert sched.values(sched.t_end + 1.0)[1] == 0.0
 
-    def test_outside_window_edge_hold(self):
-        sched = make_schedule(outside="edge")
-        assert sched.values(sched.t_start - 1.0)[0] == 0.1
-        assert sched.values(sched.t_end + 1.0)[0] == 0.3
-
     def test_piecewise_constant_within_bins(self):
         sched = make_schedule()
         for k in range(sched.bins):
             left = sched.t_start + k * sched.dt
             for frac in (0.0, 0.25, 0.999):
                 assert sched.values(left + frac * sched.dt)[1] == sched.values2[k]
+
+    def test_interval_couplings_read_inside_each_interval(self):
+        # bins [1, 1.5), [1.5, 2), [2, 2.5]; the interval (1.25, 1.75) spans
+        # a jump, the outer intervals lie outside the window, and times off
+        # an edge by rounding count as on it
+        sched = make_schedule()
+        times = np.array([0.5, 1.0 - 1e-15, 1.25, 1.75, 2.0 + 4e-16, 2.5 - 4e-16, 3.0])
+        left, right = sched.interval_couplings(times)
+        g0, (b0, b1, b2) = [0.0, 0.0], np.column_stack([sched.values1, sched.values2])
+        np.testing.assert_array_equal(left, [g0, b0, b0, b1, b2, g0])
+        np.testing.assert_array_equal(right, [g0, b0, b1, b1, b2, g0])
+
+    @pytest.mark.parametrize("field, bad", [("values1", math.nan), ("values2", -math.inf)])
+    def test_non_finite_coupling_names_field_and_bin(self, field, bad):
+        values = [0.1, 0.2, 0.3]
+        values[1] = bad
+        with pytest.raises(ValueError, match=f"{field} has a non-finite coupling in bin 1"):
+            make_schedule(**{field: values})
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -101,29 +112,6 @@ class TestPiecewiseSchedule:
         again = sched.with_values(sched.stacked())
         np.testing.assert_array_equal(again.values1, sched.values1)
         np.testing.assert_array_equal(again.values2, sched.values2)
-
-
-class TestClamp:
-    def test_upper_projection(self):
-        sched = PiecewiseConstantSchedule(0.0, 1.0, [0.35], [0.1], (0.0, 0.3))
-        assert clamp_schedule(sched).values1[0] == 0.3
-
-    def test_lower_projection(self):
-        sched = PiecewiseConstantSchedule(0.0, 1.0, [-0.05], [0.1], (0.0, 0.3))
-        assert clamp_schedule(sched).values1[0] == 0.0
-
-    def test_in_bounds_unchanged(self):
-        sched = make_schedule()
-        clamped = clamp_schedule(sched)
-        np.testing.assert_array_equal(clamped.values1, sched.values1)
-        np.testing.assert_array_equal(clamped.values2, sched.values2)
-
-    def test_idempotent(self):
-        sched = PiecewiseConstantSchedule(0.0, 1.0, [0.7, -0.2], [0.15, 0.05], (0.0, 0.3))
-        once = clamp_schedule(sched)
-        twice = clamp_schedule(once)
-        np.testing.assert_array_equal(once.values1, twice.values1)
-        np.testing.assert_array_equal(once.values2, twice.values2)
 
 
 class TestIntegrationWindow:

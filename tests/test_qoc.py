@@ -20,7 +20,6 @@ from usctransfer import (
     objective,
     objective_and_gradient,
     optimize,
-    propagate_piecewise,
     superposition_initial,
     superposition_target,
 )
@@ -35,7 +34,7 @@ def random_schedule(seed, bins=5, duration=5.0, bounds=(0.0, 0.3)):
     rng = np.random.default_rng(seed)
     lo, hi = bounds
     vals = rng.uniform(lo + 0.02, hi - 0.02, 2 * bins)
-    return PiecewiseConstantSchedule(0.0, duration / bins, vals[:bins], vals[bins:], bounds)
+    return PiecewiseConstantSchedule(0.0, duration / bins, vals[:bins], vals[bins:])
 
 
 def frechet_reference(sched, params, initial, target, rwa=False):
@@ -95,7 +94,7 @@ def openblas_thread_controls():
 
 class TestObjective:
     def test_zero_schedule_cannot_transfer(self):
-        sched = PiecewiseConstantSchedule(0.0, 2.0, [0.0, 0.0], [0.0, 0.0], (0.0, 0.3))
+        sched = PiecewiseConstantSchedule(0.0, 2.0, [0.0, 0.0], [0.0, 0.0])
         assert objective(sched, PARAMS, INITIAL, TARGET) == 0.0
 
     def test_invariant_under_appended_free_bins(self):
@@ -111,7 +110,6 @@ class TestObjective:
             sched.dt,
             np.concatenate([sched.values1, [0.0, 0.0]]),
             np.concatenate([sched.values2, [0.0, 0.0]]),
-            sched.bounds,
         )
         np.testing.assert_allclose(objective(padded, params, initial, target), base, atol=1e-12)
 
@@ -133,7 +131,6 @@ class TestObjective:
             t0, dt,
             [pair.values(t)[0] for t in mids],
             [pair.values(t)[1] for t in mids],
-            (0.0, 0.3),
         )
         f_sampled = objective(sampled, params, initial, target)
         assert 0.93 <= f_sampled <= 0.97
@@ -147,7 +144,7 @@ class TestObjective:
         initial = superposition_initial(0.0, 1.0, params)
         photon_target = basis_state(1, 0, 0, params)
         for g, dt in ((0.2, 3.0), (0.1, 7.0)):
-            sched = PiecewiseConstantSchedule(0.0, dt, [g], [0.0], (0.0, 1.0))
+            sched = PiecewiseConstantSchedule(0.0, dt, [g], [0.0])
             f = objective(sched, params, initial, photon_target, rwa=True)
             np.testing.assert_allclose(f, np.sin(g * dt) ** 2, atol=1e-12)
 
@@ -155,7 +152,7 @@ class TestObjective:
 class TestGradient:
     def test_zero_schedule_zero_gradient(self):
         # overlap prefactor vanishes at the base point
-        sched = PiecewiseConstantSchedule(0.0, 2.5, [0.0, 0.0], [0.0, 0.0], (0.0, 0.3))
+        sched = PiecewiseConstantSchedule(0.0, 2.5, [0.0, 0.0], [0.0, 0.0])
         np.testing.assert_array_equal(gradient(sched, PARAMS, INITIAL, TARGET), 0.0)
 
     # kappa = 0.5 makes K strongly non-Hermitian; the default kappa keeps the
@@ -185,7 +182,7 @@ class TestGradient:
         photon_target = basis_state(1, 0, 0, params)
         dt = 4.0
         g_star = np.pi / (2 * dt)
-        sched = PiecewiseConstantSchedule(0.0, dt, [g_star], [0.0], (0.0, 1.0))
+        sched = PiecewiseConstantSchedule(0.0, dt, [g_star], [0.0])
         f, grad = objective_and_gradient(sched, params, initial, photon_target, rwa=True)
         np.testing.assert_allclose(f, 1.0, atol=1e-12)
         np.testing.assert_allclose(grad[0], 0.0, atol=1e-10)
@@ -208,7 +205,7 @@ def oracle_case(kappa=0.005, alpha=0.0, values=None, rwa=False, n_max=8, seed=0,
         values = np.random.default_rng(seed).uniform(0.0, 0.3, 2 * bins)
     values = np.asarray(values, dtype=float)
     bins = values.size // 2
-    sched = PiecewiseConstantSchedule(0.0, duration / bins, values[:bins], values[bins:], (0.0, 0.3))
+    sched = PiecewiseConstantSchedule(0.0, duration / bins, values[:bins], values[bins:])
     return (
         sched,
         params,
@@ -301,7 +298,7 @@ class TestOptimize:
         params, initial, photon_target = self.toy_problem()
         dt = 4.0
         g_star = np.pi / (2 * dt)
-        start = PiecewiseConstantSchedule(0.0, dt, [g_star], [0.0], (0.0, 1.0))
+        start = PiecewiseConstantSchedule(0.0, dt, [g_star], [0.0])
         config = OptimizationConfig(duration=dt, bounds=(0.0, 1.0), bins=1, restarts=1)
         result = optimize(
             config, params, initial, photon_target,
@@ -415,7 +412,7 @@ class TestOptimize:
     def test_mismatched_initial_schedule_rejected(self):
         params, initial, photon_target = self.toy_problem()
         config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2)
-        wrong = PiecewiseConstantSchedule(0.0, 1.0, [0.1, 0.1, 0.1], [0.0, 0.0, 0.0], (0.0, 0.4))
+        wrong = PiecewiseConstantSchedule(0.0, 1.0, [0.1, 0.1, 0.1], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             optimize(config, params, initial, photon_target, initial_schedule=wrong)
 
@@ -437,9 +434,7 @@ class TestRefinement:
         config = reference_qoc["config"]
         fine_values1 = np.repeat(coarse.best_schedule.values1, 2)
         fine_values2 = np.repeat(coarse.best_schedule.values2, 2)
-        fine_start = PiecewiseConstantSchedule(
-            0.0, config.duration / 40, fine_values1, fine_values2, config.bounds
-        )
+        fine_start = PiecewiseConstantSchedule(0.0, config.duration / 40, fine_values1, fine_values2)
         fine_config = OptimizationConfig(
             duration=config.duration, bounds=config.bounds, bins=40,
             seed=config.seed, restarts=1, max_iters=60,
@@ -459,7 +454,6 @@ FORMER_OPTS_SLOT = [  # each function with the positional arguments before its f
     (finite_difference_gradient, (SCHED, PARAMS, INITIAL, TARGET, 1e-6)),
     (gradient_check, (PARAMS, (0,), 2, 5.0, (0.0, 0.3), 1e-6)),
     (optimize, (OptimizationConfig(duration=5.0, bounds=(0.0, 0.3), bins=2, restarts=1), PARAMS, INITIAL, TARGET)),
-    (propagate_piecewise, (INITIAL, SCHED, PARAMS)),
 ]
 
 
