@@ -18,11 +18,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
-import time
 
-from .dynamics import IntegrationError, PropagationOptions, propagate
+from .dynamics import IntegrationError, PropagationOptions
 from .formats import (
     atomic_write_text,
     optimization_result_json,
@@ -33,16 +31,14 @@ from .formats import (
     sweep_csv,
     trajectory_csv,
 )
-from .metrics import RunRecord
 from .model import ModelParams, superposition_initial, superposition_target
 from .qoc import NumericError, OptimizationConfig, gradient_check, optimize
-from .sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, SweepFixed, SweepGrid, gaussian_run, run_sweep
+from .sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, SweepFixed, SweepGrid, gaussian_run, run_sweep, schedule_run
 
 __all__ = ["main"]
 
 USAGE_ERROR = 1
 NUMERIC_ERROR = 2
-JOBS_ENV_VAR = "USCTRANSFER_JOBS"
 # sweep config keys that name no flag: the axes of the map
 GRID_KEYS = ("t_inv_values", "g0_values")
 
@@ -141,7 +137,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.gaussian_flags:  # given as flags or as config keys
             flags = ", ".join(dict.fromkeys(args.gaussian_flags))
             raise SystemExit(f"usctransfer: simulate --schedule replays the schedule's bins and takes no {flags} (as a flag or a config key)")
-        record, traj = _simulate_schedule(args.schedule, fixed, args.model)
+        record, traj = schedule_run(_read_schedule(args.schedule), fixed, args.model)
     else:
         record, traj = gaussian_run(args.t_inv, args.g0, fixed, args.model)
     _emit(run_record_json(record), args.out)
@@ -150,8 +146,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_schedule(path: str, fixed: SweepFixed, model: str):
-    """Re-simulate an imported piecewise schedule (CSV or optimization JSON)."""
+def _read_schedule(path: str):
+    """Piecewise schedule of a schedule CSV or an optimization JSON file."""
     try:
         with open(path) as handle:
             text = handle.read()
@@ -159,28 +155,8 @@ def _simulate_schedule(path: str, fixed: SweepFixed, model: str):
         raise SystemExit(f"usctransfer: cannot read schedule {path}: {exc}")
     if path.endswith(".json"):
         data = json.loads(text)
-        sched = schedule_from_dict(data["schedule"] if isinstance(data, dict) and "schedule" in data else data)
-    else:
-        sched = schedule_from_csv(text)
-    params = fixed.params
-    initial = superposition_initial(fixed.alpha, fixed.beta, params)
-    target = superposition_target(fixed.alpha, fixed.beta, params)
-    start = time.perf_counter()
-    window, opts = (sched.t_start, sched.t_end), PropagationOptions(dt=sched.dt)
-    traj = propagate(initial, sched, params, window, opts, rwa=(model == "rwa"))
-    wall = time.perf_counter() - start
-    descriptor = {
-        "kind": "piecewise",
-        "model": model,
-        "bins": sched.bins,
-        "dt": sched.dt,
-        "t_start": sched.t_start,
-        "duration": sched.duration,
-        "alpha": fixed.alpha,
-        "beta": fixed.beta,
-    }
-    record = RunRecord.from_trajectory(params, descriptor, traj, target, sched.duration, wall)
-    return record, traj
+        return schedule_from_dict(data["schedule"] if isinstance(data, dict) and "schedule" in data else data)
+    return schedule_from_csv(text)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
@@ -278,8 +254,7 @@ def _build_parser() -> _Parser:
     opt.set_defaults(run=_cmd_optimize)
 
     swp = commands.add_parser("sweep", help="2-D efficiency map CSV")
-    swp.add_argument("--jobs", type=int, default=os.environ.get(JOBS_ENV_VAR, "1"),
-                     help=f"parallel workers (default ${JOBS_ENV_VAR}, else 1)")
+    swp.add_argument("--jobs", type=int, default=1, help="parallel workers (default %(default)s)")
     _add_common_flags(swp)
     swp.set_defaults(run=_cmd_sweep, t_inv_values=DEFAULT_T_INV_VALUES, g0_values=DEFAULT_G0_VALUES)
 

@@ -45,11 +45,12 @@ formed as a propagator; its substep count and Taylor degree follow from a
 norm bound on the generators (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
 (2011)).  The blocks are small (at most 18 x 18 at the default cutoff), so the
 stepper's cost is the number of numpy calls, not arithmetic, and
-:func:`_cf4_steps` is arranged to make few of them.  It reads the couplings
-at both Gauss nodes of every step once, before stepping, and plans the
-substeps and the degree of every exponential in one vectorised pass
-(:func:`_taylor_plan`).  It then builds the generators of a chunk of steps
-with one matrix product into a reused buffer, and :func:`_taylor_chunk`
+:func:`_cf4_steps` is arranged to make few of them.  :func:`propagate` reads
+the schedule once, as one array: the couplings just inside both ends of
+every step, for the peak, and at both Gauss nodes, for the stepper.  The
+stepper plans the substeps and the degree of every exponential in one
+vectorised pass (:func:`_taylor_plan`).  It then builds the generators of a
+chunk of steps with one matrix product into a reused buffer, and :func:`_taylor_chunk`
 applies each exponential as a stack of powers X^j psi, one product per
 power, summed with the 1/j! weights in one contraction.  The states of a
 chunk go to the samples at once, with the trace phase restored.
@@ -58,7 +59,6 @@ chunk go to the samples at once, with the trace phase restored.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +80,9 @@ _CHUNK_BYTES = 2**18  # most generator bytes the stepper builds with one BLAS pr
 # fourth-order commutator-free Magnus weights a_1, a_2 and Gauss nodes c_1, c_2
 _CF4_A = (0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0)
 _CF4_C = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+# the schedule reads of a step, in steps: just inside its start, its Gauss
+# nodes, just inside its end (each step keeps its side of a jump on an edge)
+_READ_AT = np.array([1e-9, *_CF4_C, 1.0 - 1e-9])
 
 
 class IntegrationError(RuntimeError):
@@ -258,26 +261,14 @@ def _photon_peaks(
     return np.maximum(mean_n.max(axis=1), inner.max(axis=(0, 2)))
 
 
-def _cf4_steps(state0, schedule, times, h, params, rwa, amps) -> np.ndarray:
+def _cf4_steps(state0, nodes, times, h, params, rwa, amps) -> np.ndarray:
     """The states at ``times``, steps of length h apart, shape (G, steps + 1, dim).
 
-    State p evolves under K0 + amps[p] (g1 V1 + g2 V2) from ``state0``.  The
-    couplings at the Gauss nodes, the plan, the generator chunks and the
-    power stacks live only while stepping.
+    State p evolves under K0 + amps[p] (g1 V1 + g2 V2) from ``state0``, with
+    the couplings (g1, g2) at Gauss node i of step k in ``nodes[k, i]``.  The
+    plan, the generator chunks and the power stacks live only while stepping.
     """
     (a1, a2), n_steps, g = _CF4_A, times.size - 1, amps.size
-    # the couplings (g1, g2) at both Gauss nodes of every step, read once
-    # and streamed into the array, without a list of pairs
-    node_times = map(float, (times[:-1, None] + np.multiply(_CF4_C, h)).ravel())
-    nodes = np.fromiter(itertools.chain.from_iterable(map(schedule.values, node_times)), float)
-    if nodes.size != 4 * n_steps:
-        raise ValueError("schedule.values(t) must return the two couplings (g1, g2)")
-    nodes = nodes.reshape(n_steps, 2, 2)
-    bad = ~np.isfinite(nodes).all(axis=(1, 2))
-    if bad.any():
-        raise IntegrationError(
-            f"schedule produced non-finite couplings in the step from t={float(times[bad.argmax()])}"
-        )
     # exponential f = 2 i + e of step i weighs the nodes by weights[e]; the
     # right-hand factor acts first
     weights = np.array([[a2, a1], [a1, a2]])
@@ -388,10 +379,11 @@ def propagate(
     state0 : ndarray
         Normalized initial amplitude vector.
     schedule : GaussianPair | PiecewiseConstantSchedule
-        Anything with a ``values(t) -> (g1, g2)`` method.  A schedule that
-        also has ``interval_couplings(times)`` (see
-        :meth:`pulses.PiecewiseConstantSchedule.interval_couplings`) gives
-        the photon peak the couplings of each interval at both its ends.
+        Anything with a vectorised ``values(t) -> (g1, g2)`` method: given
+        an array of times it returns two arrays of the same shape.  It is
+        called once, with the (steps, 4) array of the times just inside
+        each step's start (1e-9 of the step in), at its two Gauss nodes and
+        just inside its end; a wrong shape is a ``ValueError``.
     params : ModelParams
         System constants; ``params.kappa`` sets the cavity loss.
     window : (t_begin, t_end)
@@ -417,8 +409,9 @@ def propagate(
     Trajectory or list of Trajectory
         The state after every step, the unnormalized final state, whose norm
         loss is the population lost through the cavity, and the photon peak
-        of :func:`_photon_peaks` with the couplings read at the sample
-        times (or from ``interval_couplings``); with ``amplitudes``, one
+        of :func:`_photon_peaks` with the couplings read just inside both
+        ends of every step, so a schedule that jumps on a step edge gives
+        each step its own side of the jump; with ``amplitudes``, one
         trajectory per amplitude, in order.
     """
     opts = opts or PropagationOptions()
@@ -436,18 +429,15 @@ def propagate(
     n_steps = max(1, round(ratio) if math.isclose(ratio, round(ratio), rel_tol=1e-9) else math.ceil(ratio))
     h = (t1 - t0) / n_steps
     times = t0 + h * np.arange(n_steps + 1)
-    samples = _cf4_steps(state0, schedule, times, h, params, rwa, amps)
+    couplings = np.stack(schedule.values(times[:-1, None] + h * _READ_AT), axis=-1, dtype=float)
+    if couplings.shape != (n_steps, 4, 2):
+        raise ValueError("schedule.values(t) must return the two couplings (g1, g2), each of t's shape")
+    if (bad := ~np.isfinite(couplings).all(axis=(1, 2))).any():
+        raise IntegrationError(f"schedule produced non-finite couplings in the step from t={float(times[bad.argmax()])}")
+    samples = _cf4_steps(state0, couplings[:, 1:3], times, h, params, rwa, amps)
     if not np.all(np.isfinite(samples[:, -1])):
         raise IntegrationError("state became non-finite during propagation")
-    interval_couplings = getattr(schedule, "interval_couplings", None)
-    if interval_couplings is None:
-        couplings = np.array([schedule.values(t) for t in times], dtype=float)
-        left, right = couplings[:-1], couplings[1:]
-    else:
-        left, right = interval_couplings(times)
-    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
-        raise IntegrationError("schedule produced non-finite couplings at a sample time")
-    peaks = _photon_peaks(times, samples, params, rwa, amps, left, right)
+    peaks = _photon_peaks(times, samples, params, rwa, amps, couplings[:, 0], couplings[:, 3])
     trajs = [Trajectory(times, states, states[-1], float(peak)) for states, peak in zip(samples, peaks)]
     return trajs[0] if amplitudes is None else trajs
 

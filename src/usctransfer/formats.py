@@ -173,6 +173,8 @@ def schedule_from_dict(data: dict[str, Any]) -> PiecewiseConstantSchedule:
         raise ValueError(f"a schedule must be a JSON object, got {type(data).__name__}")
 
     def field(key, convert=float):
+        if key not in data:
+            raise ValueError(f"schedule has no field {key!r}")
         try:
             return convert(data[key])
         except (TypeError, ValueError, IndexError):

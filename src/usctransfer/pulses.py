@@ -45,11 +45,11 @@ class GaussianPair:
         if self.tau < 0:
             raise ValueError(f"half-delay must be non-negative, got {self.tau}")
 
-    def values(self, t: float) -> tuple[float, float]:
-        """Both couplings at time ``t``."""
+    def values(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both couplings (g1, g2) at the time or array of times ``t``, each of ``t``'s shape."""
         x1 = (t - self.tau) / self.T
         x2 = (t + self.tau) / self.T
-        return self.g0 * math.exp(-x1 * x1), self.g0 * math.exp(-x2 * x2)
+        return self.g0 * np.exp(-x1 * x1), self.g0 * np.exp(-x2 * x2)
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class PiecewiseConstantSchedule:
     the schedule.  :func:`dynamics.propagate` replays a schedule exactly
     with ``window=(sched.t_start, sched.t_end)`` and
     ``PropagationOptions(dt=sched.dt)``: one step per bin, on the bin edges.
+    It reads the couplings just inside both ends of each step, so every
+    step sees its own bin also where rounding puts an edge a little off.
     """
 
     t_start: float
@@ -78,8 +80,7 @@ class PiecewiseConstantSchedule:
             raise ValueError("schedule needs at least one bin")
         if not self.dt > 0:
             raise ValueError(f"bin width must be positive, got {self.dt}")
-        for name in ("values1", "values2"):
-            values = getattr(self, name)
+        for name, values in (("values1", self.values1), ("values2", self.values2)):
             if bad := np.flatnonzero(~np.isfinite(values)).tolist():
                 raise ValueError(f"schedule {name} has a non-finite coupling in bin {bad[0]}: {values[bad[0]]}")
 
@@ -95,32 +96,16 @@ class PiecewiseConstantSchedule:
     def t_end(self) -> float:
         return self.t_start + self.duration
 
-    def values(self, t: float) -> tuple[float, float]:
-        """Both couplings at time ``t``.
+    def values(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both couplings (g1, g2) at the time or array of times ``t``, each of ``t``'s shape.
 
         Bins are left-closed, right-open; the final instant t_end maps to
-        the last bin.
+        the last bin, and outside the window both couplings are zero.
         """
-        if t < self.t_start or t > self.t_end:
-            return 0.0, 0.0
-        k = min(int(math.floor((t - self.t_start) / self.dt)), self.bins - 1)
-        return float(self.values1[k]), float(self.values2[k])
-
-    def interval_couplings(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Couplings in force at the start and at the end of each interval between ``times``.
-
-        Returns (left, right), each of shape (len(times) - 1, 2), read 1e-9
-        of the interval inside each end: where the schedule jumps at a time,
-        the interval before it ends on the old bin and the one after it
-        starts on the new one, also when rounding puts the time a little off
-        the bin edge.  A step grid made of the bins therefore reads each
-        bin's couplings at both of its ends.
-        """
-        times = np.asarray(times, dtype=float)
-        inset = 1e-9 * np.diff(times)
-        left = [self.values(t) for t in (times[:-1] + inset).tolist()]
-        right = [self.values(t) for t in (times[1:] - inset).tolist()]
-        return np.array(left), np.array(right)
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.floor((t - self.t_start) / self.dt), 0, self.bins - 1).astype(int)
+        inside = (t >= self.t_start) & (t <= self.t_end)
+        return np.where(inside, self.values1[k], 0.0), np.where(inside, self.values2[k], 0.0)
 
     def stacked(self) -> np.ndarray:
         """Control vector of length 2M: all g1 bins, then all g2 bins."""

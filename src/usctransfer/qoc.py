@@ -313,10 +313,7 @@ def _gaussian_sampled_start(config: OptimizationConfig, bin_mids: np.ndarray) ->
     g0 = hi if hi > 0 else 1.0
     width = config.duration / 3.0
     pair = GaussianPair(g0=g0, T=width, tau=DEFAULT_TAU_RATIO * width)
-    centered = bin_mids - 0.5 * config.duration
-    vals1 = np.array([pair.values(t)[0] for t in centered])
-    vals2 = np.array([pair.values(t)[1] for t in centered])
-    return np.clip(np.concatenate([vals1, vals2]), lo, hi)
+    return np.clip(np.concatenate(pair.values(bin_mids - 0.5 * config.duration)), lo, hi)
 
 
 def optimize(

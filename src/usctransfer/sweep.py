@@ -1,4 +1,4 @@
-"""Batch harness: Gaussian runs, delay calibration, and 2-D sweeps.
+"""Batch harness: Gaussian runs, schedule replays, delay calibration, and 2-D sweeps.
 
 A sweep evaluates the Gaussian protocol on a grid over the inverse speed
 (omega_c T)^-1 and the peak coupling g0/omega_c, producing one record per
@@ -26,6 +26,7 @@ from .pulses import (
     DEFAULT_TAU_RATIO,
     DEFAULT_WINDOW_CUTOFF,
     GaussianPair,
+    PiecewiseConstantSchedule,
     effective_duration,
     integration_window,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "gaussian_run",
     "run_point",
     "run_sweep",
+    "schedule_run",
     "calibrate_tau",
     "default_grid",
     "DEFAULT_T_INV_VALUES",
@@ -96,33 +98,48 @@ def gaussian_row(
     """
     if not t_inv > 0:
         raise ValueError(f"t_inv must be positive, got {t_inv}")
-    if model not in ("rabi", "rwa"):
-        raise ValueError(f"model must be 'rabi' or 'rwa', got {model!r}")
-    params = fixed.params
-    width = 1.0 / (params.omega_c * t_inv)
+    width = 1.0 / (fixed.params.omega_c * t_inv)
     pairs = [GaussianPair(g0=float(g0), T=width, tau=fixed.tau_ratio * width) for g0 in g0_values]
     if not pairs:
         raise ValueError("g0_values must be non-empty")
     unit = replace(pairs[0], g0=1.0)
     window = integration_window(unit, fixed.cutoff)
+    descriptors = [_descriptor(t_inv, p.g0, fixed, model, T=width, tau=p.tau, window=list(window)) for p in pairs]
+    runs = [(p.g0, effective_duration(p), descriptor) for p, descriptor in zip(pairs, descriptors)]
+    return _run(unit, window, fixed.options, fixed, model, runs)
+
+
+def schedule_run(
+    sched: PiecewiseConstantSchedule, fixed: SweepFixed, model: str = "rabi"
+) -> tuple[RunRecord, Trajectory]:
+    """Exact replay of ``sched``, one step per bin, from ``fixed``'s params and input (alpha, beta).
+
+    Returns the run record together with the trajectory it was measured on.
+    """
+    descriptor = {"kind": "piecewise", "model": model, "bins": sched.bins, "dt": sched.dt, "t_start": sched.t_start,
+                  "duration": sched.duration, "alpha": fixed.alpha, "beta": fixed.beta}
+    window, opts = (sched.t_start, sched.t_end), PropagationOptions(dt=sched.dt)
+    return _run(sched, window, opts, fixed, model, [(1.0, sched.duration, descriptor)])[0]
+
+
+def _run(schedule, window, opts, fixed: SweepFixed, model: str, runs) -> list[tuple[RunRecord, Trajectory]]:
+    """Step the (amplitude, duration, descriptor) ``runs`` of ``schedule`` together and record each.
+
+    Every record's ``wall_time`` is the stepper's wall time divided by the number of runs.
+    """
+    if model not in ("rabi", "rwa"):
+        raise ValueError(f"model must be 'rabi' or 'rwa', got {model!r}")
+    params = fixed.params
     initial = superposition_initial(fixed.alpha, fixed.beta, params)
     target = superposition_target(fixed.alpha, fixed.beta, params)
-
     start = time.perf_counter()
-    amplitudes = [pair.g0 for pair in pairs]
-    trajs = propagate(initial, unit, params, window, fixed.options, amplitudes=amplitudes, rwa=(model == "rwa"))
-    wall = (time.perf_counter() - start) / len(pairs)
-
-    runs = []
-    for pair, traj in zip(pairs, trajs):
-        descriptor = _descriptor(
-            t_inv, pair.g0, fixed, model, T=width, tau=pair.tau, window=[window[0], window[1]]
-        )
-        record = RunRecord.from_trajectory(
-            params, descriptor, traj, target, effective_duration(pair), wall
-        )
-        runs.append((record, traj))
-    return runs
+    amplitudes = [amp for amp, _, _ in runs]
+    trajs = propagate(initial, schedule, params, window, opts, amplitudes=amplitudes, rwa=(model == "rwa"))
+    wall = (time.perf_counter() - start) / len(runs)
+    return [
+        (RunRecord.from_trajectory(params, descriptor, traj, target, duration, wall), traj)
+        for (_, duration, descriptor), traj in zip(runs, trajs)
+    ]
 
 
 def gaussian_run(

@@ -261,6 +261,8 @@ class TestFlagDefaults:
         assert args.nmax == ModelParams.n_max
         # optimize takes one exact exponential per bin and has no step flag
         assert getattr(args, "dt", None) == (None if command == "optimize" else PropagationOptions.dt)
+        if command == "sweep":
+            assert args.jobs == 1
         if command == "optimize":
             for key in ("bins", "restarts", "max_iters", "init", "seed"):
                 assert getattr(args, key) == getattr(OptimizationConfig, key)
@@ -363,6 +365,7 @@ class TestMalformedSchedule:
                 json.dumps({"t_start": 0.0, "dt": None, "values1": [0.1], "values2": [0.2], "bounds": [0.0, 0.3]}),
                 "'dt'",
             ),
+            ("no-dt.json", json.dumps({"t_start": 0, "values1": [0.1], "values2": [0.1]}), "no field 'dt'"),
             ("short-row.csv", "bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2\n", "line 3"),
             (
                 "null-coupling.json",
@@ -372,7 +375,7 @@ class TestMalformedSchedule:
             ("nan-coupling.csv", "bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2,nan\n",
              "values2 has a non-finite coupling in bin 1"),
         ],
-        ids=["json-not-an-object", "json-null-field", "csv-short-row", "json-null-coupling", "csv-nan-coupling"],
+        ids=["json-not-an-object", "json-null-field", "json-missing-field", "csv-short-row", "json-null-coupling", "csv-nan-coupling"],
     )
     def test_usage_error_names_the_problem(self, name, text, problem, tmp_path, capsys):
         from usctransfer.cli import main

@@ -251,6 +251,39 @@ class TestPiecewisePropagation:
         np.testing.assert_allclose(traj.states, chain, atol=1e-10)
 
 
+    def test_peak_reads_each_step_inside_both_its_ends(self, monkeypatch):
+        # bins [1, 1.5), [1.5, 2), [2, 2.5]; steps of 0.5 from 0.25 lie
+        # outside the window, straddle its start and its end, and span each jump
+        sched = PiecewiseConstantSchedule(1.0, 0.5, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+        photon_peaks, seen = dynamics._photon_peaks, {}
+
+        def spy(times, states, params, rwa, amps, left, right):
+            seen.update(left=left, right=right)
+            return photon_peaks(times, states, params, rwa, amps, left, right)
+
+        monkeypatch.setattr(dynamics, "_photon_peaks", spy)
+        psi0 = superposition_initial(0.6, 0.8, self.PARAMS)
+        traj = propagate(psi0, sched, self.PARAMS, (0.25, 3.25), PropagationOptions(dt=0.5))
+        assert traj.times.size == 7
+        zero, (b0, b1, b2) = [0.0, 0.0], np.column_stack([sched.values1, sched.values2])
+        np.testing.assert_array_equal(seen["left"], [zero, zero, b0, b1, b2, zero])
+        np.testing.assert_array_equal(seen["right"], [zero, b0, b1, b2, zero, zero])
+
+    def test_replay_peak_takes_each_bins_couplings_on_rounded_edges(self):
+        # step edges of 10 bins of 0.1 from 0.3 round below the bin edge,
+        # where a read at the sample time picks the previous bin; the
+        # replay's peak slopes must come from each bin's own couplings at
+        # both its ends (reading each step start on its edge moves this peak 0.17%)
+        rng = np.random.default_rng(1)
+        sched = PiecewiseConstantSchedule(0.3, 0.1, rng.uniform(0, 0.3, 10), rng.uniform(0, 0.3, 10))
+        psi0 = superposition_initial(0.6, 0.8, self.PARAMS)
+        traj = replay(psi0, sched, self.PARAMS)
+        bins = np.column_stack([sched.values1, sched.values2])
+        assert not np.array_equal(np.column_stack(sched.values(traj.times[:-1])), bins)
+        peak = dynamics._photon_peaks(traj.times, traj.states[None], self.PARAMS, False, np.ones(1), bins, bins)
+        assert traj.peak_mean_photon == float(peak[0])
+
+
 class TestBatchedPropagation:
     PARAMS = ModelParams(kappa=0.01, n_max=2)
 
@@ -361,21 +394,21 @@ class TestTaylorPlan:
         assert {s for s, _ in plan} == {1, 2}
         assert len(products) == sum(s * (m + 1) for s, m in plan)
 
-    def test_schedule_read_three_times_per_step_plus_one(self):
-        # two Gauss nodes per step and every sample time, each read once
+    def test_schedule_read_once_per_propagation(self):
+        # one array read: inside both ends and at both Gauss nodes of every step
         params = ModelParams(n_max=2)
         pair = GaussianPair(g0=0.3, T=2.0, tau=1.0)
         reads = []
 
         class Counting:
             def values(self, t):
-                reads.append(t)
+                reads.append(np.shape(t))
                 return pair.values(t)
 
         traj = propagate(basis_state(0, 0, 1, params), Counting(), params, (-3.0, 3.0), PropagationOptions(dt=0.25))
         n_steps = traj.times.size - 1
         assert n_steps == 24
-        assert len(reads) == 3 * n_steps + 1
+        assert reads == [(n_steps, 4)]
 
 
 class TestStepperOrder:
@@ -551,7 +584,7 @@ class TestValidation:
     def test_nonfinite_schedule_raises_integration_error(self):
         class BadSchedule:
             def values(self, t):
-                return (np.nan, 0.0)
+                return np.full_like(t, np.nan), np.zeros_like(t)
 
         psi0 = basis_state(0, 0, 0, self.PARAMS)
         with pytest.raises(IntegrationError):
@@ -560,20 +593,20 @@ class TestValidation:
     def test_schedule_must_return_two_couplings(self):
         class ThreeCouplings:
             def values(self, t):
-                return (0.1, 0.1, 0.1)
+                return np.full_like(t, 0.1), np.full_like(t, 0.1), np.full_like(t, 0.1)
 
         psi0 = basis_state(0, 0, 0, self.PARAMS)
         with pytest.raises(ValueError):
             propagate(psi0, ThreeCouplings(), self.PARAMS, (0.0, 1.0))
 
     def test_nonfinite_node_coupling_names_its_step(self):
-        # NaN only strictly inside step 3, so only its Gauss nodes see it
+        # NaN only strictly inside step 3, so only that step's reads see it
         h = 0.1
         start = 0.0 + 3 * h
 
         class NodeNaN:
             def values(self, t):
-                return (math.nan, 0.0) if start < t < start + h else (0.1, 0.1)
+                return np.where((start < t) & (t < start + h), math.nan, 0.1), np.full_like(t, 0.1)
 
         psi0 = basis_state(0, 0, 0, self.PARAMS)
         with pytest.raises(IntegrationError) as info:

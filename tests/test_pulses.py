@@ -41,6 +41,18 @@ class TestGaussianPair:
         assert vals.max() <= PAIR.g0 and vals.min() > 0
         assert np.all(np.diff(vals) < 0)
 
+    @pytest.mark.parametrize("g0, maxulp", [(1.0, 1), (0.3, 2)])
+    def test_array_values_match_scalar_formula(self, g0, maxulp):
+        # np.exp is within 1 ulp of math.exp; a peak g0 other than 1 rounds
+        # the product once more on each side
+        pair = GaussianPair(g0=g0, T=25.0, tau=15.0)
+        ts = np.concatenate([np.linspace(-120.0, 120.0, 2001), [-pair.tau, pair.tau, 0.0]])
+        g1, g2 = pair.values(ts.reshape(4, -1))
+        assert g1.shape == g2.shape == (4, ts.size // 4)
+        for got, shift in ((g1, -pair.tau), (g2, pair.tau)):
+            want = np.array([g0 * math.exp(-((t + shift) / pair.T) * ((t + shift) / pair.T)) for t in ts])
+            np.testing.assert_array_max_ulp(got.ravel(), want, maxulp=maxulp)
+
     def test_zero_peak_allowed(self):
         assert GaussianPair(g0=0.0, T=1.0, tau=0.0).values(0.3) == (0.0, 0.0)
 
@@ -85,16 +97,25 @@ class TestPiecewiseSchedule:
             for frac in (0.0, 0.25, 0.999):
                 assert sched.values(left + frac * sched.dt)[1] == sched.values2[k]
 
-    def test_interval_couplings_read_inside_each_interval(self):
-        # bins [1, 1.5), [1.5, 2), [2, 2.5]; the interval (1.25, 1.75) spans
-        # a jump, the outer intervals lie outside the window, and times off
-        # an edge by rounding count as on it
-        sched = make_schedule()
-        times = np.array([0.5, 1.0 - 1e-15, 1.25, 1.75, 2.0 + 4e-16, 2.5 - 4e-16, 3.0])
-        left, right = sched.interval_couplings(times)
-        g0, (b0, b1, b2) = [0.0, 0.0], np.column_stack([sched.values1, sched.values2])
-        np.testing.assert_array_equal(left, [g0, b0, b0, b1, b2, g0])
-        np.testing.assert_array_equal(right, [g0, b0, b1, b1, b2, g0])
+    def test_array_values_match_scalar_bin_lookup(self):
+        # scalar oracle: left-closed bins, t_end in the last bin, zero outside;
+        # 0.3 + k 0.1 rounds off several edges, so each edge is read at +-1 ulp
+        sched = make_schedule(t_start=0.3, dt=0.1, values1=np.arange(1.0, 8.0), values2=-np.arange(1.0, 8.0))
+
+        def scalar(t):
+            if t < sched.t_start or t > sched.t_end:
+                return 0.0, 0.0
+            k = min(int(math.floor((t - sched.t_start) / sched.dt)), sched.bins - 1)
+            return float(sched.values1[k]), float(sched.values2[k])
+
+        edges = sched.t_start + sched.dt * np.arange(sched.bins + 1)
+        ts = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [sched.t_start, sched.t_end, sched.t_start - 1.0, sched.t_end + 1.0, -1e300, 1e300],
+        ])
+        got = np.column_stack(sched.values(ts))
+        np.testing.assert_array_equal(got, [scalar(t) for t in ts])
+        assert [g.shape for g in sched.values(ts.reshape(2, -1))] == [(2, ts.size // 2)] * 2
 
     @pytest.mark.parametrize("field, bad", [("values1", math.nan), ("values2", -math.inf)])
     def test_non_finite_coupling_names_field_and_bin(self, field, bad):
