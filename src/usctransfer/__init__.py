@@ -43,7 +43,6 @@ from .qoc import (
     OptimizationConfig,
     OptimizationResult,
     finite_difference_gradient,
-    gradient,
     gradient_check,
     objective,
     objective_and_gradient,

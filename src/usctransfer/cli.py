@@ -161,14 +161,12 @@ def _read_schedule(path: str):
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     params = _params(args)
-    duration = args.duration if args.duration is not None else 1.0 / (params.omega_c * args.t_inv)
     config = OptimizationConfig(
-        duration=duration,
+        duration=1.0 / (params.omega_c * args.t_inv),
         bounds=(0.0, args.g0),
         bins=args.bins,
         max_iters=args.max_iters,
         seed=args.seed,
-        init=args.init,
         restarts=args.restarts,
     )
     initial = superposition_initial(args.alpha, args.beta, params)
@@ -238,17 +236,14 @@ def _build_parser() -> _Parser:
     sim.set_defaults(run=_cmd_simulate)
 
     opt = commands.add_parser("optimize", help="optimize a piecewise schedule, result JSON")
-    _add_point_flags(opt, "sets duration 1/t_inv unless --duration is given", "amplitude bound (controls stay in [0, g0])")
+    _add_point_flags(opt, "sets the control time 1/(omega_c t_inv)", "amplitude bound (controls stay in [0, g0])")
     opt.add_argument("--bins", type=int, default=OptimizationConfig.bins,
                      help="piecewise bins per control (default %(default)s)")
-    opt.add_argument("--duration", type=float, help="total control time (default 1/t_inv)")
     opt.add_argument("--seed", type=int, default=OptimizationConfig.seed, help="restart RNG seed (default %(default)s)")
     opt.add_argument("--restarts", type=int, default=OptimizationConfig.restarts,
                      help="number of optimization starts (default %(default)s)")
     opt.add_argument("--max-iters", dest="max_iters", type=int, default=OptimizationConfig.max_iters,
                      help="iteration cap per start (default %(default)s)")
-    opt.add_argument("--init", choices=("gaussian-sampled", "constant", "random"), default=OptimizationConfig.init,
-                     help="first-start mode (default %(default)s)")
     opt.add_argument("--schedule-out", dest="schedule_out", help="also write the schedule CSV here")
     _add_common_flags(opt, gaussian=False)  # piecewise bins with exact exponentials: no pulse shape, no step
     opt.set_defaults(run=_cmd_optimize)
@@ -264,7 +259,7 @@ def _build_parser() -> _Parser:
     grad.add_argument("--bins", type=int, default=inspect.signature(gradient_check).parameters["bins"].default,
                       help="schedule bins (default %(default)s)")
     grad.add_argument("--kappa", type=float, default=ModelParams.kappa, help="cavity decay rate (default %(default)s)")
-    grad.add_argument("--tolerance", type=float, default=1e-5, help="pass threshold (default %(default)s)")
+    grad.add_argument("--tolerance", type=float, default=1e-5, help="relative error bound (default %(default)s)")
     grad.add_argument("--config", help="flat JSON config file")
     grad.set_defaults(run=_cmd_gradcheck)
 

@@ -301,8 +301,8 @@ def _cf4_steps(state0, nodes, times, h, params, rwa, amps) -> np.ndarray:
     # the generators of a chunk of steps in one reused buffer: row (f, p) is
     # X = scale_f (a_p (u1 V1 + u2 V2) + (K0 - mu) / 2) on every block, a
     # matrix product of the coefficients and the stacked operators.  Each
-    # product fills at most _CHUNK_BYTES, which keeps it below OpenBLAS's
-    # threading threshold, so pool workers never start BLAS threads
+    # product fills at most _CHUNK_BYTES, which keeps it below the size at
+    # which OpenBLAS starts threads, so pool workers never start BLAS threads
     ops = np.stack([v1, v2, half_k0]).reshape(3, -1)
     rows = max(1, _CHUNK_BYTES // ops[0].nbytes)  # generator rows per product
     chunk = max(1, rows // (2 * g))  # in steps

@@ -60,25 +60,20 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _jsonable(value: Any) -> Any:
+def _json_default(value: Any) -> Any:
+    """JSON form of what ``json`` cannot write itself: complex as [re, im], numpy values as lists or numbers."""
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def run_record_to_dict(record: RunRecord) -> dict[str, Any]:
-    """JSON-ready form of a run record (wall time excluded, see module doc)."""
+    """Fields of a run record as :func:`run_record_json` writes them (wall time excluded, see module doc)."""
     return {
-        "params": _jsonable(asdict(record.params)),
-        "schedule": _jsonable(record.schedule),
+        "params": asdict(record.params),
+        "schedule": record.schedule,
         "fidelity": record.fidelity,
         "leakage": record.leakage,
         "peak_mean_photon": record.peak_mean_photon,
@@ -88,7 +83,7 @@ def run_record_to_dict(record: RunRecord) -> dict[str, Any]:
 
 
 def run_record_json(record: RunRecord) -> str:
-    return json.dumps(run_record_to_dict(record), indent=2, sort_keys=True) + "\n"
+    return json.dumps(run_record_to_dict(record), indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def sweep_csv(records: list[RunRecord]) -> str:

@@ -100,9 +100,12 @@ class PiecewiseConstantSchedule:
         """Both couplings (g1, g2) at the time or array of times ``t``, each of ``t``'s shape.
 
         Bins are left-closed, right-open; the final instant t_end maps to
-        the last bin, and outside the window both couplings are zero.
+        the last bin, and outside the window (``-inf`` and ``inf`` too) both
+        couplings are zero.  A NaN time is a ValueError.
         """
         t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise ValueError("schedule read at time nan")
         k = np.clip(np.floor((t - self.t_start) / self.dt), 0, self.bins - 1).astype(int)
         inside = (t >= self.t_start) & (t <= self.t_end)
         return np.where(inside, self.values1[k], 0.0), np.where(inside, self.values2[k], 0.0)
@@ -134,12 +137,6 @@ def integration_window(
     return -t_end, t_end
 
 
-def effective_duration(pair: GaussianPair, threshold: float = math.exp(-1)) -> float:
-    """Length of the interval where max(g1, g2) stays above threshold*g0.
-
-    With the counterintuitive pair this is 2*tau + 2*T*sqrt(ln(1/threshold));
-    at the default 1/e threshold, 2*tau + 2*T.
-    """
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    return 2.0 * pair.tau + 2.0 * pair.T * math.sqrt(math.log(1.0 / threshold))
+def effective_duration(pair: GaussianPair) -> float:
+    """Length 2*tau + 2*T of the interval where max(g1, g2) stays above g0/e."""
+    return 2.0 * pair.tau + 2.0 * pair.T

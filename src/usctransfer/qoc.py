@@ -14,9 +14,10 @@ same evaluation (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
 at its exceptional points.  All adjoint quantities are plain operator
 products, never inverses of U.
 
-The bounded ascent itself is delegated to L-BFGS-B on -F; every iterate
-respects the amplitude bounds exactly and the multi-restart loop keeps the
-best schedule found.  :func:`objective` replays the schedule with
+The optimization has one recipe: the first start is a counterintuitive
+Gaussian pair sampled onto the bins, the others are seeded random values,
+and L-BFGS-B climbs each on -F within the amplitude bounds; the best
+schedule found is kept.  :func:`objective` replays the schedule with
 :func:`dynamics.propagate`, one CF4 step per bin, which is exact for
 constant couplings.  It and the finite-difference gradient built on it stay
 an independent oracle for the exact gradient: the stepper applies two
@@ -53,7 +54,6 @@ __all__ = [
     "OptimizationConfig",
     "OptimizationResult",
     "objective",
-    "gradient",
     "objective_and_gradient",
     "finite_difference_gradient",
     "gradient_check",
@@ -63,6 +63,12 @@ __all__ = [
 # L-BFGS-B stops when the relative decrease of -F or the largest projected gradient entry falls below these
 _OBJECTIVE_TOL = 1e-12
 _GRADIENT_TOL = 1e-8
+# central-difference step of the oracle gradient
+_FD_STEP = 1e-6
+# gradient_check's schedules: bins over _CHECK_DURATION, values drawn uniformly from the
+# amplitude range (0, 0.3) less a 5% margin at each end
+_CHECK_DURATION = 5.0
+_CHECK_VALUES = (0.015, 0.285)
 
 
 class NumericError(RuntimeError):
@@ -74,10 +80,10 @@ class OptimizationConfig:
     """Search-space and optimizer settings for the schedule optimization.
 
     ``bins`` piecewise-constant values per control over ``duration``, within
-    amplitude ``bounds``.  ``init`` selects the first start: a Gaussian pair
-    compressed onto the control window, a constant mid-bounds schedule, or
-    uniform random values; the remaining ``restarts - 1`` starts are always
-    random, drawn from the seeded generator.
+    amplitude ``bounds``.  The first of the ``restarts`` starts is a Gaussian
+    pair compressed onto the control window (unless :func:`optimize` is given
+    an ``initial_schedule``); the other ``restarts - 1`` are uniform random
+    values, drawn from the generator seeded with ``seed``.
     """
 
     duration: float
@@ -85,7 +91,6 @@ class OptimizationConfig:
     bins: int = 20
     max_iters: int = 500
     seed: int = 0
-    init: str = "gaussian-sampled"
     restarts: int = 5
 
     def __post_init__(self) -> None:
@@ -96,8 +101,6 @@ class OptimizationConfig:
         lo, hi = self.bounds
         if lo > hi:
             raise ValueError(f"bounds must be ordered, got {self.bounds}")
-        if self.init not in ("gaussian-sampled", "constant", "random"):
-            raise ValueError(f"unknown init mode {self.init!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -201,18 +204,6 @@ def _block_pass(
     return phis[m_bins], terms
 
 
-def gradient(
-    sched: PiecewiseConstantSchedule,
-    params: ModelParams,
-    initial: np.ndarray,
-    target: np.ndarray,
-    *,
-    rwa: bool = False,
-) -> np.ndarray:
-    """Exact gradient of the efficiency, stacked as (all g1 bins, all g2 bins)."""
-    return objective_and_gradient(sched, params, initial, target, rwa=rwa)[1]
-
-
 def objective_and_gradient(
     sched: PiecewiseConstantSchedule,
     params: ModelParams,
@@ -221,7 +212,7 @@ def objective_and_gradient(
     *,
     rwa: bool = False,
 ) -> tuple[float, np.ndarray]:
-    """Efficiency and its exact gradient: per conserved block, one batched Taylor exponential and its adjoint."""
+    """Efficiency and exact gradient (g1 bins, then g2 bins): per block, a batched Taylor exponential and adjoint."""
     initial = _check_initial(initial, params)
     target = np.asarray(target, dtype=complex)
     if target.shape != initial.shape:
@@ -253,20 +244,19 @@ def finite_difference_gradient(
     params: ModelParams,
     initial: np.ndarray,
     target: np.ndarray,
-    h: float = 1e-6,
     *,
     rwa: bool = False,
 ) -> np.ndarray:
-    """Central-difference gradient, the independent oracle for the exact one."""
+    """Central-difference gradient with step 1e-6, the independent oracle for the exact one."""
     x0 = sched.stacked()
     grad = np.empty(x0.size)
     for j in range(x0.size):
         x_plus, x_minus = x0.copy(), x0.copy()
-        x_plus[j] += h
-        x_minus[j] -= h
+        x_plus[j] += _FD_STEP
+        x_minus[j] -= _FD_STEP
         f_plus = objective(sched.with_values(x_plus), params, initial, target, rwa=rwa)
         f_minus = objective(sched.with_values(x_minus), params, initial, target, rwa=rwa)
-        grad[j] = (f_plus - f_minus) / (2 * h)
+        grad[j] = (f_plus - f_minus) / (2 * _FD_STEP)
     return grad
 
 
@@ -274,29 +264,24 @@ def gradient_check(
     params: ModelParams,
     seeds: Sequence[int] = (0, 1, 2),
     bins: int = 5,
-    duration: float = 5.0,
-    bounds: tuple[float, float] = (0.0, 0.3),
-    h: float = 1e-6,
     *,
     rwa: bool = False,
 ) -> list[tuple[int, float]]:
     """Relative error between exact and finite-difference gradients.
 
-    One random in-bounds schedule per seed; returns (seed, norm-wise relative
-    error) pairs.  The input 0.6|g1> + 0.8|e1> has weight in two conserved
-    blocks under either model, so the check covers the gradient of each.
+    One random schedule per seed, ``bins`` bins over duration 5 with values
+    in [0.015, 0.285]; returns (seed, norm-wise relative error) pairs.  The
+    input 0.6|g1> + 0.8|e1> has weight in two conserved blocks under either
+    model, so the check covers the gradient of each.
     """
     initial = superposition_initial(0.6, 0.8, params)
     target = superposition_target(0.6, 0.8, params)
-    lo, hi = bounds
     results = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        margin = 0.05 * (hi - lo)
-        vals = rng.uniform(lo + margin, hi - margin, size=2 * bins)
-        sched = PiecewiseConstantSchedule(0.0, duration / bins, vals[:bins], vals[bins:])
-        exact = gradient(sched, params, initial, target, rwa=rwa)
-        approx = finite_difference_gradient(sched, params, initial, target, h, rwa=rwa)
+        vals = np.random.default_rng(seed).uniform(*_CHECK_VALUES, size=2 * bins)
+        sched = PiecewiseConstantSchedule(0.0, _CHECK_DURATION / bins, vals[:bins], vals[bins:])
+        exact = objective_and_gradient(sched, params, initial, target, rwa=rwa)[1]
+        approx = finite_difference_gradient(sched, params, initial, target, rwa=rwa)
         rel = float(np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), 1e-30))
         results.append((seed, rel))
     return results
@@ -327,8 +312,9 @@ def optimize(
 ) -> OptimizationResult:
     """Maximize the transfer efficiency over bounded piecewise schedules.
 
-    Runs ``config.restarts`` L-BFGS-B ascents (first start per ``config.init``
-    or ``initial_schedule`` when given, the rest random) and keeps the best.
+    Runs ``config.restarts`` L-BFGS-B ascents and keeps the best.  The first
+    starts from ``initial_schedule`` when given, else from the Gaussian pair
+    compressed onto the control window; the rest start from random values.
     The reported fidelity is re-evaluated from the returned schedule, not
     read from optimizer state.  The ascents and the re-evaluation run every
     loaded OpenBLAS on one thread (see the module docstring); the previous
@@ -360,20 +346,14 @@ def optimize(
     lo, hi = config.bounds
     template = PiecewiseConstantSchedule(0.0, dt, np.full(m, lo), np.full(m, lo))
 
+    if initial_schedule is None:
+        first = _gaussian_sampled_start(config, (np.arange(m) + 0.5) * dt)
+    elif initial_schedule.bins != m or abs(initial_schedule.dt - dt) > 1e-12 * max(dt, 1.0):
+        raise ValueError("initial_schedule does not match the configured grid")
+    else:
+        first = np.clip(initial_schedule.stacked(), lo, hi)
     rng = np.random.default_rng(config.seed)
-    bin_mids = (np.arange(m) + 0.5) * dt
-    starts = []
-    for r in range(config.restarts):
-        if r == 0 and initial_schedule is not None:
-            if initial_schedule.bins != m or abs(initial_schedule.dt - dt) > 1e-12 * max(dt, 1.0):
-                raise ValueError("initial_schedule does not match the configured grid")
-            starts.append(np.clip(initial_schedule.stacked(), lo, hi))
-        elif r == 0 and config.init == "gaussian-sampled":
-            starts.append(_gaussian_sampled_start(config, bin_mids))
-        elif r == 0 and config.init == "constant":
-            starts.append(np.full(2 * m, 0.5 * (lo + hi)))
-        else:
-            starts.append(rng.uniform(lo, hi, size=2 * m))
+    starts = [first, *(rng.uniform(lo, hi, size=2 * m) for _ in range(config.restarts - 1))]
 
     history: list[tuple[int, float, float]] = []
     iteration = 0

@@ -8,8 +8,10 @@ points are stepped together by one call of the stepper, and each record's
 ``wall_time`` is the row's wall time divided by its point count.  Rows are
 independent; with ``jobs > 1`` they run on a process pool (more workers than
 rows leaves the extra workers idle), and the output ordering is row-major
-(t_inv outer, g0 inner) no matter how execution interleaves.  A failed point
-is recorded in-row and the sweep continues.
+(t_inv outer, g0 inner) no matter how execution interleaves.  A row that
+raises records each of its points with NaN figures and the row's error, and
+the sweep continues.  The grid admits only finite positive axis values, so
+that the points of a row fail or succeed together.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class SweepGrid:
         for name, axis in (("t_inv_values", self.t_inv_values), ("g0_values", self.g0_values)):
             if axis.size == 0:
                 raise ValueError(f"{name} must be non-empty")
+            if not np.all(np.isfinite(axis)):
+                raise ValueError(f"{name} must be finite, got {axis.tolist()}")
             if axis.min() <= 0:
                 raise ValueError(f"{name} must be positive")
             if axis.size > 1 and not np.all(np.diff(axis) > 0):
@@ -91,21 +95,24 @@ def gaussian_row(
 ) -> list[tuple[RunRecord, Trajectory]]:
     """Gaussian-protocol runs at inverse speed ``t_inv``, one per peak in ``g0_values``.
 
-    The runs share the pulse shape, window and step grid, so they are
-    stepped together: one unit-amplitude pulse pair scaled by each ``g0``.
-    Returns a (record, trajectory) pair per ``g0``, in order; every record's
-    ``wall_time`` is the row's wall time divided by the number of runs.
+    The runs share the pulse width T, the delay tau, the integration window,
+    the effective duration and the step grid, so they are stepped together:
+    one unit-amplitude pulse pair scaled by each ``g0``.  Returns a (record,
+    trajectory) pair per ``g0``, in order; every record's ``wall_time`` is
+    the row's wall time divided by the number of runs.
     """
     if not t_inv > 0:
         raise ValueError(f"t_inv must be positive, got {t_inv}")
-    width = 1.0 / (fixed.params.omega_c * t_inv)
-    pairs = [GaussianPair(g0=float(g0), T=width, tau=fixed.tau_ratio * width) for g0 in g0_values]
-    if not pairs:
+    g0s = [float(g0) for g0 in g0_values]
+    if not g0s:
         raise ValueError("g0_values must be non-empty")
-    unit = replace(pairs[0], g0=1.0)
+    if negative := [g0 for g0 in g0s if g0 < 0]:
+        raise ValueError(f"peak coupling must be non-negative, got {negative[0]}")
+    width = 1.0 / (fixed.params.omega_c * t_inv)
+    unit = GaussianPair(g0=1.0, T=width, tau=fixed.tau_ratio * width)
     window = integration_window(unit, fixed.cutoff)
-    descriptors = [_descriptor(t_inv, p.g0, fixed, model, T=width, tau=p.tau, window=list(window)) for p in pairs]
-    runs = [(p.g0, effective_duration(p), descriptor) for p, descriptor in zip(pairs, descriptors)]
+    duration, pulse = effective_duration(unit), {"T": width, "tau": unit.tau}
+    runs = [(g0, duration, _descriptor(t_inv, g0, fixed, model, **pulse, window=list(window))) for g0 in g0s]
     return _run(unit, window, fixed.options, fixed, model, runs)
 
 
@@ -190,20 +197,13 @@ def _failed_record(t_inv, g0, fixed, model, exc) -> RunRecord:
     )
 
 
-def _point_task(t_inv, g0, fixed, model) -> RunRecord:
-    try:
-        return run_point(t_inv, g0, fixed, model)
-    except Exception as exc:
-        return _failed_record(t_inv, g0, fixed, model, exc)
-
-
 def _row_task(task) -> list[RunRecord]:
-    """Records of one t_inv row; if the batched row raises, its points run one at a time."""
+    """Records of one t_inv row; if the row raises, each of its points records the row's error."""
     t_inv, g0_values, fixed, model = task
     try:
         return [record for record, _ in gaussian_row(t_inv, g0_values, fixed, model)]
-    except Exception:
-        return [_point_task(t_inv, g0, fixed, model) for g0 in g0_values]
+    except Exception as exc:
+        return [_failed_record(t_inv, g0, fixed, model, exc) for g0 in g0_values]
 
 
 def run_sweep(grid: SweepGrid, jobs: int = 1) -> list[RunRecord]:
@@ -213,9 +213,10 @@ def run_sweep(grid: SweepGrid, jobs: int = 1) -> list[RunRecord]:
     of its records carries the row's wall time divided by its point count.
     ``jobs > 1`` distributes the rows over a process pool, in ascending
     t_inv so that the slowest rows start first; workers beyond the number of
-    rows stay idle, and the result is identical either way.  A point that
-    raises is returned as a record with NaN figures and the error message in
-    ``record.error``; so is every point of a row lost with a crashed worker.
+    rows stay idle, and the result is identical either way.  Every point of
+    a row that raises is returned as a record with NaN figures and the row's
+    error message in ``record.error``; so is every point of a row lost with a
+    crashed worker.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -246,26 +247,15 @@ def calibrate_tau(
     fixed: SweepFixed,
     model: str = "rabi",
     ratios=CALIBRATION_RATIOS,
-    metric: str = "match",
-    reference: float = PUBLISHED_REFERENCE_EFFICIENCY,
 ) -> tuple[RunRecord, list[RunRecord]]:
-    """Scan the pulse delay tau/T over ``ratios`` and pick one run.
+    """Scan the pulse delay tau/T over ``ratios``; return the run closest to the published efficiency, and the scan.
 
-    The delay of the published protocol is not known, so it is calibrated
-    from the scan: ``metric="match"`` selects the run whose efficiency is
-    closest to ``reference`` (reproducing the published operating point),
-    ``metric="max"`` plainly maximizes the efficiency.  Returns the selected
-    record and the full scan.
+    The delay of the published protocol is not known, so it is calibrated:
+    the selected run is the first whose efficiency is closest to
+    ``PUBLISHED_REFERENCE_EFFICIENCY`` (0.95), the published operating point.
     """
-    if metric not in ("match", "max"):
-        raise ValueError(f"metric must be 'match' or 'max', got {metric!r}")
-    records = [
-        run_point(t_inv, g0, replace(fixed, tau_ratio=float(r)), model) for r in ratios
-    ]
-    if metric == "max":
-        best = max(records, key=lambda rec: rec.fidelity)
-    else:
-        best = min(records, key=lambda rec: abs(rec.fidelity - reference))
+    records = [run_point(t_inv, g0, replace(fixed, tau_ratio=float(r)), model) for r in ratios]
+    best = min(records, key=lambda rec: abs(rec.fidelity - PUBLISHED_REFERENCE_EFFICIENCY))
     return best, records
 
 

@@ -197,6 +197,14 @@ class TestSweepCommand:
         proc = run_cli("sweep", "--config", "/nonexistent/grid.json")
         assert proc.returncode == 1
 
+    def test_non_finite_grid_value_exits_one(self, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text('{"t_inv_values": [0.2], "g0_values": [0.2, Infinity], "nmax": 6}')
+        proc = run_cli("sweep", "--config", str(config))
+        assert proc.returncode == 1
+        assert "g0_values must be finite" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("command", ["sweep", "simulate"])
     def test_unknown_config_key_exits_one(self, command, tmp_path):
         config = tmp_path / "grid.json"
@@ -264,7 +272,7 @@ class TestFlagDefaults:
         if command == "sweep":
             assert args.jobs == 1
         if command == "optimize":
-            for key in ("bins", "restarts", "max_iters", "init", "seed"):
+            for key in ("bins", "restarts", "max_iters", "seed"):
                 assert getattr(args, key) == getattr(OptimizationConfig, key)
 
 
@@ -314,14 +322,17 @@ class TestConfigAsFlags:
         assert proc.returncode == 1
         assert "--dt" in proc.stderr
 
-    @pytest.mark.parametrize("flag, value", [("--tau-ratio", "3"), ("--cutoff", "0.5")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--tau-ratio", "3"), ("--cutoff", "0.5"), ("--init", "random"), ("--duration", "5")]
+    )
     def test_optimize_has_no_pulse_shape(self, flag, value):
-        # only the Gaussian pulse of simulate and sweep has a delay ratio and a window cutoff
+        # only the Gaussian pulse of simulate and sweep has a delay ratio and a window cutoff;
+        # the first start is always the Gaussian pair and the control time is always 1/t_inv
         proc = run_cli("optimize", *self.SMALL_OPTIMIZE, flag, value)
         assert proc.returncode == 1
         assert flag in proc.stderr
 
-    @pytest.mark.parametrize("key", ["tau_ratio", "cutoff"])
+    @pytest.mark.parametrize("key", ["tau_ratio", "cutoff", "init", "duration"])
     def test_optimize_pulse_shape_config_key_is_unknown(self, key, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({key: 0.5}))

@@ -85,6 +85,18 @@ class TestRunRecordJson:
         first, second = small_records(), small_records()
         assert run_record_json(first[0]) == run_record_json(second[0])
 
+    def test_complex_and_numpy_values(self):
+        record = small_records()[0]
+        record.schedule = {"z": 0.5 - 2j, "zs": np.array([1 + 2j]), "n": np.int64(3), "ok": np.bool_(True)}
+        data = json.loads(run_record_json(record))
+        assert data["schedule"] == {"z": [0.5, -2.0], "zs": [[1.0, 2.0]], "n": 3, "ok": True}
+
+    def test_unknown_value_type_raises(self):
+        record = small_records()[0]
+        record.schedule = {"kind": {1, 2}}
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            run_record_json(record)
+
 
 class TestScheduleFormats:
     SCHED = PiecewiseConstantSchedule(

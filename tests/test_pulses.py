@@ -117,6 +117,17 @@ class TestPiecewiseSchedule:
         np.testing.assert_array_equal(got, [scalar(t) for t in ts])
         assert [g.shape for g in sched.values(ts.reshape(2, -1))] == [(2, ts.size // 2)] * 2
 
+    def test_infinite_time_is_outside_window(self):
+        sched = make_schedule()
+        g1, g2 = sched.values(np.array([-np.inf, np.inf]))
+        np.testing.assert_array_equal(g1, 0.0)
+        np.testing.assert_array_equal(g2, 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+    def test_nan_time_rejected(self, t):
+        with pytest.raises(ValueError, match="time nan"):
+            make_schedule().values(t)
+
     @pytest.mark.parametrize("field, bad", [("values1", math.nan), ("values2", -math.inf)])
     def test_non_finite_coupling_names_field_and_bin(self, field, bad):
         values = [0.1, 0.2, 0.3]
@@ -165,6 +176,3 @@ class TestIntegrationWindow:
 class TestEffectiveDuration:
     def test_default_threshold(self):
         np.testing.assert_allclose(effective_duration(PAIR), 2 * PAIR.tau + 2 * PAIR.T)
-
-    def test_scales_with_threshold(self):
-        assert effective_duration(PAIR, 0.1) > effective_duration(PAIR, 0.5)
