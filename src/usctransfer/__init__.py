@@ -13,6 +13,7 @@ from .model import (
     conserved_blocks,
     excitation_operator,
     flat_index,
+    generators,
     parity_operator,
     superposition_initial,
     superposition_target,
@@ -27,7 +28,6 @@ from .dynamics import (
     IntegrationError,
     PropagationOptions,
     Trajectory,
-    generators,
     propagate,
 )
 from .metrics import (

@@ -161,6 +161,8 @@ def _read_schedule(path: str):
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     params = _params(args)
+    if not args.t_inv > 0:
+        raise ValueError(f"t_inv must be positive, got {args.t_inv}")
     config = OptimizationConfig(
         duration=1.0 / (params.omega_c * args.t_inv),
         bounds=(0.0, args.g0),

@@ -1,9 +1,8 @@
 """Non-Hermitian time evolution under the driven qubit-cavity generator.
 
 The state obeys i d|psi>/dt = K(t)|psi> with K(t) = K0 + g1(t) V1 + g2(t) V2
-and K0 = H0 - (i/2) kappa a^dag a.  :func:`generators` is the one place the
-generator is assembled; every propagator and the gradient engine build on
-it.  States are never renormalized: with kappa > 0 the squared norm decays
+and K0 = H0 - (i/2) kappa a^dag a, assembled once by :func:`model.generators`.
+States are never renormalized: with kappa > 0 the squared norm decays
 monotonically and the loss equals the population leaked through the cavity.
 
 The stepper is the fourth-order commutator-free Magnus scheme with two
@@ -18,15 +17,8 @@ right-hand factor first, with a_1,2 = 1/4 -+ sqrt(3)/6 and
 c_1,2 = 1/2 -+ sqrt(3)/6; K0 enters each factor with weight 1/2.  The scheme
 is exact for constant schedules.
 
-The stepper works on the blocks of :func:`model.conserved_blocks` that the
-initial state occupies: the parity sectors under the Rabi model and the
-excitation-number sectors under RWA, so the single-excitation RWA input
-lives in a 3-dim block.  Amplitudes outside the occupied blocks are never
-touched and stay exactly 0.  Blocks of different sizes are padded to the
-largest with all-zero rows and columns, whose amplitudes also stay exactly 0.
-Each block's mean diagonal mu = tr(K0_block)/d, d its true size, is shifted
-out of K0 before the Taylor sums and restored as the phase exp(-i h mu)
-after each step, which lowers the norm bound and the Taylor degree.
+The stepper works on :func:`model.block_generators` of the conserved blocks
+that the initial state occupies: the single-excitation RWA input is 3-dim.
 
 The stepper advances a stack of G states at once: state p evolves under
 K0 + a_p (g1 V1 + g2 V2), so points that differ only in the coupling
@@ -58,19 +50,17 @@ chunk go to the samples at once, with the trace phase restored.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, conserved_blocks, coupling_operator, drift_hamiltonian, number_operator
+from .model import ModelParams, block_generators, conserved_blocks, generators, number_operator
 
 __all__ = [
     "IntegrationError",
     "PropagationOptions",
     "Trajectory",
-    "generators",
     "propagate",
 ]
 
@@ -183,28 +173,12 @@ def _taylor_chunk(product, gens, substeps, degrees, stacks, cur, states) -> int:
     return cur
 
 
-@functools.lru_cache(maxsize=32)
-def generators(params: ModelParams, rwa: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drift generator K0 = H0 - (i/2) kappa a^dag a and the unit controls V1, V2.
-
-    The generator at couplings (g1, g2) is ``k0 + g1 * v1 + g2 * v2``; with
-    ``rwa=True`` the controls keep only their excitation-conserving part.
-    The matrices are built once per ``(params, rwa)`` and shared by every
-    caller, so they are returned read-only.
-    """
-    k0 = drift_hamiltonian(params) - 0.5j * params.kappa * number_operator(params)
-    v1 = coupling_operator(1, params, rwa=rwa)
-    v2 = coupling_operator(2, params, rwa=rwa)
-    for op in (k0, v1, v2):
-        op.flags.writeable = False
-    return k0, v1, v2
-
-
 def _photon_peaks(
     times: np.ndarray,
     states: np.ndarray,
     params: ModelParams,
     rwa: bool,
+    blocks: tuple[np.ndarray, ...],
     amps: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
@@ -220,13 +194,12 @@ def _photon_peaks(
     d<n>/dt = 2 Re <psi|N(-iK)psi>, and the peak is the largest value of
     these cubics.  K0 is diagonal and V1, V2 are real, so with
     psi = r + i s the slope is 2 sum_j |psi_j|^2 n_j Im K0_jj plus
-    2 a g r^T [N, V] s for each control; it is evaluated on the conserved
-    blocks of :func:`model.conserved_blocks` that the first sample occupies.
+    2 a g r^T [N, V] s for each control; it is evaluated on the occupied
+    conserved ``blocks``, the flat indices of :func:`model.block_generators`.
     """
     k0, v1, v2 = generators(params, rwa)
-    n_values = number_operator(params).diagonal().real
-    occupied = np.concatenate([idx for idx in conserved_blocks(params, rwa) if np.any(states[:, 0, idx])])
-    n_occ = n_values[occupied]
+    occupied = np.concatenate(blocks)
+    n_occ = number_operator(params).diagonal().real[occupied]
     decay = 2.0 * n_occ * k0.diagonal()[occupied].imag
     # [N, V]_jk = (n_j - n_k) V_jk is nonzero only where V changes the photon number
     comm = np.stack([(n_occ[:, None] - n_occ) * v[np.ix_(occupied, occupied)].real for v in (v1, v2)])
@@ -261,12 +234,12 @@ def _photon_peaks(
     return np.maximum(mean_n.max(axis=1), inner.max(axis=(0, 2)))
 
 
-def _cf4_steps(state0, nodes, times, h, params, rwa, amps) -> np.ndarray:
+def _cf4_steps(state0, nodes, times, h, layout, amps) -> np.ndarray:
     """The states at ``times``, steps of length h apart, shape (G, steps + 1, dim).
 
-    State p evolves under K0 + amps[p] (g1 V1 + g2 V2) from ``state0``, with
-    the couplings (g1, g2) at Gauss node i of step k in ``nodes[k, i]``.  The
-    plan, the generator chunks and the power stacks live only while stepping.
+    State p evolves under K0 + amps[p] (g1 V1 + g2 V2) from ``state0`` on the
+    blocks of ``layout``, with the couplings (g1, g2) at Gauss node i of step
+    k in ``nodes[k, i]``; the plan, chunks and stacks live only while stepping.
     """
     (a1, a2), n_steps, g = _CF4_A, times.size - 1, amps.size
     # exponential f = 2 i + e of step i weighs the nodes by weights[e]; the
@@ -275,22 +248,9 @@ def _cf4_steps(state0, nodes, times, h, params, rwa, amps) -> np.ndarray:
     u = weights[:, 0, None] * nodes[:, None, 0] + weights[:, 1, None] * nodes[:, None, 1]
     u = u.reshape(-1, 2)  # the couplings (u1, u2) of every exponential
 
-    # the occupied conserved blocks, zero-padded to the largest size d: the
-    # padded rows and columns of every operator are all zero, so padded
-    # amplitudes stay exactly 0
-    blocks = [idx for idx in conserved_blocks(params, rwa) if np.any(state0[idx])]
-    sizes = np.array([idx.size for idx in blocks])
-    nb, d = len(blocks), int(sizes.max())
-    k0, v1, v2 = block_ops = np.zeros((3, nb, d, d), dtype=complex)
-    block_state = np.zeros((nb, d), dtype=complex)
-    for b, idx in enumerate(blocks):
-        for out, op in zip(block_ops, generators(params, rwa)):
-            out[b, : idx.size, : idx.size] = op[np.ix_(idx, idx)]
-        block_state[b, : idx.size] = state0[idx]
-    mu = np.trace(k0, axis1=1, axis2=2) / sizes  # over each block's true size
-    half_k0 = 0.5 * (k0 - mu[:, None, None] * np.eye(d))  # each factor's share of the shifted drift
-    for b, size in enumerate(sizes):
-        half_k0[b, size:] = 0.0  # padded rows stay all zero, out of the norm bound
+    blocks, mu, (k0, v1, v2) = layout
+    nb, d = k0.shape[:2]
+    half_k0 = 0.5 * k0  # each factor's share of the shifted drift
     n0, nv1, nv2 = (float(np.abs(ops).sum(axis=1).max()) for ops in (half_k0, v1, v2))  # largest block 1-norms
     a_max = float(np.abs(amps).max())
     bound = n0 + a_max * (np.abs(u[:, 0]) * nv1 + np.abs(u[:, 1]) * nv2)
@@ -314,7 +274,8 @@ def _cf4_steps(state0, nodes, times, h, params, rwa, amps) -> np.ndarray:
     # and stay small, one per pair, whatever the number of amplitudes
     top = int(degrees.max())
     stacks = np.zeros((2, g * nb, top + 1, d), dtype=complex)
-    stacks[0, :, 0] = np.tile(block_state, (g, 1))
+    for b, idx in enumerate(blocks):
+        stacks[0, b::nb, 0, : idx.size] = state0[idx]
     if g * nb == 1:  # one matrix: np.dot skips the per-call cost of the batched np.matmul
         product, mats, views = np.dot, gens[:, 0], stacks[:, 0]
         powers = [list(view) for view in views]
@@ -327,7 +288,7 @@ def _cf4_steps(state0, nodes, times, h, params, rwa, amps) -> np.ndarray:
     # the trace shift comes back as the phase exp(-i h mu)^k of each block after step k
     phases = np.cumprod(np.tile(np.exp(-1j * h * mu), (n_steps, 1)), axis=0)[:, None, :, None]
     stepped = np.empty((chunk, g, nb, d), dtype=complex)  # the states after a chunk's steps
-    samples = np.zeros((g, n_steps + 1, params.dim), dtype=complex)
+    samples = np.zeros((g, n_steps + 1, state0.size), dtype=complex)
     samples[:, 0] = state0
     substeps, degrees = substeps.tolist(), degrees.tolist()
     cur = 0
@@ -402,7 +363,7 @@ def propagate(
         couplings ``a_p * schedule.values(t)``.  The substep count and the
         Taylor degree of every step come from the largest ``|a_p|``.
     rwa : bool, keyword-only
-        Evolve under the rotating-wave controls of :func:`generators`.
+        Evolve under the rotating-wave controls of :func:`model.generators`.
 
     Returns
     -------
@@ -434,10 +395,12 @@ def propagate(
         raise ValueError("schedule.values(t) must return the two couplings (g1, g2), each of t's shape")
     if (bad := ~np.isfinite(couplings).all(axis=(1, 2))).any():
         raise IntegrationError(f"schedule produced non-finite couplings in the step from t={float(times[bad.argmax()])}")
-    samples = _cf4_steps(state0, couplings[:, 1:3], times, h, params, rwa, amps)
+    occupied = tuple(b for b, idx in enumerate(conserved_blocks(params, rwa)) if state0[idx].any())
+    layout = block_generators(params, rwa, occupied)
+    samples = _cf4_steps(state0, couplings[:, 1:3], times, h, layout, amps)
     if not np.all(np.isfinite(samples[:, -1])):
         raise IntegrationError("state became non-finite during propagation")
-    peaks = _photon_peaks(times, samples, params, rwa, amps, couplings[:, 0], couplings[:, 3])
+    peaks = _photon_peaks(times, samples, params, rwa, layout[0], amps, couplings[:, 0], couplings[:, 3])
     trajs = [Trajectory(times, states, states[-1], float(peak)) for states, peak in zip(samples, peaks)]
     return trajs[0] if amplitudes is None else trajs
 

@@ -7,14 +7,14 @@ matter once the couplings reach a sizeable fraction of ``omega_c``; the RWA
 variant drops them and then conserves the total excitation number exactly.
 Cavity photon loss at rate ``kappa`` enters as the anti-Hermitian term
 ``-(i/2) kappa a^dag a`` of the non-Hermitian generator that
-``dynamics.generators`` assembles from these operators, so the squared norm
+:func:`generators` assembles from these operators, so the squared norm
 of a propagated state decays by exactly the leaked population.
 
 :func:`conserved_blocks` turns the conservation laws into index sets, once,
 for every caller: the two parity sectors under the Rabi model and the
 excitation-number sectors under RWA, the smallest blocks on which each
 model's generator is block diagonal.  The stepper, the photon peak and the
-gradient engine all work on these blocks.
+gradient engine all work on their stack, :func:`block_generators`.
 
 The oscillator ladder is truncated at ``n_max`` photons and the basis is the
 factorized set ``|n, s2, s1>`` with the first qubit varying fastest, i.e.
@@ -53,6 +53,8 @@ __all__ = [
     "excitation_operator",
     "parity_operator",
     "conserved_blocks",
+    "generators",
+    "block_generators",
 ]
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -78,8 +80,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not self.omega_c > 0:
             raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
+        if not 0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
 
@@ -138,7 +140,7 @@ def _check_input_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     alpha = complex(alpha)
     beta = complex(beta)
     norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm2 - 1.0) > 1e-10:
+    if not abs(norm2 - 1.0) <= 1e-10:  # also rejects a non-finite alpha or beta
         raise ValueError(
             f"|alpha|^2 + |beta|^2 = {norm2!r} is not 1 within 1e-10"
         )
@@ -250,3 +252,43 @@ def conserved_blocks(params: ModelParams, rwa: bool) -> tuple[np.ndarray, ...]:
     for block in blocks:
         block.flags.writeable = False
     return blocks
+
+
+@functools.lru_cache(maxsize=32)
+def generators(params: ModelParams, rwa: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drift generator K0 = H0 - (i/2) kappa a^dag a and the unit controls V1, V2.
+
+    The generator at couplings (g1, g2) is ``k0 + g1 * v1 + g2 * v2``; with
+    ``rwa=True`` the controls keep only their excitation-conserving part.
+    The matrices are built once per ``(params, rwa)`` and shared by every
+    caller, so they are returned read-only.
+    """
+    k0 = drift_hamiltonian(params) - 0.5j * params.kappa * number_operator(params)
+    v1 = coupling_operator(1, params, rwa=rwa)
+    v2 = coupling_operator(2, params, rwa=rwa)
+    for op in (k0, v1, v2):
+        op.flags.writeable = False
+    return k0, v1, v2
+
+
+@functools.lru_cache(maxsize=32)
+def block_generators(params: ModelParams, rwa: bool, numbers: tuple[int, ...]) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Indices, trace shifts and stacked generator parts of the blocks ``numbers`` of :func:`conserved_blocks`.
+
+    Returns ``(blocks, mu, ops)``: each block's flat indices, its trace shift
+    mu_b = tr(K0_b)/d_b over its true size d_b, and the (3, blocks, d, d)
+    stack of K0_b - mu_b, V1_b and V2_b, zero-padded to the largest size d.
+    Amplitudes outside the blocks a caller's states occupy, and padded ones
+    (padded rows and columns are all zero), stay exactly 0.  The shift lowers
+    the norm bound and the Taylor degree of the block exponentials; a step
+    of length h restores it as the phase exp(-i h mu_b).  Cached, read-only.
+    """
+    blocks = tuple(conserved_blocks(params, rwa)[b] for b in numbers)
+    d = max((idx.size for idx in blocks), default=0)
+    mu, ops = np.empty(len(blocks), dtype=complex), np.zeros((3, len(blocks), d, d), dtype=complex)
+    for b, idx in enumerate(blocks):
+        k0, v1, v2 = (op[np.ix_(idx, idx)] for op in generators(params, rwa))
+        mu[b] = np.trace(k0) / idx.size
+        ops[:, b, : idx.size, : idx.size] = k0 - mu[b] * np.eye(idx.size), v1, v2
+    mu.flags.writeable = ops.flags.writeable = False
+    return blocks, mu, ops

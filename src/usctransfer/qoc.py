@@ -3,16 +3,14 @@
 The objective is the transfer efficiency F = |<target| U_M ... U_1 |initial>|^2
 with per-bin propagators U_k = exp(-i K(g1_k, g2_k) dt).  Gradients are exact
 (GRAPE, Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
-:func:`objective_and_gradient` works on the blocks of
-:func:`model.conserved_blocks` separately (the two parity sectors under the
-Rabi model, the excitation-number sectors under RWA) and skips a block that
-the initial or the target state leaves empty.  Per block, the generators of
-all bins are exponentiated together by Taylor scaling-and-squaring with a
-trace shift, and the exact dU_k/dg is the reverse-mode derivative of that
-same evaluation (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
-(2009)).  Neither needs an eigenbasis, which K, being non-Hermitian, lacks
-at its exceptional points.  All adjoint quantities are plain operator
-products, never inverses of U.
+:func:`objective_and_gradient` works separately on each block of
+:func:`model.block_generators` that both the initial and the target state
+occupy.  Per block, the generators of all bins are exponentiated together
+by Taylor scaling-and-squaring with the block's trace shift, and the exact
+dU_k/dg is the reverse-mode derivative of that same evaluation (Al-Mohy &
+Higham, SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).  Neither needs an
+eigenbasis, which K, being non-Hermitian, lacks at its exceptional points.
+All adjoint quantities are plain operator products, never inverses of U.
 
 The optimization has one recipe: the first start is a counterintuitive
 Gaussian pair sampled onto the bins, the others are seeded random values,
@@ -44,9 +42,9 @@ from typing import Sequence
 import numpy as np
 
 from ._blas import single_blas_thread
-from .dynamics import _TAYLOR_THETA, PropagationOptions, _check_initial, _taylor_plan, generators, propagate
+from .dynamics import _TAYLOR_THETA, PropagationOptions, _check_initial, _taylor_plan, propagate
 from .metrics import transfer_efficiency
-from .model import ModelParams, conserved_blocks, superposition_initial, superposition_target
+from .model import ModelParams, block_generators, conserved_blocks, superposition_initial, superposition_target
 from .pulses import DEFAULT_TAU_RATIO, GaussianPair, PiecewiseConstantSchedule
 
 __all__ = [
@@ -96,11 +94,13 @@ class OptimizationConfig:
     def __post_init__(self) -> None:
         if self.bins < 1:
             raise ValueError("need at least one bin")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
         lo, hi = self.bounds
-        if lo > hi:
-            raise ValueError(f"bounds must be ordered, got {self.bounds}")
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError(f"bounds must be finite and ordered, got {self.bounds}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -136,8 +136,8 @@ _PS_WEIGHTS = np.pad(_PS_WEIGHTS, (0, -_PS_WEIGHTS.size % 4)).reshape(-1, 4)
 
 
 def _block_pass(
-    k0: np.ndarray,
-    controls: tuple[np.ndarray, np.ndarray],
+    ops: np.ndarray,
+    mu: complex,
     values: tuple[np.ndarray, np.ndarray],
     dt: float,
     phi0: np.ndarray,
@@ -145,13 +145,14 @@ def _block_pass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward/backward pass on one conserved block.
 
-    ``k0`` and ``controls`` are the block's drift generator and unit
-    controls, ``values`` the per-bin couplings, ``phi0`` and ``chi_end`` the
-    block's parts of the initial and the target state.  Returns the final
-    block state and the (2, M) array of <chi_k| dU_k/dg_jk |phi_k>, with
-    phi_k the state entering bin k and <chi_k| = <target| U_M-1 ... U_k+1.
+    ``ops`` is the block's unpadded slice of the :func:`model.block_generators`
+    stack, K0 - mu, V1 and V2, and ``mu`` its trace shift; ``values`` are the
+    per-bin couplings, ``phi0`` and ``chi_end`` the block's parts of the
+    initial and the target state.  Returns the final block state and the
+    (2, M) array of <chi_k| dU_k/dg_jk |phi_k>, with phi_k the state
+    entering bin k and <chi_k| = <target| U_M-1 ... U_k+1.
 
-    U_k = exp(-i dt mu) P(Y_k)^(2^s), mu = tr(K0)/d, Y_k = -i dt (K_k - mu) / 2^s
+    U_k = exp(-i dt mu) P(Y_k)^(2^s), Y_k = -i dt (K_k - mu) / 2^s
     and P the Taylor polynomial by Paterson-Stockmeyer: Y^1..Y^p, then
     H_i = H_i+1 Y^p + B_i over the chunks B_i = sum_j<p Y^j / (ip + j)!.  In
     reverse mode (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
@@ -159,9 +160,7 @@ def _block_pass(
     R -> R R as W <- R W + W R, then through the Horner steps and the powers,
     to one G_k with <chi_k| dU_k/dg_c |phi_k> = (-i dt / 2^s) tr(V_c G_k).
     """
-    m_bins, d = len(values[0]), k0.shape[0]
-    mu = np.trace(k0) / d
-    ops = np.stack([k0 - mu * np.eye(d), *controls])
+    m_bins, d = len(values[0]), ops.shape[1]
     y = (-1j * dt * np.array([np.ones(m_bins), *values]).T @ ops.reshape(3, -1)).reshape(m_bins, d, d)
     s = max(0, math.frexp(float(np.abs(y).sum(axis=1).max()) / _TAYLOR_THETA)[1])
     y *= 0.5**s  # now |Y|_1 < _TAYLOR_THETA
@@ -218,16 +217,13 @@ def objective_and_gradient(
     if target.shape != initial.shape:
         raise ValueError(f"dimension mismatch: target {target.shape} vs state {initial.shape}")
     values = (sched.values1, sched.values2)
-    k0, v1, v2 = generators(params, rwa)
+    shared = [b for b, idx in enumerate(conserved_blocks(params, rwa)) if initial[idx].any() and target[idx].any()]
+    blocks, mu, ops = block_generators(params, rwa, tuple(shared))
     final = np.zeros(params.dim, dtype=complex)
     terms = np.zeros((2, sched.bins), dtype=complex)
-    for block in conserved_blocks(params, rwa):
-        if not (np.any(initial[block]) and np.any(target[block])):
-            continue
-        sub = np.ix_(block, block)
-        final[block], block_terms = _block_pass(
-            k0[sub], (v1[sub], v2[sub]), values, sched.dt, initial[block], target[block]
-        )
+    for b, idx in enumerate(blocks):
+        n = idx.size
+        final[idx], block_terms = _block_pass(ops[:, b, :n, :n], mu[b], values, sched.dt, initial[idx], target[idx])
         terms += block_terms
     if not np.all(np.isfinite(final)):
         raise NumericError("propagation produced non-finite amplitudes")
@@ -274,6 +270,8 @@ def gradient_check(
     input 0.6|g1> + 0.8|e1> has weight in two conserved blocks under either
     model, so the check covers the gradient of each.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     initial = superposition_initial(0.6, 0.8, params)
     target = superposition_target(0.6, 0.8, params)
     results = []

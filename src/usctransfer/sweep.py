@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import PropagationOptions, Trajectory, propagate
 from .metrics import RunRecord
-from .model import ModelParams, superposition_initial, superposition_target
+from .model import ModelParams, _check_input_pair, superposition_initial, superposition_target
 from .pulses import (
     DEFAULT_TAU_RATIO,
     DEFAULT_WINDOW_CUTOFF,
@@ -55,7 +55,11 @@ PUBLISHED_REFERENCE_EFFICIENCY = 0.95
 
 @dataclass(frozen=True)
 class SweepFixed:
-    """Everything held constant across a sweep besides (t_inv, g0)."""
+    """Everything held constant across a sweep besides (t_inv, g0).
+
+    The delay ratio, the window cutoff and the input pair are checked here,
+    so a sweep with an invalid one fails before any row runs.
+    """
 
     params: ModelParams = ModelParams()
     tau_ratio: float = DEFAULT_TAU_RATIO
@@ -63,6 +67,13 @@ class SweepFixed:
     alpha: complex = 0.0
     beta: complex = 1.0
     options: PropagationOptions = PropagationOptions()
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.tau_ratio < np.inf:
+            raise ValueError(f"tau_ratio must be finite and non-negative, got {self.tau_ratio}")
+        if not 0 < self.cutoff < 1:
+            raise ValueError(f"cutoff must be in (0, 1), got {self.cutoff}")
+        _check_input_pair(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -101,13 +112,13 @@ def gaussian_row(
     trajectory) pair per ``g0``, in order; every record's ``wall_time`` is
     the row's wall time divided by the number of runs.
     """
-    if not t_inv > 0:
-        raise ValueError(f"t_inv must be positive, got {t_inv}")
+    if not 0 < t_inv < np.inf:
+        raise ValueError(f"t_inv must be finite and positive, got {t_inv}")
     g0s = [float(g0) for g0 in g0_values]
     if not g0s:
         raise ValueError("g0_values must be non-empty")
-    if negative := [g0 for g0 in g0s if g0 < 0]:
-        raise ValueError(f"peak coupling must be non-negative, got {negative[0]}")
+    if bad := [g0 for g0 in g0s if not 0 <= g0 < np.inf]:
+        raise ValueError(f"peak coupling must be finite and non-negative, got {bad[0]}")
     width = 1.0 / (fixed.params.omega_c * t_inv)
     unit = GaussianPair(g0=1.0, T=width, tau=fixed.tau_ratio * width)
     window = integration_window(unit, fixed.cutoff)

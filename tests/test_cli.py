@@ -399,6 +399,57 @@ class TestMalformedSchedule:
         assert problem in err
 
 
+# the numeric flags each subcommand checks where the value enters, and the
+# (flag, value) pairs of the table below that lie in the documented domain
+CHECKED_FLAGS = {
+    "simulate": ["--kappa", "--alpha", "--beta", "--g0", "--t-inv", "--tau-ratio", "--cutoff"],
+    "optimize": ["--kappa", "--alpha", "--beta", "--g0", "--t-inv", "--max-iters", "--bins"],
+    "sweep": ["--kappa", "--alpha", "--beta", "--tau-ratio", "--cutoff"],
+    "gradcheck": ["--kappa", "--bins"],
+}
+VALID = {("--kappa", "0"), ("--alpha", "0"), ("--beta", "-1"), ("--g0", "0"), ("--tau-ratio", "0")}
+INT_FLAGS = {"--max-iters", "--bins"}
+
+
+class TestInvalidValues:
+    @pytest.fixture(scope="class")
+    def cheap_args(self, tmp_path_factory):
+        grid = tmp_path_factory.mktemp("grid") / "grid.json"
+        grid.write_text(json.dumps({"t_inv_values": [0.2], "g0_values": [0.2]}))
+        return {
+            "simulate": ["simulate", "--t-inv", "0.2", "--g0", "0.2", "--nmax", "2"],
+            "optimize": ["optimize", "--t-inv", "0.2", "--g0", "0.2", "--nmax", "2", "--bins", "2",
+                         "--restarts", "1", "--max-iters", "2"],
+            "sweep": ["sweep", "--config", str(grid), "--nmax", "2"],
+            "gradcheck": ["gradcheck", "--bins", "2"],
+        }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    @pytest.mark.parametrize(
+        "command, flag", [(command, flag) for command, flags in CHECKED_FLAGS.items() for flag in flags]
+    )
+    def test_exits_one_with_a_message_or_zero_in_domain(self, command, flag, value, cheap_args, capsys):
+        from usctransfer.cli import main
+
+        # an uncaught exception (a traceback) fails the test before any assertion
+        try:
+            code = main([*cheap_args[command], f"{flag}={value}"])
+        except SystemExit as exc:  # argparse rejects a non-integer text of an integer flag
+            assert flag in INT_FLAGS and value in ("nan", "inf", "-inf")
+            code = exc.code
+        err = capsys.readouterr().err
+        if (flag, value) in VALID:
+            assert code == 0, err
+            return
+        assert code == 1
+        message = err.splitlines()[-1]
+        assert message.startswith("usctransfer")
+        if flag in INT_FLAGS and value in ("nan", "inf", "-inf"):
+            assert f"argument {flag}: invalid int value" in message
+        else:
+            assert err.count("\n") == 1, err
+
+
 class TestExitCodes:
     def test_numeric_failure_exits_two(self, monkeypatch, capsys):
         import usctransfer.cli as cli_mod

@@ -257,9 +257,9 @@ class TestPiecewisePropagation:
         sched = PiecewiseConstantSchedule(1.0, 0.5, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
         photon_peaks, seen = dynamics._photon_peaks, {}
 
-        def spy(times, states, params, rwa, amps, left, right):
+        def spy(times, states, params, rwa, blocks, amps, left, right):
             seen.update(left=left, right=right)
-            return photon_peaks(times, states, params, rwa, amps, left, right)
+            return photon_peaks(times, states, params, rwa, blocks, amps, left, right)
 
         monkeypatch.setattr(dynamics, "_photon_peaks", spy)
         psi0 = superposition_initial(0.6, 0.8, self.PARAMS)
@@ -280,7 +280,8 @@ class TestPiecewisePropagation:
         traj = replay(psi0, sched, self.PARAMS)
         bins = np.column_stack([sched.values1, sched.values2])
         assert not np.array_equal(np.column_stack(sched.values(traj.times[:-1])), bins)
-        peak = dynamics._photon_peaks(traj.times, traj.states[None], self.PARAMS, False, np.ones(1), bins, bins)
+        blocks = conserved_blocks(self.PARAMS, False)  # the input fills both parity blocks
+        peak = dynamics._photon_peaks(traj.times, traj.states[None], self.PARAMS, False, blocks, np.ones(1), bins, bins)
         assert traj.peak_mean_photon == float(peak[0])
 
 

@@ -20,6 +20,7 @@ from usctransfer import (
 from usctransfer.model import (
     annihilation,
     basis_labels,
+    block_generators,
     coupling_operator,
     creation,
     drift_hamiltonian,
@@ -106,6 +107,12 @@ class TestSuperpositions:
     def test_unnormalized_pair_rejected(self):
         with pytest.raises(ValueError):
             superposition_initial(1.0, 0.5, P1)
+
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 1.0), (0.0, complex(1.0, np.nan)), (np.inf, 0.0)])
+    def test_non_finite_pair_rejected(self, alpha, beta):
+        for build in (superposition_initial, superposition_target):
+            with pytest.raises(ValueError, match="is not 1"):
+                build(alpha, beta, P1)
 
 
 class TestLadderOperators:
@@ -293,10 +300,70 @@ class TestConservedQuantities:
             np.testing.assert_allclose(v, v.conj().T, atol=1e-15)
 
 
+def layout_oracle(params, rwa, numbers):
+    """Indices, mu and unpadded (K0 - mu, V1, V2) of each block, from the excitation operator.
+
+    The sectors are the parity classes of the excitation number under the
+    Rabi model and its eigenspaces under RWA; the operators are cut from the
+    model's drift, number and coupling operators, not from ``generators``.
+    """
+    n_exc = np.rint(excitation_operator(params).diagonal().real).astype(int)
+    sector = n_exc if rwa else n_exc % 2
+    k0 = drift_hamiltonian(params) - 0.5j * params.kappa * number_operator(params)
+    v1, v2 = (coupling_operator(i, params, rwa=rwa) for i in (1, 2))
+    for q in numbers:
+        idx = np.flatnonzero(sector == q)
+        cut = np.ix_(idx, idx)
+        mu = np.trace(k0[cut]) / idx.size
+        yield idx, mu, np.stack([k0[cut] - mu * np.eye(idx.size), v1[cut], v2[cut]])
+
+
+class TestBlockGenerators:
+    PARAMS = ModelParams(kappa=0.3, n_max=3)
+
+    @pytest.mark.parametrize(
+        "rwa, numbers, sizes",
+        [
+            pytest.param(False, (0, 1), [8, 8], id="rabi-both"),
+            pytest.param(False, (1,), [8], id="rabi-odd"),
+            pytest.param(True, (0, 1, 2), [1, 3, 4], id="rwa-1-3-4"),
+            pytest.param(True, (2, 4, 5), [4, 3, 1], id="rwa-4-3-1"),
+        ],
+    )
+    def test_matches_excitation_sector_oracle(self, rwa, numbers, sizes):
+        blocks, mu, ops = block_generators(self.PARAMS, rwa, numbers)
+        d = max(sizes)
+        assert [idx.size for idx in blocks] == sizes
+        assert mu.shape == (len(numbers),) and ops.shape == (3, len(numbers), d, d)
+        for b, (idx, mu_b, expected) in enumerate(layout_oracle(self.PARAMS, rwa, numbers)):
+            n = idx.size
+            np.testing.assert_array_equal(blocks[b], idx)
+            np.testing.assert_allclose(mu[b], mu_b, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(ops[:, b, :n, :n], expected, rtol=0, atol=1e-15)
+            assert not np.any(ops[:, b, n:, :]) and not np.any(ops[:, b, :, n:])
+
+    def test_no_blocks(self):
+        blocks, mu, ops = block_generators(self.PARAMS, False, ())
+        assert blocks == () and mu.shape == (0,) and ops.shape == (3, 0, 0, 0)
+
+    def test_cached_and_read_only(self):
+        layout = block_generators(self.PARAMS, True, (0, 1, 2))
+        assert layout is block_generators(self.PARAMS, True, (0, 1, 2))
+        blocks, mu, ops = layout
+        for array in (*blocks, mu, ops):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
 class TestParamValidation:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(kappa=-0.1)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            ModelParams(kappa=kappa)
 
     def test_zero_cutoff_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from usctransfer import (
     PiecewiseConstantSchedule,
     PropagationOptions,
     basis_state,
-    conserved_blocks,
     finite_difference_gradient,
     gradient_check,
     objective,
@@ -22,7 +21,7 @@ from usctransfer import (
     superposition_initial,
     superposition_target,
 )
-from usctransfer.model import coupling_operator, drift_hamiltonian, number_operator
+from usctransfer.model import block_generators, coupling_operator, drift_hamiltonian, number_operator
 
 PARAMS = ModelParams(kappa=0.005, n_max=2)
 INITIAL = superposition_initial(0.0, 1.0, PARAMS)
@@ -186,6 +185,13 @@ class TestGradient:
         np.testing.assert_allclose(f, 1.0, atol=1e-12)
         np.testing.assert_allclose(grad[0], 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
+    def test_no_shared_block_gives_exact_zeros(self, rwa):
+        # the odd-parity input and the vacuum target share no conserved block
+        vacuum = basis_state(0, 0, 0, PARAMS)
+        f, grad = objective_and_gradient(random_schedule(9), PARAMS, INITIAL, vacuum, rwa=rwa)
+        assert f == 0.0 and grad.shape == (10,) and not np.any(grad)
+
     def test_mismatched_target_rejected(self):
         with pytest.raises(ValueError):
             objective_and_gradient(random_schedule(9), PARAMS, INITIAL, TARGET[:-4])
@@ -268,7 +274,11 @@ class TestGradientOracle:
     def test_gradient_check_catches_a_dropped_parity_block(self, monkeypatch):
         # the health check's input fills both blocks, so an even-block
         # gradient that goes missing shows up against finite differences
-        monkeypatch.setattr(qoc_mod, "conserved_blocks", lambda params, rwa: conserved_blocks(params, rwa)[1:])
+        def without_even(params, rwa, numbers):
+            assert not rwa and numbers == (0, 1)
+            return block_generators(params, rwa, numbers[1:])
+
+        monkeypatch.setattr(qoc_mod, "block_generators", without_even)
         results = gradient_check(PARAMS, seeds=(3,))
         assert all(rel > 1e-3 for _, rel in results)
 
@@ -276,12 +286,11 @@ class TestGradientOracle:
     def test_gradient_check_catches_a_dropped_excitation_block(self, dropped, monkeypatch):
         # under RWA the check's input fills the 1-dim vacuum block and the
         # 3-dim single-excitation block; losing either one shows up
-        def without(params, rwa):
-            blocks = conserved_blocks(params, rwa)
-            assert rwa and len(blocks) == PARAMS.n_max + 3
-            return blocks[:dropped] + blocks[dropped + 1 :]
+        def without(params, rwa, numbers):
+            assert rwa and numbers == (0, 1)
+            return block_generators(params, rwa, numbers[:dropped] + numbers[dropped + 1 :])
 
-        monkeypatch.setattr(qoc_mod, "conserved_blocks", without)
+        monkeypatch.setattr(qoc_mod, "block_generators", without)
         results = gradient_check(PARAMS, seeds=(3,), rwa=True)
         assert all(rel > 1e-3 for _, rel in results)
 
@@ -418,6 +427,27 @@ class TestOptimize:
             OptimizationConfig(duration=-1.0, bounds=(0.0, 0.3))
         with pytest.raises(ValueError):
             OptimizationConfig(duration=1.0, bounds=(0.3, 0.0))
+
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"duration": float("inf")}, "duration must be finite"),
+            ({"bounds": (0.0, float("nan"))}, "bounds must be finite"),
+            ({"bounds": (float("nan"), 0.3)}, "bounds must be finite"),
+            ({"bounds": (0.0, float("inf"))}, "bounds must be finite"),
+            ({"bounds": (float("-inf"), 0.3)}, "bounds must be finite"),
+            ({"max_iters": 0}, "max_iters must be at least 1"),
+        ],
+        ids=["inf-duration", "nan-upper", "nan-lower", "inf-upper", "inf-lower", "no-iterations"],
+    )
+    def test_non_finite_or_empty_config_rejected(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            OptimizationConfig(**{"duration": 1.0, "bounds": (0.0, 0.3), **setting})
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_gradient_check_needs_a_bin(self, bins):
+        with pytest.raises(ValueError, match="bins must be at least 1"):
+            gradient_check(PARAMS, seeds=(0,), bins=bins)
 
 
 class TestRefinement:

@@ -107,9 +107,14 @@ class TestRunSweep:
         parallel = sweep_csv(run_sweep(grid, jobs=2))
         assert sequential == parallel
 
-    def test_point_failure_recorded_in_row(self):
-        # a negative delay ratio makes the pulse pair unbuildable for every point
-        grid = SweepGrid([0.1], [0.2, 0.3], fixed=fast_fixed(tau_ratio=-1.0))
+    def test_point_failure_recorded_in_row(self, monkeypatch):
+        # invalid settings are rejected before any row runs, so the stepper
+        # is made to raise: the row's one call fails for every point
+        def fail(*args, **kwargs):
+            raise ValueError("stepper failed")
+
+        monkeypatch.setattr(sweep, "propagate", fail)
+        grid = SweepGrid([0.1], [0.2, 0.3], fixed=fast_fixed())
         records = run_sweep(grid)
         assert len(records) == 2
         for rec in records:
@@ -208,6 +213,33 @@ class TestGridValidation:
         axes[axis] = [0.2, bad][-size:]
         with pytest.raises(ValueError, match=f"{axis} must be finite"):
             SweepGrid(**axes)
+
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"tau_ratio": -1.0}, "tau_ratio must be finite"),
+            ({"tau_ratio": math.nan}, "tau_ratio must be finite"),
+            ({"tau_ratio": math.inf}, "tau_ratio must be finite"),
+            ({"cutoff": 0.0}, "cutoff must be in"),
+            ({"cutoff": math.nan}, "cutoff must be in"),
+            ({"alpha": math.nan}, "is not 1"),
+            ({"beta": 0.0}, "is not 1"),
+        ],
+        ids=["negative-delay", "nan-delay", "inf-delay", "zero-cutoff", "nan-cutoff", "nan-alpha", "unnormalized"],
+    )
+    def test_invalid_fixed_setting(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            fast_fixed(**setting)
+
+    @pytest.mark.parametrize("g0", [math.nan, math.inf, -1.0])
+    def test_invalid_peak_coupling_in_a_row(self, g0):
+        with pytest.raises(ValueError, match="peak coupling must be finite and non-negative"):
+            gaussian_row(0.1, [0.2, g0], fast_fixed())
+
+    @pytest.mark.parametrize("t_inv", [math.nan, math.inf, 0.0])
+    def test_invalid_inverse_speed_in_a_row(self, t_inv):
+        with pytest.raises(ValueError, match="t_inv must be finite and positive"):
+            gaussian_row(t_inv, [0.2], fast_fixed())
 
     def test_default_grid_shape(self):
         grid = default_grid()
