@@ -27,10 +27,10 @@ exponential costs one batched product per Taylor term for all of them and
 for both blocks.  A single-state call is the G = 1 case with a_1 = 1.
 
 Every step is a sample.  The peak photon number of a trajectory is computed
-once, after propagation, by :func:`_photon_peaks`: between samples <n>(t)
-is the cubic Hermite interpolant of the sampled values and their exact
-slopes d<n>/dt = 2 Re <psi|N(-iK)psi>, so the peak does not move with the
-step the way a maximum over samples does.
+once, after propagation and on the block states, by :func:`_photon_peaks`:
+between samples <n>(t) is the cubic Hermite interpolant of the sampled
+values and their exact slopes d<n>/dt = 2 Re <psi|N(-iK)psi>, so the peak
+does not move with the step the way a maximum over samples does.
 
 Each exponential is applied directly to the amplitude vectors, never
 formed as a propagator; its substep count and Taylor degree follow from a
@@ -44,8 +44,9 @@ stepper plans the substeps and the degree of every exponential in one
 vectorised pass (:func:`_taylor_plan`).  It then builds the generators of a
 chunk of steps with one matrix product into a reused buffer, and :func:`_taylor_chunk`
 applies each exponential as a stack of powers X^j psi, one product per
-power, summed with the 1/j! weights in one contraction.  The states of a
-chunk go to the samples at once, with the trace phase restored.
+power, summed with the 1/j! weights in one contraction.  Each step's states
+go straight into the block states that :func:`_cf4_steps` returns, which
+:func:`propagate` scatters into the full space once, after the peak.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, block_generators, conserved_blocks, generators, number_operator
+from .model import ModelParams, basis_labels, block_generators, conserved_blocks
 
 __all__ = [
     "IntegrationError",
@@ -88,15 +89,16 @@ class PropagationOptions:
     Gauss nodes, on the occupied conserved blocks with their trace shifted
     out) and stores every step, so the default trajectory is sampled every
     0.1; at that step every transfer efficiency of the default 10 x 10 map
-    is within 1e-10 of a dt = 0.0125 run.  The model is not a stepper
-    setting: every propagator takes it as its ``rwa`` keyword.
+    is within 1e-10 of a dt = 0.0125 run.  ``dt`` must be finite and
+    positive.  The model is not a stepper setting: every propagator takes it
+    as its ``rwa`` keyword.
     """
 
     dt: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -173,48 +175,40 @@ def _taylor_chunk(product, gens, substeps, degrees, stacks, cur, states) -> int:
     return cur
 
 
-def _photon_peaks(
-    times: np.ndarray,
-    states: np.ndarray,
-    params: ModelParams,
-    rwa: bool,
-    blocks: tuple[np.ndarray, ...],
-    amps: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> np.ndarray:
+def _photon_peaks(times, states, params, layout, amps, left, right) -> np.ndarray:
     """Peak photon number of each of G sampled trajectories, independent of the sampling.
 
-    ``states`` has shape (G, S, dim), and trajectory p evolved under
-    K0 + amps[p] (g1 V1 + g2 V2).  ``left[k]`` and ``right[k]`` are the
-    couplings (g1, g2) in force at the start and at the end of the interval
-    from ``times[k]`` to ``times[k + 1]``; they differ from the neighbouring
-    interval's where the schedule jumps.  On each interval <n>(t) is the
-    cubic Hermite interpolant of the sampled <n> and its exact slope
-    d<n>/dt = 2 Re <psi|N(-iK)psi>, and the peak is the largest value of
-    these cubics.  K0 is diagonal and V1, V2 are real, so with
-    psi = r + i s the slope is 2 sum_j |psi_j|^2 n_j Im K0_jj plus
-    2 a g r^T [N, V] s for each control; it is evaluated on the occupied
-    conserved ``blocks``, the flat indices of :func:`model.block_generators`.
+    ``states`` holds the block states of :func:`_cf4_steps`, shape
+    (G, S, blocks, d) on the blocks of the :func:`model.block_generators`
+    ``layout``, and trajectory p evolved under K0 + amps[p] (g1 V1 + g2 V2).
+    ``left[k]`` and ``right[k]`` are the couplings (g1, g2) in force at the
+    start and at the end of the interval from ``times[k]`` to ``times[k + 1]``;
+    they differ from the neighbouring interval's where the schedule jumps.
+    On each interval <n>(t) is the cubic Hermite interpolant of the sampled
+    <n> and its exact slope d<n>/dt = 2 Re <psi|N(-iK)psi>, and the peak is
+    the largest value of these cubics.  K0 is diagonal and V1, V2 are real,
+    so with psi = r + i s the slope is 2 sum_j |psi_j|^2 n_j Im K0_jj plus
+    2 a g r^T [N, V] s for each control, summed over the padded block
+    entries with n_j = 0 on the padding.
     """
-    k0, v1, v2 = generators(params, rwa)
-    occupied = np.concatenate(blocks)
-    n_occ = number_operator(params).diagonal().real[occupied]
-    decay = 2.0 * n_occ * k0.diagonal()[occupied].imag
+    blocks, _, (_, v1, v2) = layout
+    n = np.zeros(v1.shape[:2])
+    for b, idx in enumerate(blocks):
+        n[b, : idx.size] = basis_labels(params)[0][idx]
+    decay = -params.kappa * n * n  # 2 n_j Im K0_jj, with Im K0_jj = -kappa n_j / 2
     # [N, V]_jk = (n_j - n_k) V_jk is nonzero only where V changes the photon number
-    comm = np.stack([(n_occ[:, None] - n_occ) * v[np.ix_(occupied, occupied)].real for v in (v1, v2)])
-    rows, cols = np.nonzero(comm.any(axis=0))
-    weights = 2.0 * comm[:, rows, cols]
+    comm = np.stack([(n[:, :, None] - n[:, None, :]) * v.real for v in (v1, v2)])
+    on, rows, cols = np.nonzero(comm.any(axis=0))
+    weights = 2.0 * comm[:, on, rows, cols]
     mean_n, drift = np.zeros(states.shape[:2]), np.zeros(states.shape[:2])
     coupled = np.zeros((2, *states.shape[:2]))  # 2 r^T [N, V] s for V1 and V2
-    # one trajectory at a time, sample axis last, keeps the temporaries small
-    # and the products free of threaded BLAS calls
+    # one trajectory at a time keeps the temporaries small and the products
+    # free of threaded BLAS calls
     for p, traj in enumerate(states):
-        block = traj.T[occupied]
-        pop = block.real**2 + block.imag**2
-        mean_n[p] = np.einsum("j,jk->k", n_occ, pop)
-        drift[p] = np.einsum("j,jk->k", decay, pop)
-        coupled[:, p] = np.einsum("ce,ek->ck", weights, block.real[rows] * block.imag[cols])
+        pop = traj.real**2 + traj.imag**2
+        mean_n[p] = np.einsum("bj,kbj->k", n, pop)
+        drift[p] = np.einsum("bj,kbj->k", decay, pop)
+        coupled[:, p] = np.einsum("ce,ke->ck", weights, traj.real[:, on, rows] * traj.imag[:, on, cols])
 
     a = amps[:, None]
     h = np.diff(times)
@@ -235,11 +229,13 @@ def _photon_peaks(
 
 
 def _cf4_steps(state0, nodes, times, h, layout, amps) -> np.ndarray:
-    """The states at ``times``, steps of length h apart, shape (G, steps + 1, dim).
+    """The block states at ``times``, steps of length h apart, shape (G, steps + 1, blocks, d).
 
     State p evolves under K0 + amps[p] (g1 V1 + g2 V2) from ``state0`` on the
     blocks of ``layout``, with the couplings (g1, g2) at Gauss node i of step
-    k in ``nodes[k, i]``; the plan, chunks and stacks live only while stepping.
+    k in ``nodes[k, i]``.  Entry [p, k, b] is block b of state p after step
+    k, phase restored and zero-padded; the plan, chunks and stacks live only
+    while stepping.
     """
     (a1, a2), n_steps, g = _CF4_A, times.size - 1, amps.size
     # exponential f = 2 i + e of step i weighs the nodes by weights[e]; the
@@ -267,29 +263,28 @@ def _cf4_steps(state0, nodes, times, h, layout, amps) -> np.ndarray:
     rows = max(1, _CHUNK_BYTES // ops[0].nbytes)  # generator rows per product
     chunk = max(1, rows // (2 * g))  # in steps
     coef = np.empty((2 * chunk * g, 3), dtype=complex)
-    gens = np.empty((2 * chunk, g * nb, d, d), dtype=complex)
+    gens = np.empty((2 * chunk, g, nb, d, d), dtype=complex)
     flat_gens = gens.reshape(coef.shape[0], -1)
-    # two power stacks, each holding rows 0..top for every (amplitude p,
-    # block b) pair in row p nb + b; the products are batched over the pairs
-    # and stay small, one per pair, whatever the number of amplitudes
-    top = int(degrees.max())
-    stacks = np.zeros((2, g * nb, top + 1, d), dtype=complex)
+    samples = np.zeros((g, n_steps + 1, nb, d), dtype=complex)
     for b, idx in enumerate(blocks):
-        stacks[0, b::nb, 0, : idx.size] = state0[idx]
+        samples[:, 0, b, : idx.size] = state0[idx]
+    # two power stacks, each holding rows 0..top for every (amplitude p,
+    # block b) pair; the products are batched over the pairs and stay small,
+    # one per pair, whatever the number of amplitudes
+    top = int(degrees.max())
+    stacks = np.zeros((2, g, nb, top + 1, d), dtype=complex)
+    stacks[0, :, :, 0] = samples[:, 0]
     if g * nb == 1:  # one matrix: np.dot skips the per-call cost of the batched np.matmul
-        product, mats, views = np.dot, gens[:, 0], stacks[:, 0]
+        product, mats, views = np.dot, gens[:, 0, 0], stacks[:, 0, 0]
         powers = [list(view) for view in views]
     else:
         product, mats, views = np.matmul, gens, stacks
-        powers = [list(view.transpose(1, 0, 2)[..., None]) for view in views]
+        powers = [list(np.moveaxis(view, 2, 0)[..., None]) for view in views]
     coefs = np.array([[1.0 / math.factorial(j) for j in range(top + 1)]], dtype=complex)
     sums = [[(coefs[:, : m + 1], view[..., : m + 1, :]) for m in range(top + 1)] for view in views]
     heads = [view[..., :1, :] for view in views]
     # the trace shift comes back as the phase exp(-i h mu)^k of each block after step k
-    phases = np.cumprod(np.tile(np.exp(-1j * h * mu), (n_steps, 1)), axis=0)[:, None, :, None]
-    stepped = np.empty((chunk, g, nb, d), dtype=complex)  # the states after a chunk's steps
-    samples = np.zeros((g, n_steps + 1, state0.size), dtype=complex)
-    samples[:, 0] = state0
+    phases = np.cumprod(np.tile(np.exp(-1j * h * mu), (n_steps, 1)), axis=0)[:, :, None]
     substeps, degrees = substeps.tolist(), degrees.tolist()
     cur = 0
     for lo in range(0, n_steps, chunk):
@@ -302,14 +297,11 @@ def _cf4_steps(state0, nodes, times, h, layout, amps) -> np.ndarray:
         for r in range(0, n * g, rows):
             end = min(r + rows, n * g)
             np.matmul(coef[r:end], ops, out=flat_gens[r:end])
-        cur = _taylor_chunk(
-            product, mats[:n], substeps[f], degrees[f], (powers, sums, heads), cur,
-            stepped.reshape(chunk, *heads[0].shape),
-        )
-        done = stepped[: hi - lo]
+        done = samples[:, lo + 1 : hi + 1]
+        # step k's states, shaped as the stack heads: a view, so the kernel writes them in place
+        states = done[:, :, :, None].swapaxes(0, 1).reshape(hi - lo, *heads[0].shape)
+        cur = _taylor_chunk(product, mats[:n], substeps[f], degrees[f], (powers, sums, heads), cur, states)
         done *= phases[lo:hi]
-        for b, idx in enumerate(blocks):
-            samples[:, lo + 1 : hi + 1, idx] = done[:, :, b, : idx.size].transpose(1, 0, 2)
     return samples
 
 
@@ -397,10 +389,13 @@ def propagate(
         raise IntegrationError(f"schedule produced non-finite couplings in the step from t={float(times[bad.argmax()])}")
     occupied = tuple(b for b, idx in enumerate(conserved_blocks(params, rwa)) if state0[idx].any())
     layout = block_generators(params, rwa, occupied)
-    samples = _cf4_steps(state0, couplings[:, 1:3], times, h, layout, amps)
-    if not np.all(np.isfinite(samples[:, -1])):
+    block_states = _cf4_steps(state0, couplings[:, 1:3], times, h, layout, amps)
+    if not np.all(np.isfinite(block_states[:, -1])):
         raise IntegrationError("state became non-finite during propagation")
-    peaks = _photon_peaks(times, samples, params, rwa, layout[0], amps, couplings[:, 0], couplings[:, 3])
+    peaks = _photon_peaks(times, block_states, params, layout, amps, couplings[:, 0], couplings[:, 3])
+    samples = np.zeros((amps.size, times.size, params.dim), dtype=complex)
+    for b, idx in enumerate(layout[0]):
+        samples[..., idx] = block_states[..., b, : idx.size]
     trajs = [Trajectory(times, states, states[-1], float(peak)) for states, peak in zip(samples, peaks)]
     return trajs[0] if amplitudes is None else trajs
 

@@ -93,7 +93,7 @@ class OptimizationConfig:
 
     def __post_init__(self) -> None:
         if self.bins < 1:
-            raise ValueError("need at least one bin")
+            raise ValueError(f"bins must be at least 1, got {self.bins}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be finite and positive, got {self.duration}")
         lo, hi = self.bounds
@@ -102,7 +102,9 @@ class OptimizationConfig:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -272,6 +274,8 @@ def gradient_check(
     """
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
+    if min(seeds, default=0) < 0:
+        raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
     initial = superposition_initial(0.6, 0.8, params)
     target = superposition_target(0.6, 0.8, params)
     results = []

@@ -118,7 +118,7 @@ def gaussian_row(
     if not g0s:
         raise ValueError("g0_values must be non-empty")
     if bad := [g0 for g0 in g0s if not 0 <= g0 < np.inf]:
-        raise ValueError(f"peak coupling must be finite and non-negative, got {bad[0]}")
+        raise ValueError(f"peak coupling must be finite and non-negative, got g0 = {bad[0]}")
     width = 1.0 / (fixed.params.omega_c * t_inv)
     unit = GaussianPair(g0=1.0, T=width, tau=fixed.tau_ratio * width)
     window = integration_window(unit, fixed.cutoff)

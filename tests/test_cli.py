@@ -402,13 +402,14 @@ class TestMalformedSchedule:
 # the numeric flags each subcommand checks where the value enters, and the
 # (flag, value) pairs of the table below that lie in the documented domain
 CHECKED_FLAGS = {
-    "simulate": ["--kappa", "--alpha", "--beta", "--g0", "--t-inv", "--tau-ratio", "--cutoff"],
-    "optimize": ["--kappa", "--alpha", "--beta", "--g0", "--t-inv", "--max-iters", "--bins"],
-    "sweep": ["--kappa", "--alpha", "--beta", "--tau-ratio", "--cutoff"],
-    "gradcheck": ["--kappa", "--bins"],
+    "simulate": ["--kappa", "--alpha", "--beta", "--g0", "--t-inv", "--tau-ratio", "--cutoff", "--dt", "--nmax"],
+    "optimize": ["--kappa", "--alpha", "--beta", "--g0", "--t-inv", "--max-iters", "--bins", "--nmax", "--restarts",
+                 "--seed"],
+    "sweep": ["--kappa", "--alpha", "--beta", "--tau-ratio", "--cutoff", "--dt", "--nmax", "--jobs"],
+    "gradcheck": ["--kappa", "--bins", "--nmax", "--tolerance", "--seed"],
 }
-VALID = {("--kappa", "0"), ("--alpha", "0"), ("--beta", "-1"), ("--g0", "0"), ("--tau-ratio", "0")}
-INT_FLAGS = {"--max-iters", "--bins"}
+VALID = {("--kappa", "0"), ("--alpha", "0"), ("--beta", "-1"), ("--g0", "0"), ("--tau-ratio", "0"), ("--seed", "0")}
+INT_FLAGS = {"--max-iters", "--bins", "--nmax", "--restarts", "--seed", "--jobs"}
 
 
 class TestInvalidValues:
@@ -448,6 +449,17 @@ class TestInvalidValues:
             assert f"argument {flag}: invalid int value" in message
         else:
             assert err.count("\n") == 1, err
+            assert ("n_max" if flag == "--nmax" else flag[2:].replace("-", "_")) in message
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_step_above_the_calibrated_default_warns(self, command, cheap_args, capsys):
+        from usctransfer.cli import main
+
+        assert main([*cheap_args[command], "--dt", "0.1"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*cheap_args[command], "--dt", "0.2"]) == 0
+        out, err = capsys.readouterr()
+        assert out and err.count("\n") == 1 and err.startswith("usctransfer: warning: --dt 0.2 ")
 
 
 class TestExitCodes:

@@ -27,7 +27,7 @@ from usctransfer import (
     superposition_target,
 )
 from usctransfer import dynamics
-from usctransfer.model import coupling_operator
+from usctransfer.model import block_generators, coupling_operator
 
 from conftest import dense_generator, replay
 
@@ -257,9 +257,9 @@ class TestPiecewisePropagation:
         sched = PiecewiseConstantSchedule(1.0, 0.5, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
         photon_peaks, seen = dynamics._photon_peaks, {}
 
-        def spy(times, states, params, rwa, blocks, amps, left, right):
+        def spy(times, states, params, layout, amps, left, right):
             seen.update(left=left, right=right)
-            return photon_peaks(times, states, params, rwa, blocks, amps, left, right)
+            return photon_peaks(times, states, params, layout, amps, left, right)
 
         monkeypatch.setattr(dynamics, "_photon_peaks", spy)
         psi0 = superposition_initial(0.6, 0.8, self.PARAMS)
@@ -280,8 +280,9 @@ class TestPiecewisePropagation:
         traj = replay(psi0, sched, self.PARAMS)
         bins = np.column_stack([sched.values1, sched.values2])
         assert not np.array_equal(np.column_stack(sched.values(traj.times[:-1])), bins)
-        blocks = conserved_blocks(self.PARAMS, False)  # the input fills both parity blocks
-        peak = dynamics._photon_peaks(traj.times, traj.states[None], self.PARAMS, False, blocks, np.ones(1), bins, bins)
+        layout = block_generators(self.PARAMS, False, (0, 1))  # the input fills both parity blocks
+        states = np.stack([traj.states[:, idx] for idx in layout[0]], axis=1)  # both blocks are 18-dim
+        peak = dynamics._photon_peaks(traj.times, states[None], self.PARAMS, layout, np.ones(1), bins, bins)
         assert traj.peak_mean_photon == float(peak[0])
 
 
@@ -500,20 +501,23 @@ class TestPhotonPeak:
         assert errors[2] <= 1e-7
 
     @pytest.mark.parametrize(
-        "alpha, beta, seed",
+        "alpha, beta, seed, rwa",
         [
-            pytest.param(0.0, 1.0, 0, id="in-bin-odd-block"),
-            pytest.param(0.6, 0.8, 0, id="in-bin-both-blocks"),
-            pytest.param(0.0, 1.0, 1, id="at-edge-odd-block"),
-            pytest.param(0.6, 0.8, 3, id="at-edge-both-blocks"),
+            pytest.param(0.0, 1.0, 0, False, id="in-bin-odd-block"),
+            pytest.param(0.6, 0.8, 0, False, id="in-bin-both-blocks"),
+            pytest.param(0.0, 1.0, 1, False, id="at-edge-odd-block"),
+            pytest.param(0.6, 0.8, 3, False, id="at-edge-both-blocks"),
+            pytest.param(0.6, 0.8, 7, True, id="in-bin-rwa-padded-blocks"),
         ],
     )
-    def test_piecewise_peak_beats_bin_edge_max(self, alpha, beta, seed):
+    def test_piecewise_peak_beats_bin_edge_max(self, alpha, beta, seed, rwa):
         # oracle: each bin stepped densely with scipy expm of the dense
         # generator, <n> read after every substep.  With seed 0 the photon
         # peak falls inside a bin, where the bin-edge samples miss it; with
         # the other seeds it sits on a bin edge where d<n>/dt jumps, which
-        # only slopes taken from each bin's own couplings reproduce
+        # only slopes taken from each bin's own couplings reproduce.  Under
+        # RWA the input fills the 1- and 3-dim excitation blocks, the one
+        # layout with a padded block; with seed 7 its peak falls inside a bin
         params = ModelParams(kappa=0.005, n_max=6)
         rng = np.random.default_rng(seed)
         m, substeps = 20, 200
@@ -521,12 +525,12 @@ class TestPhotonPeak:
             0.0, 1.25, rng.uniform(0, 0.3, m), rng.uniform(0, 0.3, m)
         )
         psi = superposition_initial(alpha, beta, params)
-        traj = replay(psi, sched, params)
+        traj = replay(psi, sched, params, rwa)
         n_values = np.repeat(np.arange(params.n_max + 1), 4)
         dense_peak = 0.0
         for k in range(m):
             step = scipy.linalg.expm(
-                -1j * sched.dt / substeps * dense_generator(params, sched.values1[k], sched.values2[k])
+                -1j * sched.dt / substeps * dense_generator(params, sched.values1[k], sched.values2[k], rwa)
             )
             for _ in range(substeps):
                 psi = step @ psi
