@@ -11,6 +11,10 @@ dU_k/dg is the reverse-mode derivative of that same evaluation (Al-Mohy &
 Higham, SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).  Neither needs an
 eigenbasis, which K, being non-Hermitian, lacks at its exceptional points.
 All adjoint quantities are plain operator products, never inverses of U.
+The pass writes its batched matrices into a workspace that each thread keeps
+per (bins, block size), at most four of them, so the optimizer's repeated
+evaluations of one shape allocate no large arrays: fresh ones, above glibc's
+mmap threshold, cost more in page faults than the products cost to compute.
 
 The optimization has one recipe: the first start is a counterintuitive
 Gaussian pair sampled onto the bins, the others are seeded random values,
@@ -36,6 +40,7 @@ about doubling the CPU time for the same wall time.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -137,6 +142,52 @@ _PS_WEIGHTS = 1.0 / np.array([math.factorial(j) for j in range(int(_taylor_plan(
 _PS_WEIGHTS = np.pad(_PS_WEIGHTS, (0, -_PS_WEIGHTS.size % 4)).reshape(-1, 4)
 
 
+class _Workspace:
+    """The batched (bins, d, d) buffers of :func:`_block_pass` for one (bins, block size).
+
+    Slots of Y^0..Y^p, of the Horner sums H_i, of their adjoints, the chunk
+    adjoints, and the squarings R^(2^1)..R^(2^s), which grow to the largest
+    ``s`` asked for.  Every other product of the pass lands in a slot that is
+    dead at that time.
+    """
+
+    def __init__(self, m_bins: int, d: int) -> None:
+        n, p = _PS_WEIGHTS.shape
+        self.powers = np.empty((p + 1, m_bins, d, d), dtype=complex)
+        self.powers[0] = np.eye(d)  # never written again
+        self.horner = np.empty((n, m_bins, d, d), dtype=complex)
+        self.chunks = np.empty_like(self.horner)
+        self.adjoint = np.empty_like(self.powers)
+        self._squares = self.horner[:0]
+
+    def squares(self, s: int) -> np.ndarray:
+        if s > len(self._squares):
+            self._squares = np.empty((s, *self.horner.shape[1:]), dtype=complex)
+        return self._squares[:s]
+
+
+_WORKSPACES_HELD = 4  # per thread
+_local = threading.local()
+
+
+def _workspace(m_bins: int, d: int) -> _Workspace:
+    """This thread's workspace for (bins, block size); past the bound, the least recently used one goes."""
+    held = _local.__dict__.setdefault("workspaces", {})  # the most recently used last
+    ws = held.pop((m_bins, d), None) or _Workspace(m_bins, d)
+    held[m_bins, d] = ws
+    if len(held) > _WORKSPACES_HELD:
+        del held[next(iter(held))]
+    return ws
+
+
+def _sum_of_products(lefts: np.ndarray, rights: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out`` = sum_i lefts[i] @ rights[i], added in index order as ``(lefts @ rights).sum(axis=0)`` adds."""
+    np.matmul(lefts[0], rights[0], out=out)
+    for left, right in zip(lefts[1:], rights[1:]):
+        np.matmul(left, right, out=tmp)
+        out += tmp
+
+
 def _block_pass(
     ops: np.ndarray,
     mu: complex,
@@ -161,25 +212,38 @@ def _block_pass(
     (2009)), W_k = exp(-i dt mu) phi_k <chi_k| goes back through each squaring
     R -> R R as W <- R W + W R, then through the Horner steps and the powers,
     to one G_k with <chi_k| dU_k/dg_c |phi_k> = (-i dt / 2^s) tr(V_c G_k).
+
+    The batched matrices live in this thread's :class:`_Workspace` for
+    (bins, block size), one of at most four per thread, whose squaring slots
+    grow to the largest ``s`` seen: about 2.4 MB at 20 bins of 18 dims.  As
+    fresh arrays, they would sit above glibc's mmap threshold, and faulting
+    in their zeroed pages on every call cost more than the products.  The
+    products and sums are those of the plain expressions, in the same order,
+    so the results are bit-identical to them; only the per-bin states and
+    the returned arrays are allocated per call.
     """
     m_bins, d = len(values[0]), ops.shape[1]
-    y = (-1j * dt * np.array([np.ones(m_bins), *values]).T @ ops.reshape(3, -1)).reshape(m_bins, d, d)
-    s = max(0, math.frexp(float(np.abs(y).sum(axis=1).max()) / _TAYLOR_THETA)[1])
-    y *= 0.5**s  # now |Y|_1 < _TAYLOR_THETA
+    ws = _workspace(m_bins, d)
     c, (n, p) = _PS_WEIGHTS, _PS_WEIGHTS.shape  # n chunks of p powers
-    powers = np.empty((p + 1, m_bins, d, d), dtype=complex)  # Y^0..Y^p
-    powers[0], powers[1] = np.eye(d), y
+    powers, horner, chunks, adjoint = ws.powers, ws.horner, ws.chunks, ws.adjoint  # powers: Y^0..Y^p
+    tmp = adjoint[0]  # Y^0 = I needs no adjoint, so its slot is scratch throughout
+    y = powers[1]
+    np.matmul(-1j * dt * np.array([np.ones(m_bins), *values]).T, ops.reshape(3, -1), out=y.reshape(m_bins, -1))
+    abs_y = np.abs(y, out=tmp.reshape(-1).view(float)[: y.size].reshape(y.shape))  # in tmp's first half
+    s = max(0, math.frexp(float(abs_y.sum(axis=1).max()) / _TAYLOR_THETA)[1])
+    y *= 0.5**s  # now |Y|_1 < _TAYLOR_THETA
     for j in range(2, p + 1):
         np.matmul(powers[j - 1], y, out=powers[j])
     # real weights act on the real and the imaginary parts alike: one real product
-    horner = (c @ powers[:p].reshape(p, -1).view(float)).view(complex).reshape(n, *y.shape)
+    np.matmul(c, powers[:p].reshape(p, -1).view(float), out=horner.reshape(n, -1).view(float))
     for i in range(n - 2, -1, -1):
-        horner[i] += horner[i + 1] @ powers[p]
-    squares = [horner[0]]
-    for _ in range(s):
-        squares.append(squares[-1] @ squares[-1])
+        horner[i] += np.matmul(horner[i + 1], powers[p], out=tmp)
+    squares = [horner[0], *ws.squares(s)]
+    for prev, square in zip(squares, squares[1:]):
+        np.matmul(prev, prev, out=square)
     phase = np.exp(-1j * dt * mu)
-    us = squares[-1] * phase
+    us = squares[-1]  # scaled in place: the last square (H_0 when s = 0) is not read again
+    us *= phase
 
     phis, chis = np.empty((2, m_bins + 1, d), dtype=complex)  # chis[k] is the bra <chi_k|
     phis[0], chis[m_bins - 1] = phi0, chi_end.conj()
@@ -188,19 +252,22 @@ def _block_pass(
     for k in range(m_bins - 2, -1, -1):
         np.dot(chis[k + 1], us[k + 1], out=chis[k])
 
-    w = phis[:-1, :, None] * (phase * chis[:-1, None, :])
+    # the adjoints of H_i, hence of B_i; W and its squaring steps use the free chunk slots
+    w, rw, wr = chunks[:3]
+    np.multiply(phis[:-1, :, None], phase * chis[:-1, None, :], out=w)
     for r in reversed(squares[:-1]):
-        w = r @ w + w @ r
-    chunks = np.empty_like(horner)  # the adjoints of H_i, hence of B_i
-    chunks[0] = w
+        np.matmul(r, w, out=rw)
+        np.matmul(w, r, out=wr)
+        np.add(rw, wr, out=w)
     for i in range(n - 1):
         np.matmul(powers[p], chunks[i], out=chunks[i + 1])
-    adjoint = np.empty_like(powers)  # of Y^0..Y^p; Y^0 = I needs none
-    adjoint[1:p] = (c[:, 1:].T @ chunks.reshape(n, -1).view(float)).view(complex).reshape(p - 1, *y.shape)
-    adjoint[p] = (chunks[:-1] @ horner[1:]).sum(axis=0)
+    np.matmul(c[:, 1:].T, chunks.reshape(n, -1).view(float), out=adjoint[1:p].reshape(p - 1, -1).view(float))
+    _sum_of_products(chunks[:-1], horner[1:], adjoint[p], tmp)
     for j in range(p, 1, -1):  # Y^j = Y^j-1 Y
-        adjoint[j - 1] += y @ adjoint[j]
-    g = adjoint[1] + (adjoint[2:] @ powers[1:p]).sum(axis=0)
+        adjoint[j - 1] += np.matmul(y, adjoint[j], out=tmp)
+    g = chunks[0]  # the chunk adjoints are spent
+    _sum_of_products(adjoint[2:], powers[1:p], g, tmp)
+    g += adjoint[1]
     terms = -1j * dt * 0.5**s * (np.swapaxes(ops[1:], 1, 2).reshape(2, -1) @ g.reshape(m_bins, -1).T)
     return phis[m_bins], terms
 

@@ -146,6 +146,21 @@ class TestOptimizeCommand:
         assert run_cli(*args, "--out", str(second)).returncode == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_in_process_rerun_byte_identical(self, tmp_path):
+        # one process, as the benchmark runs it: A, then B on another bins and
+        # cutoff, then A again must reproduce A's files
+        from usctransfer.cli import main
+
+        common = ["optimize", "--t-inv", "0.2", "--g0", "0.3", "--restarts", "2", "--max-iters", "30", "--seed", "11"]
+        configs = {"a": ["--bins", "3", "--nmax", "4"], "b": ["--bins", "5", "--nmax", "2"]}
+        outputs = []
+        for run, name in enumerate("aba"):
+            out, schedule = tmp_path / f"{run}.json", tmp_path / f"{run}.csv"
+            assert main([*common, *configs[name], "--out", str(out), "--schedule-out", str(schedule)]) == 0
+            outputs.append((out.read_bytes(), schedule.read_bytes()))
+        assert outputs[0] == outputs[2]
+        assert outputs[0] != outputs[1]
+
     def test_resimulate_from_result_json(self, tmp_path):
         out = tmp_path / "result.json"
         proc = run_cli(

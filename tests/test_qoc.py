@@ -1,5 +1,7 @@
 """Objective, exact gradient, and the bounded schedule optimization."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -200,7 +202,7 @@ class TestGradient:
         sched = random_schedule(9)
         f, grad = objective_and_gradient(sched, PARAMS, INITIAL, TARGET)
         np.testing.assert_allclose(f, objective(sched, PARAMS, INITIAL, TARGET), rtol=1e-14)
-        np.testing.assert_allclose(grad, objective_and_gradient(sched, PARAMS, INITIAL, TARGET)[1], rtol=1e-14)
+        np.testing.assert_array_equal(grad, objective_and_gradient(sched, PARAMS, INITIAL, TARGET)[1])
 
 
 def oracle_case(kappa=0.005, alpha=0.0, values=None, rwa=False, n_max=8, seed=0, bins=6, duration=12.0):
@@ -250,6 +252,9 @@ class TestGradientOracle:
             # the optimizer's shape: 20 bins of 1.25, 5 squarings at the default n_max
             pytest.param(dict(bins=20, duration=25.0), id="optimize-ref-shape"),
             pytest.param(dict(alpha=0.6, bins=20, duration=25.0), id="optimize-ref-shape-both-blocks"),
+            # bins short enough for no squaring (s = 0), then for one
+            pytest.param(dict(bins=4, duration=0.05, n_max=2), id="no-squaring"),
+            pytest.param(dict(bins=4, duration=1.0, n_max=2), id="one-squaring"),
         ],
     )
     def test_matches_frechet_reference(self, case):
@@ -293,6 +298,72 @@ class TestGradientOracle:
         monkeypatch.setattr(qoc_mod, "block_generators", without)
         results = gradient_check(PARAMS, seeds=(3,), rwa=True)
         assert all(rel > 1e-3 for _, rel in results)
+
+
+def evaluate(case):
+    sched, params, initial, target, rwa = case
+    return objective_and_gradient(sched, params, initial, target, rwa=rwa)
+
+
+REUSE_CASES = [
+    oracle_case(bins=20, duration=25.0),  # the optimizer's shape, 5 squarings
+    # the same shape at ten times the amplitude: 7 squarings, more than any case before
+    oracle_case(bins=20, duration=25.0, values=np.random.default_rng(3).uniform(0.0, 3.0, 40)),
+    oracle_case(bins=4, duration=0.05, n_max=2),  # no squaring
+    oracle_case(rwa=True, alpha=0.6),  # blocks of 1 and 3 dims
+    oracle_case(alpha=0.6, bins=20, duration=25.0),  # two 18-dim blocks in one call
+]
+
+
+class TestWorkspaceReuse:
+    """The gradient's reused buffers carry nothing from one evaluation into the next."""
+
+    def test_interleaved_repeats_are_bit_identical(self):
+        first = {}
+        for i in [0, 1, 2, 3, 4, 0, 4, 3, 2, 1]:
+            f, grad = evaluate(REUSE_CASES[i])
+            if i not in first:
+                first[i] = f, grad
+                continue
+            assert f == first[i][0]
+            np.testing.assert_array_equal(grad, first[i][1])
+
+    def test_mutating_a_returned_gradient_leaves_the_next_call(self):
+        f, grad = evaluate(REUSE_CASES[0])
+        expected = grad.copy()
+        grad[:] = np.nan
+        again = evaluate(REUSE_CASES[0])
+        assert again[0] == f
+        np.testing.assert_array_equal(again[1], expected)
+
+    def test_concurrent_threads_get_the_serial_results(self):
+        # both threads evaluate the 20-bin shape, each with its own values, and one other shape
+        shares = [[REUSE_CASES[0], REUSE_CASES[2]], [REUSE_CASES[1], REUSE_CASES[3]]]
+        serial = [[evaluate(case) for case in cases] for cases in shares]
+        barrier = threading.Barrier(len(shares))
+        seen = [[] for _ in shares]
+
+        def work(cases, out):
+            barrier.wait()
+            for _ in range(10):
+                out.append([evaluate(case) for case in cases])
+
+        threads = [threading.Thread(target=work, args=(cases, out)) for cases, out in zip(shares, seen)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for expected, rounds in zip(serial, seen):
+            assert len(rounds) == 10
+            for results in rounds:
+                for (f, grad), (f_ref, grad_ref) in zip(results, expected):
+                    assert f == f_ref
+                    np.testing.assert_array_equal(grad, grad_ref)
+
+    def test_held_workspaces_stay_bounded(self):
+        for bins in range(1, 9):
+            evaluate(oracle_case(bins=bins, duration=float(bins), n_max=2))
+        assert len(qoc_mod._local.workspaces) == qoc_mod._WORKSPACES_HELD
 
 
 class TestOptimize:
