@@ -138,11 +138,12 @@ def _fixed(args: argparse.Namespace) -> SweepFixed:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.schedule and args.gaussian_flags:  # given as flags or as config keys; rejected before _fixed warns on --dt
+        flags = ", ".join(dict.fromkeys(args.gaussian_flags))
+        raise SystemExit(f"usctransfer: simulate --schedule replays the schedule's bins and takes no {flags} "
+                         "(as a flag or a config key)")
     fixed = _fixed(args)
     if args.schedule:
-        if args.gaussian_flags:  # given as flags or as config keys
-            flags = ", ".join(dict.fromkeys(args.gaussian_flags))
-            raise SystemExit(f"usctransfer: simulate --schedule replays the schedule's bins and takes no {flags} (as a flag or a config key)")
         record, traj = schedule_run(_read_schedule(args.schedule), fixed, args.model)
     else:
         record, traj = gaussian_run(args.t_inv, args.g0, fixed, args.model)

@@ -130,7 +130,11 @@ def schedule_csv(sched: PiecewiseConstantSchedule) -> str:
 
 
 def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
-    """Rebuild a schedule from :func:`schedule_csv` output."""
+    """Rebuild a schedule from :func:`schedule_csv` output.
+
+    The rows must be the bins 0, 1, ... in order, of one width and without
+    gaps: each row's t0 is the first row's plus k bin widths, within rtol 1e-9.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "bin,t0,t1,g1,g2":
         raise ValueError("not a schedule CSV (missing 'bin,t0,t1,g1,g2' header)")
@@ -139,6 +143,10 @@ def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
         raise ValueError("schedule CSV has no bins")
     if short := [number for number, row in enumerate(rows, 2) if len(row) != 5]:
         raise ValueError(f"schedule CSV line {short[0]} does not have the 5 fields of the header")
+    if misnumbered := [k for k, row in enumerate(rows) if row[0].strip() != str(k)]:
+        k = misnumbered[0]
+        raise ValueError(f"schedule CSV line {k + 2} has bin {rows[k][0]!r}, not {k}: "
+                         "the bins must read 0, 1, ... in order")
     t0s = np.array([float(r[1]) for r in rows])
     t1s = np.array([float(r[2]) for r in rows])
     v1 = np.array([float(r[3]) for r in rows])
@@ -146,7 +154,13 @@ def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
     dts = t1s - t0s
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("schedule CSV has non-uniform bins")
-    return PiecewiseConstantSchedule(float(t0s[0]), float(dts[0]), v1, v2)
+    t_start, dt = float(t0s[0]), float(dts[0])
+    expected = t_start + np.arange(len(rows)) * dt
+    if off := np.flatnonzero(~np.isclose(t0s, expected, rtol=1e-9, atol=1e-12)).tolist():
+        k = off[0]
+        raise ValueError(f"schedule CSV line {k + 2} starts at t0 = {fmt(t0s[k])}, not at {fmt(expected[k])}: "
+                         "the bins must follow each other without gaps")
+    return PiecewiseConstantSchedule(t_start, dt, v1, v2)
 
 
 def schedule_to_dict(sched: PiecewiseConstantSchedule) -> dict[str, Any]:

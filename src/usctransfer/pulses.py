@@ -38,12 +38,12 @@ class GaussianPair:
     tau: float
 
     def __post_init__(self) -> None:
-        if self.g0 < 0:
-            raise ValueError(f"peak coupling must be non-negative, got {self.g0}")
-        if not self.T > 0:
-            raise ValueError(f"pulse width must be positive, got {self.T}")
-        if self.tau < 0:
-            raise ValueError(f"half-delay must be non-negative, got {self.tau}")
+        if not 0 <= self.g0 < math.inf:
+            raise ValueError(f"peak coupling g0 must be finite and non-negative, got {self.g0}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"pulse width T must be finite and positive, got {self.T}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"half-delay tau must be finite and non-negative, got {self.tau}")
 
     def values(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both couplings (g1, g2) at the time or array of times ``t``, each of ``t``'s shape."""
@@ -56,8 +56,8 @@ class GaussianPair:
 class PiecewiseConstantSchedule:
     """Step-function schedule: M bins of width ``dt`` starting at ``t_start``.
 
-    ``values1``/``values2`` hold the per-bin couplings, which must be
-    finite; outside the window both couplings are zero.  The amplitude
+    ``t_start``, ``dt`` and the per-bin couplings ``values1``/``values2``
+    must be finite; outside the window both couplings are zero.  The amplitude
     bounds of an optimization belong to its ``OptimizationConfig``, not to
     the schedule.  :func:`dynamics.propagate` replays a schedule exactly
     with ``window=(sched.t_start, sched.t_end)`` and
@@ -78,8 +78,10 @@ class PiecewiseConstantSchedule:
             raise ValueError("values1 and values2 must be 1-d arrays of equal length")
         if self.bins < 1:
             raise ValueError("schedule needs at least one bin")
-        if not self.dt > 0:
-            raise ValueError(f"bin width must be positive, got {self.dt}")
+        if not math.isfinite(self.t_start):
+            raise ValueError(f"schedule t_start must be finite, got {self.t_start}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"bin width dt must be finite and positive, got {self.dt}")
         for name, values in (("values1", self.values1), ("values2", self.values2)):
             if bad := np.flatnonzero(~np.isfinite(values)).tolist():
                 raise ValueError(f"schedule {name} has a non-finite coupling in bin {bad[0]}: {values[bad[0]]}")

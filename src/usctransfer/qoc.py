@@ -17,18 +17,20 @@ evaluations of one shape allocate no large arrays: fresh ones, above glibc's
 mmap threshold, cost more in page faults than the products cost to compute.
 
 The optimization has one recipe: the first start is a counterintuitive
-Gaussian pair sampled onto the bins, the others are seeded random values,
-and L-BFGS-B climbs each on -F within the amplitude bounds; the best
-schedule found is kept.  :func:`objective` replays the schedule with
-:func:`dynamics.propagate`, one CF4 step per bin, which is exact for
-constant couplings.  It and the finite-difference gradient built on it stay
-an independent oracle for the exact gradient: the stepper applies two
-exponentials per bin to the state, each a Taylor sum planned on its own,
-while :func:`_block_pass` forms every bin's propagator as a matrix by
-Paterson-Stockmeyer and squaring and differentiates that.  The two share
-only the degree rule of :func:`dynamics._taylor_plan`.  Both oracles are
-public so they can be re-run as a health check at any time.  The bins set
-the steps; the model is the keyword ``rwa``.
+Gaussian pair sampled onto the bins, the others are seeded random values.
+Each start is one ascent, :func:`_ascend`, in which L-BFGS-B climbs -F
+within the amplitude bounds.  :func:`optimize` merges the ascents: it keeps
+the first one with the highest F and numbers their traces in restart order.
+:func:`objective` replays the schedule with :func:`dynamics.propagate`, one
+CF4 step per bin, which is exact for constant couplings.  It and the
+finite-difference gradient built on it stay an independent oracle for the
+exact gradient: the stepper applies two exponentials per bin to the state,
+each a Taylor sum planned on its own, while :func:`_block_pass` forms every
+bin's propagator as a matrix by Paterson-Stockmeyer and squaring and
+differentiates that.  The two share only the degree rule of
+:func:`dynamics._taylor_plan`.  Both oracles are public so they can be re-run
+as a health check at any time.  The bins set the steps; the model is the
+keyword ``rwa``.
 
 :func:`optimize` runs every loaded OpenBLAS on one thread and restores the
 previous thread counts when it returns.  A second BLAS thread does not speed
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -118,8 +120,8 @@ class OptimizationResult:
 
     best_schedule: PiecewiseConstantSchedule
     best_fidelity: float
-    iteration_history: list[tuple[int, float, float]] = field(default_factory=list)
-    converged: bool = False
+    iteration_history: list[tuple[int, float, float]]
+    converged: bool
 
 
 def objective(
@@ -370,6 +372,36 @@ def _gaussian_sampled_start(config: OptimizationConfig, bin_mids: np.ndarray) ->
     return np.clip(np.concatenate(pair.values(bin_mids - 0.5 * config.duration)), lo, hi)
 
 
+def _ascend(template, x0, config: OptimizationConfig, params, initial, target, rwa) -> tuple:
+    """One L-BFGS-B ascent from ``x0``: scipy's result (``fun`` is -F) and the trace.
+
+    The trace holds, per iteration, the (F, |grad|) of its last evaluation.
+    """
+    from scipy.optimize import minimize  # imported here so the CLI starts without scipy
+
+    evaluations, trace = [], []
+
+    def negated(x):
+        f, g = objective_and_gradient(template.with_values(x), params, initial, target, rwa=rwa)
+        evaluations.append((f, float(np.linalg.norm(g))))
+        return -f, -g
+
+    res = minimize(
+        negated,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[config.bounds] * (2 * config.bins),
+        callback=lambda _xk: trace.append(evaluations[-1]),
+        options={
+            "maxiter": config.max_iters,
+            "ftol": _OBJECTIVE_TOL,
+            "gtol": _GRADIENT_TOL,
+        },
+    )
+    return res, trace
+
+
 def optimize(
     config: OptimizationConfig,
     params: ModelParams,
@@ -408,7 +440,7 @@ def optimize(
         Best schedule, its fidelity, the (iteration, F, |grad|) trace and
         whether the best restart terminated by tolerance rather than budget.
     """
-    from scipy.optimize import minimize  # imported here so the CLI starts without scipy
+    import scipy.optimize  # noqa: F401  loads scipy's OpenBLAS, which the pin covers only if loaded on entry
 
     m = config.bins
     dt = config.duration / m
@@ -424,50 +456,11 @@ def optimize(
     rng = np.random.default_rng(config.seed)
     starts = [first, *(rng.uniform(lo, hi, size=2 * m) for _ in range(config.restarts - 1))]
 
-    history: list[tuple[int, float, float]] = []
-    iteration = 0
-    best_x = None
-    best_f = -np.inf
-    best_converged = False
-
     with single_blas_thread():
-        for x0 in starts:
-            last_eval = {"f": np.nan, "gnorm": np.nan}
-
-            def negated(x):
-                f, g = objective_and_gradient(template.with_values(x), params, initial, target, rwa=rwa)
-                last_eval["f"] = f
-                last_eval["gnorm"] = float(np.linalg.norm(g))
-                return -f, -g
-
-            def record(_xk):
-                nonlocal iteration
-                iteration += 1
-                history.append((iteration, last_eval["f"], last_eval["gnorm"]))
-
-            res = minimize(
-                negated,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(lo, hi)] * (2 * m),
-                callback=record,
-                options={
-                    "maxiter": config.max_iters,
-                    "ftol": _OBJECTIVE_TOL,
-                    "gtol": _GRADIENT_TOL,
-                },
-            )
-            if -res.fun > best_f:
-                best_f = -res.fun
-                best_x = np.clip(res.x, lo, hi)
-                best_converged = bool(res.success)
-
-        best_schedule = template.with_values(best_x)
+        ascents = [_ascend(template, x0, config, params, initial, target, rwa) for x0 in starts]
+        best = max((res for res, _ in ascents), key=lambda res: -res.fun)  # the first of the best
+        best_schedule = template.with_values(np.clip(best.x, lo, hi))
         fresh = objective(best_schedule, params, initial, target, rwa=rwa)
-    return OptimizationResult(
-        best_schedule=best_schedule,
-        best_fidelity=fresh,
-        iteration_history=history,
-        converged=best_converged,
-    )
+    points = (point for _, trace in ascents for point in trace)
+    history = [(i, *point) for i, point in enumerate(points, 1)]
+    return OptimizationResult(best_schedule, fresh, history, bool(best.success))

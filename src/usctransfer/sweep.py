@@ -86,9 +86,14 @@ class SweepGrid:
     model: str = "rabi"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t_inv_values", np.asarray(self.t_inv_values, dtype=float))
-        object.__setattr__(self, "g0_values", np.asarray(self.g0_values, dtype=float))
-        for name, axis in (("t_inv_values", self.t_inv_values), ("g0_values", self.g0_values)):
+        for name in ("t_inv_values", "g0_values"):
+            try:
+                axis = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):  # ragged, or not numbers
+                axis = None
+            if axis is None or axis.ndim != 1:
+                raise ValueError(f"{name} must be a flat list of numbers, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, axis)
             if axis.size == 0:
                 raise ValueError(f"{name} must be non-empty")
             if not np.all(np.isfinite(axis)):

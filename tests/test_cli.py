@@ -220,6 +220,15 @@ class TestSweepCommand:
         assert "g0_values must be finite" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("axis", ["0.1", "[[0.1, 0.2]]", "[[0.1], [0.2, 0.3]]"], ids=["scalar", "nested", "ragged"])
+    def test_axis_that_is_not_a_list_exits_one(self, axis, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(f'{{"t_inv_values": {axis}, "g0_values": [0.2], "nmax": 2}}')
+        proc = run_cli("sweep", "--config", str(config))
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "t_inv_values must be a flat list" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("command", ["sweep", "simulate"])
     def test_unknown_config_key_exits_one(self, command, tmp_path):
         config = tmp_path / "grid.json"
@@ -368,6 +377,8 @@ class TestScheduleReplayFlags:
         sched.write_text(self.SCHEDULE)
         proc = run_cli("simulate", "--schedule", str(sched), "--nmax", "2", flag, value)
         assert proc.returncode == 1
+        # only the rejection: no warning about a --dt that is not used
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("usctransfer: simulate --schedule")
         assert flag in proc.stderr
         assert run_cli("simulate", "--schedule", str(sched), "--nmax", "2").returncode == 0
 
@@ -400,8 +411,14 @@ class TestMalformedSchedule:
             ),
             ("nan-coupling.csv", "bin,t0,t1,g1,g2\n0,0.0,1.0,0.1,0.2\n1,1.0,2.0,0.2,nan\n",
              "values2 has a non-finite coupling in bin 1"),
+            ("gap.csv", "bin,t0,t1,g1,g2\n0,0,1,0.1,0.2\n1,5,6,0.2,0.1\n", "line 3 starts at t0 = 5, not at 1"),
+            ("reversed.csv", "bin,t0,t1,g1,g2\n0,1,2,0.1,0.2\n1,0,1,0.2,0.1\n", "line 3 starts at t0 = 0, not at 2"),
+            ("repeated.csv", "bin,t0,t1,g1,g2\n0,0,1,0.1,0.2\n0,0,1,0.1,0.2\n", "line 3 has bin '0', not 1"),
+            ("nan-start.json", '{"t_start": NaN, "dt": 1.0, "values1": [0.1], "values2": [0.2]}',
+             "t_start must be finite"),
         ],
-        ids=["json-not-an-object", "json-null-field", "json-missing-field", "csv-short-row", "json-null-coupling", "csv-nan-coupling"],
+        ids=["json-not-an-object", "json-null-field", "json-missing-field", "csv-short-row", "json-null-coupling",
+             "csv-nan-coupling", "csv-gap", "csv-reversed-rows", "csv-repeated-row", "json-nan-start"],
     )
     def test_usage_error_names_the_problem(self, name, text, problem, tmp_path, capsys):
         from usctransfer.cli import main

@@ -111,6 +111,13 @@ class TestScheduleFormats:
         np.testing.assert_allclose(back.values1, self.SCHED.values1, rtol=1e-11)
         np.testing.assert_allclose(back.values2, self.SCHED.values2, rtol=1e-11)
 
+    def test_csv_round_trip_of_rounded_edges(self):
+        # 0.3 + k 0.1 rounds off several edges, and the CSV keeps 12 digits of each
+        sched = PiecewiseConstantSchedule(0.3, 0.1, np.arange(7.0), -np.arange(7.0))
+        back = schedule_from_csv(schedule_csv(sched))
+        assert back.t_start == 0.3 and back.bins == 7
+        np.testing.assert_allclose(back.dt, 0.1, rtol=1e-11)
+
     def test_csv_header_required(self):
         with pytest.raises(ValueError):
             schedule_from_csv("a,b\n1,2\n")

@@ -60,6 +60,14 @@ class TestGaussianPair:
         with pytest.raises(ValueError):
             GaussianPair(g0=0.1, T=-1.0, tau=0.0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("g0", math.nan), ("g0", math.inf), ("T", math.inf), ("T", math.nan), ("tau", math.nan), ("tau", math.inf)],
+    )
+    def test_non_finite_field_named(self, field, bad):
+        with pytest.raises(ValueError, match=f" {field} must be finite"):
+            GaussianPair(**{"g0": 0.3, "T": 25.0, "tau": 15.0, field: bad})
+
 
 def make_schedule(**kwargs):
     defaults = dict(
@@ -134,6 +142,14 @@ class TestPiecewiseSchedule:
         values[1] = bad
         with pytest.raises(ValueError, match=f"{field} has a non-finite coupling in bin 1"):
             make_schedule(**{field: values})
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("t_start", math.nan), ("t_start", math.inf), ("t_start", -math.inf), ("dt", math.inf), ("dt", math.nan)],
+    )
+    def test_non_finite_grid_named(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_schedule(**{field: bad})
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
 """Objective, exact gradient, and the bounded schedule optimization."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -441,6 +446,67 @@ class TestOptimize:
         iters = [entry[0] for entry in result.iteration_history]
         assert iters == sorted(iters)
         assert all(np.isfinite(entry[1]) and np.isfinite(entry[2]) for entry in result.iteration_history)
+
+    def test_restarts_merge_the_single_ascents(self):
+        # each start rerun alone: the first from restarts=1, the random ones in the order
+        # the seeded generator draws them.  At this iteration cap only the second start
+        # converges, and it ends clearly ahead of the other two.
+        params, initial, photon_target = self.toy_problem()
+        (lo, hi), m, seed = (0.0, 0.4), 2, 0
+        config = OptimizationConfig(duration=5.0, bounds=(lo, hi), bins=m, seed=seed, restarts=3, max_iters=6)
+        merged = optimize(config, params, initial, photon_target, rwa=True)
+        single = dataclasses.replace(config, restarts=1)
+        runs = [optimize(single, params, initial, photon_target, rwa=True)]
+        rng = np.random.default_rng(seed)
+        for _ in range(config.restarts - 1):
+            values = rng.uniform(lo, hi, 2 * m)
+            start = PiecewiseConstantSchedule(0.0, config.duration / m, values[:m], values[m:])
+            runs.append(optimize(single, params, initial, photon_target, rwa=True, initial_schedule=start))
+        points = [point[1:] for run in runs for point in run.iteration_history]
+        assert merged.iteration_history == [(i, *point) for i, point in enumerate(points, 1)]
+        best = runs[int(np.argmax([run.best_fidelity for run in runs]))]
+        assert best is runs[1] and [run.converged for run in runs] == [False, True, False]
+        np.testing.assert_array_equal(merged.best_schedule.stacked(), best.best_schedule.stacked())
+        assert merged.converged == best.converged
+
+    def test_pins_the_blas_that_its_first_call_loads(self):
+        # in a fresh process scipy's OpenBLAS is loaded by optimize itself; the pin must cover it
+        code = """
+import ctypes, json
+import usctransfer.qoc as qoc
+from usctransfer import ModelParams, OptimizationConfig, basis_state, superposition_initial
+
+def thread_counts():
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    counts = {}
+    for path in paths:
+        for suffix in ("", "64_"):
+            get = getattr(ctypes.CDLL(path), f"scipy_openblas_get_num_threads{suffix}", None)
+            if get is not None:
+                counts[path] = get()
+    return counts
+
+before, seen = thread_counts(), []
+original = qoc.objective_and_gradient
+
+def spy(*args, **kwargs):
+    seen.append(thread_counts())
+    return original(*args, **kwargs)
+
+qoc.objective_and_gradient = spy
+params = ModelParams(kappa=0.0, n_max=1)
+config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, restarts=1)
+qoc.optimize(config, params, superposition_initial(0.0, 1.0, params), basis_state(1, 0, 0, params), rwa=True)
+print(json.dumps({"before": before, "seen": seen}))
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}  # a count the pin has to change, also on one core
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        if not report["seen"] or set(report["seen"][0]) <= set(report["before"]):
+            pytest.skip("optimize loaded no scipy-bundled OpenBLAS of its own")
+        assert all(set(counts.values()) == {1} for counts in report["seen"])
 
     @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
     def test_runs_blas_on_one_thread_and_restores(self, fails, monkeypatch):

@@ -200,6 +200,14 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             SweepGrid([0.2, 0.1], [0.1])
 
+    @pytest.mark.parametrize("axis", ["t_inv_values", "g0_values"])
+    @pytest.mark.parametrize("bad", [0.1, [[0.1, 0.2]], [[0.1], [0.2, 0.3]], ["x"]],
+                             ids=["scalar", "nested", "ragged", "not-a-number"])
+    def test_axis_not_a_flat_list_of_numbers(self, axis, bad):
+        axes = {"t_inv_values": [0.1], "g0_values": [0.2], axis: bad}
+        with pytest.raises(ValueError, match=f"{axis} must be a flat list of numbers"):
+            SweepGrid(**axes)
+
     def test_nonpositive_axis(self):
         with pytest.raises(ValueError):
             SweepGrid([0.0, 0.1], [0.1])
