@@ -122,8 +122,8 @@ def _params(args: argparse.Namespace) -> ModelParams:
 
 
 def _fixed(args: argparse.Namespace) -> SweepFixed:
-    """The checked settings of a run or sweep; warns on stderr when ``--dt`` exceeds the calibrated step."""
-    fixed = SweepFixed(
+    """The checked settings of a run or sweep."""
+    return SweepFixed(
         params=_params(args),
         tau_ratio=args.tau_ratio,
         cutoff=args.cutoff,
@@ -131,18 +131,22 @@ def _fixed(args: argparse.Namespace) -> SweepFixed:
         beta=args.beta,
         options=PropagationOptions(dt=args.dt),
     )
-    if args.dt > PropagationOptions.dt:
-        print(f"usctransfer: warning: --dt {args.dt} is above the calibrated step {PropagationOptions.dt}, which keeps "
+
+
+def _warn_on_coarse_step(dt: float) -> None:
+    """Warn on stderr when ``--dt`` exceeds the calibrated step; called once every input is checked."""
+    if dt > PropagationOptions.dt:
+        print(f"usctransfer: warning: --dt {dt} is above the calibrated step {PropagationOptions.dt}, which keeps "
               "every transfer efficiency of the default map within 1e-10 of a dt = 0.0125 run", file=sys.stderr)
-    return fixed
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.schedule and args.gaussian_flags:  # given as flags or as config keys; rejected before _fixed warns on --dt
+    if args.schedule and args.gaussian_flags:  # given as flags or as config keys; rejected before the --dt warning
         flags = ", ".join(dict.fromkeys(args.gaussian_flags))
         raise SystemExit(f"usctransfer: simulate --schedule replays the schedule's bins and takes no {flags} "
                          "(as a flag or a config key)")
     fixed = _fixed(args)
+    _warn_on_coarse_step(args.dt)
     if args.schedule:
         record, traj = schedule_run(_read_schedule(args.schedule), fixed, args.model)
     else:
@@ -191,6 +195,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = SweepGrid(args.t_inv_values, args.g0_values, _fixed(args), args.model)
+    _warn_on_coarse_step(args.dt)
     _emit(sweep_csv(run_sweep(grid, jobs=args.jobs)), args.out)
     return 0
 

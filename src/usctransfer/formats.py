@@ -133,7 +133,11 @@ def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
     """Rebuild a schedule from :func:`schedule_csv` output.
 
     The rows must be the bins 0, 1, ... in order, of one width and without
-    gaps: each row's t0 is the first row's plus k bin widths, within rtol 1e-9.
+    gaps: each row's t0 is the previous row's t1.  :func:`schedule_csv` keeps
+    12 significant digits of every t, which moves each by up to 5e-12 |t|,
+    so widths and edges are compared within rtol 1e-9 plus 1e-12 and 1e-10
+    of the largest |t| in the file.  The bin width is the span over the bin count,
+    which carries no more than one edge's rounding.
     """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "bin,t0,t1,g1,g2":
@@ -151,16 +155,15 @@ def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
     t1s = np.array([float(r[2]) for r in rows])
     v1 = np.array([float(r[3]) for r in rows])
     v2 = np.array([float(r[4]) for r in rows])
+    atol = 1e-12 + 1e-10 * float(np.abs(np.concatenate([t0s, t1s])).max())
     dts = t1s - t0s
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
+    if not np.allclose(dts, dts[0], rtol=1e-9, atol=atol):
         raise ValueError("schedule CSV has non-uniform bins")
-    t_start, dt = float(t0s[0]), float(dts[0])
-    expected = t_start + np.arange(len(rows)) * dt
-    if off := np.flatnonzero(~np.isclose(t0s, expected, rtol=1e-9, atol=1e-12)).tolist():
-        k = off[0]
-        raise ValueError(f"schedule CSV line {k + 2} starts at t0 = {fmt(t0s[k])}, not at {fmt(expected[k])}: "
+    if off := np.flatnonzero(~np.isclose(t0s[1:], t1s[:-1], rtol=1e-9, atol=atol)).tolist():
+        k = off[0] + 1
+        raise ValueError(f"schedule CSV line {k + 2} starts at t0 = {fmt(t0s[k])}, not at {fmt(t1s[k - 1])}: "
                          "the bins must follow each other without gaps")
-    return PiecewiseConstantSchedule(t_start, dt, v1, v2)
+    return PiecewiseConstantSchedule(float(t0s[0]), float(t1s[-1] - t0s[0]) / len(rows), v1, v2)
 
 
 def schedule_to_dict(sched: PiecewiseConstantSchedule) -> dict[str, Any]:

@@ -229,6 +229,16 @@ class TestSweepCommand:
         assert proc.stderr.count("\n") == 1 and "t_inv_values must be a flat list" in proc.stderr
         assert proc.stdout == ""
 
+    def test_bad_axis_is_rejected_before_the_step_warning(self, tmp_path, capsys):
+        from usctransfer.cli import main
+
+        config = tmp_path / "grid.json"
+        config.write_text('{"t_inv_values": 0.1, "g0_values": [0.2], "nmax": 2}')
+        assert main(["sweep", "--config", str(config), "--dt", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("usctransfer: t_inv_values must be a flat list")
+
     @pytest.mark.parametrize("command", ["sweep", "simulate"])
     def test_unknown_config_key_exits_one(self, command, tmp_path):
         config = tmp_path / "grid.json"

@@ -1,6 +1,7 @@
 """Propagator correctness against closed forms and the dense-exponential oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -332,6 +333,97 @@ class TestBatchedPropagation:
             propagate(psi0, sched, self.PARAMS, (0.0, 1.0), amplitudes=[0.1, np.nan])
 
 
+# inputs that reach both kernel paths: one matrix, and batched (amplitude,
+# block) pairs on padded blocks
+KERNEL_CASES = [
+    pytest.param({(0, 0, 1): 1.0}, None, False, id="one-state"),
+    pytest.param({(0, 0, 0): 0.6, (0, 0, 1): 0.8}, [0.3, 1.0], False, id="batched-both-blocks"),
+    # RWA: the 1-dim vacuum block padded to the 3-dim single-excitation
+    # block, then the 3-dim block, whose drift has a nonzero trace, padded
+    # to the 4-dim double-excitation block; the amplitude 4 is strong enough
+    # for two-substep exponentials on these small blocks
+    pytest.param({(0, 0, 0): 0.6, (0, 0, 1): 0.8}, [0.3, 4.0], True, id="rwa-mixed-size-blocks"),
+    pytest.param({(0, 0, 1): 0.6, (1, 0, 1): 0.8}, [0.3, 4.0], True, id="rwa-padded-block-with-trace"),
+]
+
+
+def kernel_run(kets, amplitudes, rwa, monkeypatch):
+    """Propagate a KERNEL_CASES input while a spy watches :func:`dynamics._taylor_chunk`.
+
+    Returns the input ``psi0``, ``params``, ``window``, the trajectories
+    ``trajs``, the scalar ``plan`` and, per exponential, the (substeps,
+    degree) the kernel took (``taken``) and a copy of its generators as one
+    (pairs, d, d) array (``gens``), with the number of ``products`` the
+    kernel made.  The spy counts the calls of every product that the
+    kernel's ``bind`` returns and forwards them unchanged.
+    """
+    params = ModelParams(kappa=0.01, n_max=3)
+    pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
+    window, opts = (-4.0, 4.0), PropagationOptions(dt=0.2)
+    psi0 = sum(weight * basis_state(*ket, params) for ket, weight in kets.items())
+    taken, gens, products = [], [], []
+    kernel = dynamics._taylor_chunk
+
+    def spy(bind, mats, substeps, degrees, *rest):
+        taken.extend(zip(substeps, degrees))
+        gens.extend(np.array(mats).reshape(len(mats), -1, *mats.shape[-2:]))  # the buffer is reused
+
+        def counted(a):
+            product = bind(a)
+
+            def count(*args):
+                products.append(1)
+                return product(*args)
+
+            return count
+
+        return kernel(counted, mats, substeps, degrees, *rest)
+
+    monkeypatch.setattr(dynamics, "_taylor_chunk", spy)
+    trajs = propagate(psi0, pair, params, window, opts, amplitudes=amplitudes, rwa=rwa)
+    plan = scalar_plan(psi0, pair, params, window, opts, amplitudes or (1.0,), rwa)
+    trajs = trajs if amplitudes else [trajs]
+    return SimpleNamespace(psi0=psi0, params=params, window=window, trajs=trajs, plan=plan, taken=taken, gens=gens,
+                           products=len(products))
+
+
+def reference_states(psi0, params, rwa, window, plan, gens):
+    """Every step's full-space states by a plain loop of ``np.dot`` calls, shape (G, steps + 1, dim).
+
+    Exponential f applies its generators ``gens[f]``, one per (amplitude,
+    block) pair, ``s`` times as the degree-m Taylor sum of its ``plan`` entry
+    (s, m): the powers X^j v one ``np.dot`` at a time, then their sum with the
+    1/j! weights as one more.  Each step ends with the phase of the block's
+    trace shift, as :func:`propagate` applies it.
+    """
+    occupied = tuple(b for b, idx in enumerate(conserved_blocks(params, rwa)) if psi0[idx].any())
+    blocks, mu, _ = block_generators(params, rwa, occupied)
+    pairs, d = gens[0].shape[:2]
+    nb, n_steps = len(blocks), len(plan) // 2
+    h = (window[1] - window[0]) / n_steps
+    v = np.zeros((pairs, d), dtype=complex)  # pair i = (amplitude i // nb, block i % nb)
+    for i in range(pairs):
+        idx = blocks[i % nb]
+        v[i, : idx.size] = psi0[idx]
+    weights = np.array([[1.0 / math.factorial(j) for j in range(max(m for _, m in plan) + 1)]], dtype=complex)
+    steps = [v.copy()]
+    for f, (x, (s, m)) in enumerate(zip(gens, plan)):
+        for i in range(pairs):
+            for _ in range(s):
+                powers = [v[i]]
+                for _ in range(m):
+                    powers.append(np.dot(x[i], powers[-1]))
+                v[i] = np.dot(weights[:, : m + 1], np.array(powers))[0]
+        if f % 2:
+            steps.append(v.copy())
+    steps = np.array(steps).reshape(n_steps + 1, -1, nb, d).swapaxes(0, 1)
+    steps[:, 1:] *= np.cumprod(np.tile(np.exp(-1j * h * mu), (n_steps, 1)), axis=0)[:, :, None]
+    states = np.zeros((steps.shape[0], n_steps + 1, params.dim), dtype=complex)
+    for b, idx in enumerate(blocks):
+        states[..., idx] = steps[..., b, : idx.size]
+    return states
+
+
 class TestTaylorPlan:
     def test_plan_matches_scalar_loop_on_dense_grid(self):
         # the last x of each degree and the first of the next, found by
@@ -356,45 +448,15 @@ class TestTaylorPlan:
         assert substeps.tolist() == expected_s
         assert degrees.tolist() == [taylor_degree(v / s) for v, s in zip(x.tolist(), expected_s)]
 
-    @pytest.mark.parametrize(
-        "kets, amplitudes, rwa",
-        [
-            pytest.param({(0, 0, 1): 1.0}, None, False, id="one-state"),
-            pytest.param({(0, 0, 0): 0.6, (0, 0, 1): 0.8}, [0.3, 1.0], False, id="batched-both-blocks"),
-            # RWA: the 1-dim vacuum block padded to the 3-dim single-excitation
-            # block, then the 3-dim block, whose drift has a nonzero trace,
-            # padded to the 4-dim double-excitation block; the amplitude 4 is
-            # strong enough for two-substep exponentials on these small blocks
-            pytest.param({(0, 0, 0): 0.6, (0, 0, 1): 0.8}, [0.3, 4.0], True, id="rwa-mixed-size-blocks"),
-            pytest.param({(0, 0, 1): 0.6, (1, 0, 1): 0.8}, [0.3, 4.0], True, id="rwa-padded-block-with-trace"),
-        ],
-    )
+    @pytest.mark.parametrize("kets, amplitudes, rwa", KERNEL_CASES)
     def test_every_exponential_takes_the_scalar_plan(self, kets, amplitudes, rwa, monkeypatch):
         # each exponential gets the substeps and degree that the scalar loop
         # gives for its own bound, and the kernel takes exactly substeps *
         # (degree + 1) products: one per power and one for the weighted sum
-        params = ModelParams(kappa=0.01, n_max=3)
-        pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
-        window, opts = (-4.0, 4.0), PropagationOptions(dt=0.2)
-        psi0 = sum(weight * basis_state(*ket, params) for ket, weight in kets.items())
-        taken, products = [], []
-        kernel = dynamics._taylor_chunk
-
-        def spy(product, gens, substeps, degrees, *rest):
-            taken.extend(zip(substeps, degrees))
-
-            def counted(*args, **kwargs):
-                products.append(1)
-                return product(*args, **kwargs)
-
-            return kernel(counted, gens, substeps, degrees, *rest)
-
-        monkeypatch.setattr(dynamics, "_taylor_chunk", spy)
-        propagate(psi0, pair, params, window, opts, amplitudes=amplitudes, rwa=rwa)
-        plan = scalar_plan(psi0, pair, params, window, opts, amplitudes or (1.0,), rwa)
-        assert taken == plan
-        assert {s for s, _ in plan} == {1, 2}
-        assert len(products) == sum(s * (m + 1) for s, m in plan)
+        run = kernel_run(kets, amplitudes, rwa, monkeypatch)
+        assert run.taken == run.plan
+        assert {s for s, _ in run.plan} == {1, 2}
+        assert run.products == sum(s * (m + 1) for s, m in run.plan)
 
     def test_schedule_read_once_per_propagation(self):
         # one array read: inside both ends and at both Gauss nodes of every step
@@ -411,6 +473,20 @@ class TestTaylorPlan:
         n_steps = traj.times.size - 1
         assert n_steps == 24
         assert reads == [(n_steps, 4)]
+
+
+class TestTaylorKernel:
+    @pytest.mark.parametrize("kets, amplitudes, rwa", KERNEL_CASES)
+    def test_states_equal_a_plain_dot_loop(self, kets, amplitudes, rwa, monkeypatch):
+        # the kernel's dispatch-free products are the plain np.dot loop's,
+        # with the same operands in the same order, so every state is equal
+        # to the last bit
+        run = kernel_run(kets, amplitudes, rwa, monkeypatch)
+        assert len(run.gens) == len(run.plan)
+        expected = reference_states(run.psi0, run.params, rwa, run.window, run.plan, run.gens)
+        assert len(run.trajs) == expected.shape[0]
+        for traj, states in zip(run.trajs, expected):
+            np.testing.assert_array_equal(traj.states, states)
 
 
 class TestStepperOrder:

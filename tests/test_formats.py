@@ -118,6 +118,31 @@ class TestScheduleFormats:
         assert back.t_start == 0.3 and back.bins == 7
         np.testing.assert_allclose(back.dt, 0.1, rtol=1e-11)
 
+    @pytest.mark.parametrize(
+        "t_start, dt, bins",
+        [(0.0, 1.0 / 0.03 / 1000, 1000), (0.0, 1.0 / 0.07 / 1000, 1000), (-1234.5, 1.0 / 3.0, 30)],
+        ids=["t_inv-0.03-fine", "t_inv-0.07-fine", "far-start"],
+    )
+    def test_csv_round_trip_of_a_fine_grid(self, t_start, dt, bins):
+        # the 12 digits kept of each t move a width by up to 1e-11 of the
+        # largest |t|, far more than 1e-9 of a fine bin's width; the bins
+        # come back on the written grid to that same precision
+        values = np.linspace(0.0, 0.3, bins)
+        sched = PiecewiseConstantSchedule(t_start, dt, values, values[::-1])
+        back = schedule_from_csv(schedule_csv(sched))
+        assert back.bins == bins
+        assert back.t_start == float(fmt(t_start))
+        np.testing.assert_allclose(back.dt, dt, rtol=1e-11)
+        np.testing.assert_allclose(back.t_start + bins * back.dt, sched.t_end, rtol=0, atol=1e-11 * abs(sched.t_end))
+        np.testing.assert_allclose(back.values1, values, rtol=1e-11)
+
+    @pytest.mark.parametrize("t_start", [0.0, -1234.5])
+    def test_csv_with_one_bin_one_percent_wider_rejected(self, t_start):
+        edges = t_start + np.array([0.0, 1.0, 2.0, 3.01, 4.01]) / 3.0
+        rows = [f"{k},{fmt(t0)},{fmt(t1)},0.1,0.2" for k, (t0, t1) in enumerate(zip(edges[:-1], edges[1:]))]
+        with pytest.raises(ValueError, match="^schedule CSV has non-uniform bins$"):
+            schedule_from_csv("\n".join(["bin,t0,t1,g1,g2", *rows]) + "\n")
+
     def test_csv_header_required(self):
         with pytest.raises(ValueError):
             schedule_from_csv("a,b\n1,2\n")
