@@ -49,8 +49,9 @@ vectorised pass (:func:`_taylor_plan`).  It then builds the generators of a
 chunk of steps with one matrix product into a reused buffer, and :func:`_taylor_chunk`
 applies each exponential as a stack of powers X^j psi, one product per
 power, summed with the 1/j! weights in one contraction.  Each step's states
-go straight into the block states that :func:`_cf4_steps` returns, which
-:func:`propagate` scatters into the full space once, after the peak.
+go straight into the block states that :func:`_cf4_steps` returns, and each
+:class:`Trajectory` keeps them as they are: only the final states are
+scattered into the full space.
 """
 
 from __future__ import annotations
@@ -108,23 +109,39 @@ class PropagationOptions:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times, the matching states, the final state and the photon peak.
+    """Sampled evolution on the occupied conserved blocks, the final state and the photon peak.
 
-    ``states[k]`` is the amplitude vector at ``times[k]``; ``final`` is the
-    end-of-window state.  ``peak_mean_photon`` is the largest <a^dag a>
-    between the first and the last sample, read from the cubic Hermite
-    interpolant of :func:`_photon_peaks` (NaN when not computed); it is at
-    least the largest sampled value.
+    ``block_states[k, b]`` is the state at ``times[k]`` on the flat indices
+    ``blocks[b]``, zero-padded to the largest block; the state never leaves
+    these blocks.  ``final`` is the end-of-window state in the full space.
+    ``peak_mean_photon`` is the largest <a^dag a> between the first and the
+    last sample, read from the cubic Hermite interpolant of
+    :func:`_photon_peaks` (NaN when not computed); it is at least the
+    largest sampled value.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    block_states: np.ndarray
     final: np.ndarray
     peak_mean_photon: float = math.nan
 
+    @property
+    def states(self) -> np.ndarray:
+        """Full-space amplitude vector at every sample, built on each read."""
+        return _full_space(self.blocks, self.block_states, self.final.size)
+
     def norms2(self) -> np.ndarray:
         """Squared norm at every sample (decays under cavity loss)."""
-        return np.sum(np.abs(self.states) ** 2, axis=1)
+        return np.sum(np.abs(self.block_states) ** 2, axis=(1, 2))
+
+
+def _full_space(blocks, block_states: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-long vectors of block states of shape (..., blocks, d), zero outside the blocks."""
+    full = np.zeros((*block_states.shape[:-2], dim), dtype=complex)
+    for b, idx in enumerate(blocks):
+        full[..., idx] = block_states[..., b, : idx.size]
+    return full
 
 
 def _taylor_plan(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,12 +390,12 @@ def propagate(
     Returns
     -------
     Trajectory or list of Trajectory
-        The state after every step, the unnormalized final state, whose norm
-        loss is the population lost through the cavity, and the photon peak
-        of :func:`_photon_peaks` with the couplings read just inside both
-        ends of every step, so a schedule that jumps on a step edge gives
-        each step its own side of the jump; with ``amplitudes``, one
-        trajectory per amplitude, in order.
+        The block states after every step, the unnormalized final state,
+        whose norm loss is the population lost through the cavity, and the
+        photon peak of :func:`_photon_peaks` with the couplings read just
+        inside both ends of every step, so a schedule that jumps on a step
+        edge gives each step its own side of the jump; with ``amplitudes``,
+        one trajectory per amplitude, in order.
     """
     opts = opts or PropagationOptions()
     state0 = _check_initial(state0, params)
@@ -406,9 +423,7 @@ def propagate(
     if not np.all(np.isfinite(block_states[:, -1])):
         raise IntegrationError("state became non-finite during propagation")
     peaks = _photon_peaks(times, block_states, params, layout, amps, couplings[:, 0], couplings[:, 3])
-    samples = np.zeros((amps.size, times.size, params.dim), dtype=complex)
-    for b, idx in enumerate(layout[0]):
-        samples[..., idx] = block_states[..., b, : idx.size]
-    trajs = [Trajectory(times, states, states[-1], float(peak)) for states, peak in zip(samples, peaks)]
+    finals = _full_space(layout[0], block_states[:, -1], params.dim)
+    trajs = [Trajectory(times, layout[0], *run) for run in zip(block_states, finals, peaks.tolist())]
     return trajs[0] if amplitudes is None else trajs
 

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import Trajectory
-from .metrics import RunRecord, cavity_indices, populations
+from .metrics import RunRecord, cavity_indices
 from .model import ModelParams, basis_labels, flat_index
 from .pulses import PiecewiseConstantSchedule
 from .qoc import OptimizationResult
@@ -107,14 +107,14 @@ def sweep_csv(records: list[RunRecord]) -> str:
 
 def trajectory_csv(traj: Trajectory, params: ModelParams) -> str:
     """Population histories: source / target / any-photon populations and norm."""
-    p_source = populations(traj, [flat_index(0, 0, 1, params)])
-    p_target = populations(traj, [flat_index(0, 1, 0, params)])
-    p_cavity = populations(traj, cavity_indices(params))
-    mean_n = np.abs(traj.states) ** 2 @ basis_labels(params)[0]
-    norm2 = traj.norms2()
+    pop = np.abs(traj.states) ** 2
+    p_source = pop[:, flat_index(0, 0, 1, params)]
+    p_target = pop[:, flat_index(0, 1, 0, params)]
+    p_cavity = np.sum(pop[:, cavity_indices(params)], axis=1)
+    mean_n = pop @ basis_labels(params)[0]
     header = "time,p_source,p_target,p_cavity,mean_photon,norm2"
     row = ",".join(["%.12g"] * 6)  # fmt's format, applied to a whole row at once
-    table = np.column_stack([traj.times, p_source, p_target, p_cavity, mean_n, norm2]).tolist()
+    table = np.column_stack([traj.times, p_source, p_target, p_cavity, mean_n, np.sum(pop, axis=1)]).tolist()
     return "\n".join([header, *(row % tuple(values) for values in table)]) + "\n"
 
 

@@ -7,6 +7,8 @@ leakage diagnostics operate on sampled trajectories.  The peak photon
 number is not a maximum over samples: the propagators compute it from a
 cubic Hermite interpolant with exact slopes and store it on the
 :class:`~usctransfer.dynamics.Trajectory`, so it does not move with the step.
+A :class:`RunRecord` holds only these figures of a run, never its
+trajectory; the batch harness fills one in from the functions here.
 """
 
 from __future__ import annotations
@@ -48,30 +50,6 @@ class RunRecord:
     duration: float
     wall_time: float = 0.0
     error: str | None = None
-
-    @classmethod
-    def from_trajectory(
-        cls,
-        params: ModelParams,
-        schedule: dict[str, Any],
-        traj: Trajectory,
-        target: np.ndarray,
-        duration: float,
-        wall_time: float = 0.0,
-    ) -> "RunRecord":
-        """Record of a finished run, with its figures measured on ``traj``.
-
-        The photon peak is the one the propagator stored on ``traj``.
-        """
-        return cls(
-            params=params,
-            schedule=schedule,
-            fidelity=transfer_efficiency(traj.final, target),
-            leakage=leakage(traj),
-            peak_mean_photon=traj.peak_mean_photon,
-            duration=duration,
-            wall_time=wall_time,
-        )
 
 
 def transfer_efficiency(final: np.ndarray, target: np.ndarray) -> float:

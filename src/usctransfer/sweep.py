@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import PropagationOptions, Trajectory, propagate
-from .metrics import RunRecord
+from .metrics import RunRecord, leakage, transfer_efficiency
 from .model import ModelParams, _check_input_pair, superposition_initial, superposition_target
 from .pulses import (
     DEFAULT_TAU_RATIO,
@@ -160,7 +160,9 @@ def _run(schedule, window, opts, fixed: SweepFixed, model: str, runs) -> list[tu
     trajs = propagate(initial, schedule, params, window, opts, amplitudes=amplitudes, rwa=(model == "rwa"))
     wall = (time.perf_counter() - start) / len(runs)
     return [
-        (RunRecord.from_trajectory(params, descriptor, traj, target, duration, wall), traj)
+        (RunRecord(params=params, schedule=descriptor, fidelity=transfer_efficiency(traj.final, target),
+                   leakage=leakage(traj), peak_mean_photon=traj.peak_mean_photon, duration=duration,
+                   wall_time=wall), traj)
         for (_, duration, descriptor), traj in zip(runs, trajs)
     ]
 

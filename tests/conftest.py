@@ -7,13 +7,16 @@ use them are marked ``slow``, so ``pytest -m "not slow"`` skips the costly
 fixtures.
 """
 
+import dataclasses
 import time
 
+import numpy as np
 import pytest
 
 from usctransfer import (
     ModelParams,
     OptimizationConfig,
+    PiecewiseConstantSchedule,
     PropagationOptions,
     SweepFixed,
     calibrate_tau,
@@ -49,6 +52,26 @@ def dense_generator(params, g1, g2, rwa=False):
 def replay(psi0, sched, params, rwa=False):
     """A piecewise-constant schedule replayed by the stepper, one step per bin."""
     return propagate(psi0, sched, params, (sched.t_start, sched.t_end), PropagationOptions(dt=sched.dt), rwa=rwa)
+
+
+def reciprocal_runs(params, alpha, beta):
+    """(params, initial, target) of a run and of its reciprocal.
+
+    K(t) is complex symmetric (K0 diagonal, V1 and V2 real symmetric), so
+    the transpose of a propagator is the propagator of the time-reversed
+    schedule, cavity loss included, and exchanging the qubits swaps V1 with
+    V2 and eps1 with eps2.  Together they give F(alpha, beta; g1(t), g2(t);
+    eps1, eps2) = F(alpha, beta*; g2(T - t), g1(T - t); eps2, eps1): the
+    second triple, run under the exchanged, time-reversed schedule.
+    """
+    exchanged = dataclasses.replace(params, eps1=params.eps2, eps2=params.eps1)
+    return [(p, superposition_initial(alpha, b, p), superposition_target(alpha, b, p))
+            for p, b in ((params, beta), (exchanged, np.conj(beta)))]
+
+
+def reciprocal_schedule(sched):
+    """The piecewise schedule with the couplings exchanged and the bins reversed."""
+    return PiecewiseConstantSchedule(sched.t_start, sched.dt, sched.values2[::-1], sched.values1[::-1])
 
 
 def reference_fixed(**overrides) -> SweepFixed:

@@ -30,7 +30,7 @@ from usctransfer import (
 from usctransfer import dynamics
 from usctransfer.model import block_generators, coupling_operator
 
-from conftest import dense_generator, replay
+from conftest import dense_generator, reciprocal_runs, reciprocal_schedule, replay
 
 
 def constant_schedule(g1, g2, duration):
@@ -282,8 +282,7 @@ class TestPiecewisePropagation:
         bins = np.column_stack([sched.values1, sched.values2])
         assert not np.array_equal(np.column_stack(sched.values(traj.times[:-1])), bins)
         layout = block_generators(self.PARAMS, False, (0, 1))  # the input fills both parity blocks
-        states = np.stack([traj.states[:, idx] for idx in layout[0]], axis=1)  # both blocks are 18-dim
-        peak = dynamics._photon_peaks(traj.times, states[None], self.PARAMS, layout, np.ones(1), bins, bins)
+        peak = dynamics._photon_peaks(traj.times, traj.block_states[None], self.PARAMS, layout, np.ones(1), bins, bins)
         assert traj.peak_mean_photon == float(peak[0])
 
 
@@ -554,6 +553,72 @@ class TestBlockPropagation:
             chain = dense_cf4_chain(psi0, pair, params, window, n_steps, amp, rwa=True)
             np.testing.assert_allclose(traj.states, np.array(chain), rtol=0, atol=1e-10)
             assert np.all(traj.states[:, outside] == 0)
+
+    @pytest.mark.parametrize("rwa, size", [(False, 18), (True, 3)], ids=["rabi", "rwa"])
+    def test_trajectory_keeps_only_the_occupied_block(self, rwa, size):
+        # the default input lies in the odd parity block (Rabi) or the
+        # single-excitation block (RWA); the full-space states are built from it
+        params = ModelParams()
+        psi0 = superposition_initial(0.0, 1.0, params)
+        traj = propagate(psi0, GaussianPair(g0=0.3, T=25.0, tau=15.0), params, (-50.0, 50.0), rwa=rwa)
+        assert traj.block_states.shape == (traj.times.size, 1, size)
+        (idx,) = traj.blocks
+        assert any(np.array_equal(idx, block) for block in conserved_blocks(params, rwa))
+        states = traj.states
+        assert states.shape == (traj.times.size, params.dim)
+        np.testing.assert_array_equal(states[:, idx], traj.block_states[:, 0])
+        assert np.all(np.delete(states, idx, axis=1) == 0)
+        np.testing.assert_array_equal(states[-1], traj.final)
+
+
+RECIPROCAL_INPUTS = [(0.0, 1.0), (0.6, 0.8), (0.6, 0.48 + 0.64j)]
+
+
+class TestReciprocity:
+    # conftest.reciprocal_runs: a run and its reciprocal (qubits exchanged,
+    # schedule time-reversed, beta conjugated) transfer equally well.  CF4 is
+    # a symmetric scheme and reads each step at mirrored points, so the
+    # identity holds at every step, not only in the limit; it checks the
+    # drift of each qubit and the step's pairing of couplings with states.
+    # The schedules are asymmetric (a Gaussian pair is its own reciprocal),
+    # and F stays well away from 0, where a wrong model could tie both runs
+    PARAMS = ModelParams(eps1=1.0, eps2=0.9)
+    WINDOW = (0.0, 30.0)
+
+    @staticmethod
+    def smooth(t):
+        t = np.asarray(t)
+        g1 = 0.25 * np.exp(-(((t - 11.0) / 6.0) ** 2)) * (1.0 + 0.3 * np.sin(t))
+        g2 = 0.2 * np.exp(-(((t - 17.0) / 5.0) ** 2)) + 0.02 * t / 30.0
+        return g1, g2
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
+    @pytest.mark.parametrize("dt", [0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("alpha, beta", RECIPROCAL_INPUTS)
+    def test_smooth_schedule_at_every_step(self, rwa, dt, alpha, beta):
+        t0, t1 = self.WINDOW
+        forward = SimpleNamespace(values=self.smooth)
+        backward = SimpleNamespace(values=lambda t: self.smooth(t0 + t1 - np.asarray(t))[::-1])
+        f = [
+            transfer_efficiency(propagate(psi0, sched, params, self.WINDOW, PropagationOptions(dt=dt), rwa=rwa).final,
+                                target)
+            for sched, (params, psi0, target) in zip((forward, backward), reciprocal_runs(self.PARAMS, alpha, beta))
+        ]
+        assert f[0] > 0.1
+        assert abs(f[0] - f[1]) <= 1e-13
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
+    @pytest.mark.parametrize("alpha, beta", RECIPROCAL_INPUTS)
+    def test_piecewise_replay(self, rwa, alpha, beta):
+        rng = np.random.default_rng(10)
+        sched = PiecewiseConstantSchedule(0.0, 1.25, rng.uniform(0, 0.3, 20), rng.uniform(0, 0.3, 20))
+        f = [
+            transfer_efficiency(replay(psi0, s, params, rwa=rwa).final, target)
+            for s, (params, psi0, target) in zip((sched, reciprocal_schedule(sched)),
+                                                 reciprocal_runs(self.PARAMS, alpha, beta))
+        ]
+        assert f[0] > 0.1
+        assert abs(f[0] - f[1]) <= 1e-13
 
 
 class TestPhotonPeak:

@@ -211,7 +211,7 @@ class TestTrajectoryCsv:
         states[3, 0] = np.inf
         times = traj.times.copy()
         times[4] = -0.0
-        traj = Trajectory(times, states, states[-1])
+        traj = Trajectory(times, (np.arange(params.dim),), states[:, None], states[-1])
         with np.errstate(invalid="ignore"):  # inf * 0 in the inf row
             table = np.column_stack([
                 times,

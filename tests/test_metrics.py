@@ -163,5 +163,5 @@ class TestTrajectoryContainer:
     def test_norms2_matches_states(self):
         times = np.array([0.0, 1.0])
         states = np.array([[1.0 + 0j, 0j], [0.6 + 0j, 0.3j]])
-        traj = Trajectory(times, states, states[-1])
+        traj = Trajectory(times, (np.arange(2),), states[:, None], states[-1])
         np.testing.assert_allclose(traj.norms2(), [1.0, 0.45])

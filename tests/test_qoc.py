@@ -30,6 +30,8 @@ from usctransfer import (
 )
 from usctransfer.model import block_generators, coupling_operator, drift_hamiltonian, number_operator
 
+from conftest import reciprocal_runs, reciprocal_schedule
+
 PARAMS = ModelParams(kappa=0.005, n_max=2)
 INITIAL = superposition_initial(0.0, 1.0, PARAMS)
 TARGET = superposition_target(0.0, 1.0, PARAMS)
@@ -303,6 +305,27 @@ class TestGradientOracle:
         monkeypatch.setattr(qoc_mod, "block_generators", without)
         results = gradient_check(PARAMS, seeds=(3,), rwa=True)
         assert all(rel > 1e-3 for _, rel in results)
+
+
+class TestReciprocity:
+    # conftest.reciprocal_runs: F maps onto the run with the qubits exchanged
+    # and the bins reversed, and so does its gradient, dF/dg1_k = dF'/dg2_(M-1-k)
+    # and dF/dg2_k = dF'/dg1_(M-1-k): the gradient vector read backwards.
+    # The detuned qubits make the identity sharp on the drift, the random
+    # bins are asymmetric, and F stays well away from 0
+    PARAMS = ModelParams(eps1=1.0, eps2=0.9)
+    SCHED = random_schedule(10, bins=20, duration=25.0)
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.6, 0.8), (0.6, 0.48 + 0.64j)])
+    def test_objective_and_gradient_map(self, rwa, alpha, beta):
+        runs = list(zip((self.SCHED, reciprocal_schedule(self.SCHED)), reciprocal_runs(self.PARAMS, alpha, beta)))
+        (f, grad), (f_rev, grad_rev) = (objective_and_gradient(s, *run, rwa=rwa) for s, run in runs)
+        assert f > 0.1
+        assert abs(f - f_rev) <= 1e-13
+        np.testing.assert_allclose(grad, grad_rev[::-1], rtol=0, atol=1e-12 * np.abs(grad).max())
+        replayed = [objective(s, *run, rwa=rwa) for s, run in runs]
+        assert abs(replayed[0] - replayed[1]) <= 1e-13
 
 
 def evaluate(case):

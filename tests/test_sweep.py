@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +162,21 @@ class TestRunSweep:
             assert record.schedule == single.schedule
             for field in ("fidelity", "leakage", "peak_mean_photon"):
                 assert abs(getattr(record, field) - getattr(single, field)) <= 1e-12
+
+    def test_row_holds_no_full_space_samples(self):
+        # the default input occupies one 18-dim parity block of the 36-dim
+        # space, and the row's trajectories keep only that block: the traced
+        # peak stays below one (points, samples, dim) complex array
+        fixed = SweepFixed()
+        gaussian_row(0.1, DEFAULT_G0_VALUES, fixed)  # builds the cached model operators
+        tracemalloc.start()
+        try:
+            row = gaussian_row(0.1, DEFAULT_G0_VALUES, fixed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full_space = len(DEFAULT_G0_VALUES) * row[0][1].times.size * fixed.params.dim * 16
+        assert peak < full_space
 
     def test_rwa_dominates_rabi_in_usc_window(self):
         # reduced grid, g0 >= 0.2: the excitation-conserving model must win
