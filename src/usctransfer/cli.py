@@ -10,7 +10,7 @@ the same checks and typed flags win (a key naming no flag of the subcommand
 is a usage error).  Outputs go to stdout unless ``--out`` is given, in which
 case files are written atomically.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure.
+Exit codes: 0 success, 1 usage error or unwritable output, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -110,9 +110,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _write(flag: str, path: str, text: str) -> None:
+    """Write ``text`` to the file of ``flag`` atomically; a failed write is a usage error naming the flag."""
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        raise SystemExit(f"usctransfer: cannot write {flag} {path}: {exc.strerror or exc}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        atomic_write_text(out_path, text)
+        _write("--out", out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -153,7 +161,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         record, traj = gaussian_run(args.t_inv, args.g0, fixed, args.model)
     _emit(run_record_json(record), args.out)
     if args.traj_out:
-        atomic_write_text(args.traj_out, trajectory_csv(traj, fixed.params))
+        _write("--traj-out", args.traj_out, trajectory_csv(traj, fixed.params))
     return 0
 
 
@@ -189,7 +197,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     result = optimize(config, params, initial, target, rwa=(args.model == "rwa"))
     _emit(optimization_result_json(result), args.out)
     if args.schedule_out:
-        atomic_write_text(args.schedule_out, schedule_csv(result.best_schedule))
+        _write("--schedule-out", args.schedule_out, schedule_csv(result.best_schedule))
     return 0
 
 

@@ -117,7 +117,9 @@ class Trajectory:
     ``peak_mean_photon`` is the largest <a^dag a> between the first and the
     last sample, read from the cubic Hermite interpolant of
     :func:`_photon_peaks` (NaN when not computed); it is at least the
-    largest sampled value.
+    largest sampled value.  Every population, photon number and norm is read
+    off the block states by :meth:`expect`; the full-space ``states`` are for
+    callers that want the amplitudes themselves.
     """
 
     times: np.ndarray
@@ -131,9 +133,23 @@ class Trajectory:
         """Full-space amplitude vector at every sample, built on each read."""
         return _full_space(self.blocks, self.block_states, self.final.size)
 
+    def expect(self, diagonal) -> np.ndarray:
+        """<psi|D|psi> at every sample for a diagonal observable D.
+
+        ``diagonal`` holds D's ``dim`` entries, shape (dim,), or the entries
+        of k observables as columns, shape (dim, k); the result has shape
+        (samples,) or (samples, k).  The sum runs over the occupied block
+        entries only, never over the full space.
+        """
+        diagonal, dim = np.asarray(diagonal, dtype=float), self.final.size
+        if diagonal.ndim not in (1, 2) or diagonal.shape[0] != dim:
+            raise ValueError(f"diagonal has shape {diagonal.shape}, expected ({dim},) or ({dim}, k)")
+        pop = np.abs(self.block_states) ** 2
+        return sum(pop[:, b, : idx.size] @ diagonal[idx] for b, idx in enumerate(self.blocks))
+
     def norms2(self) -> np.ndarray:
         """Squared norm at every sample (decays under cavity loss)."""
-        return np.sum(np.abs(self.block_states) ** 2, axis=(1, 2))
+        return self.expect(np.ones(self.final.size))
 
 
 def _full_space(blocks, block_states: np.ndarray, dim: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import Trajectory
-from .metrics import RunRecord, cavity_indices
+from .metrics import RunRecord
 from .model import ModelParams, basis_labels, flat_index
 from .pulses import PiecewiseConstantSchedule
 from .qoc import OptimizationResult
@@ -106,15 +106,19 @@ def sweep_csv(records: list[RunRecord]) -> str:
 
 
 def trajectory_csv(traj: Trajectory, params: ModelParams) -> str:
-    """Population histories: source / target / any-photon populations and norm."""
-    pop = np.abs(traj.states) ** 2
-    p_source = pop[:, flat_index(0, 0, 1, params)]
-    p_target = pop[:, flat_index(0, 1, 0, params)]
-    p_cavity = np.sum(pop[:, cavity_indices(params)], axis=1)
-    mean_n = pop @ basis_labels(params)[0]
+    """Population histories: source / target / any-photon populations, <a^dag a> and norm.
+
+    The five columns after ``time`` are the expectations of five diagonal
+    observables, read off the block states in one :meth:`Trajectory.expect`
+    call.  ``params`` must be the model the trajectory ran under (a
+    ``ValueError`` otherwise).
+    """
+    n = basis_labels(params)[0]
+    source, target = np.eye(params.dim)[[flat_index(0, 0, 1, params), flat_index(0, 1, 0, params)]]
+    diagonals = np.column_stack([source, target, n >= 1, n, np.ones(params.dim)])
     header = "time,p_source,p_target,p_cavity,mean_photon,norm2"
     row = ",".join(["%.12g"] * 6)  # fmt's format, applied to a whole row at once
-    table = np.column_stack([traj.times, p_source, p_target, p_cavity, mean_n, np.sum(pop, axis=1)]).tolist()
+    table = np.column_stack([traj.times, traj.expect(diagonals)]).tolist()
     return "\n".join([header, *(row % tuple(values) for values in table)]) + "\n"
 
 

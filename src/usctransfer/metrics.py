@@ -3,7 +3,9 @@
 The figure of merit is the squared overlap |<target|final>|^2 evaluated with
 the raw (possibly sub-normalized) final state, so population leaked through
 the cavity directly reduces the efficiency.  Populations, photon number and
-leakage diagnostics operate on sampled trajectories.  The peak photon
+leakage diagnostics operate on sampled trajectories; the per-sample
+populations are read off the block states through
+:meth:`~usctransfer.dynamics.Trajectory.expect`.  The peak photon
 number is not a maximum over samples: the propagators compute it from a
 cubic Hermite interpolant with exact slopes and store it on the
 :class:`~usctransfer.dynamics.Trajectory`, so it does not move with the step.
@@ -82,9 +84,12 @@ def cavity_indices(params: ModelParams) -> np.ndarray:
 
 
 def populations(traj: Trajectory, indices: Iterable[int]) -> np.ndarray:
-    """Per-sample population summed over the selected basis states."""
-    indices = np.asarray(list(indices), dtype=int)
-    return np.sum(np.abs(traj.states[:, indices]) ** 2, axis=1)
+    """Per-sample population summed over the selected basis states (a repeated index counts again)."""
+    indices, dim = np.asarray(list(indices), dtype=int), traj.final.size
+    outside = indices[(indices < 0) | (indices >= dim)]
+    if outside.size:
+        raise ValueError(f"basis index {outside[0]} is outside 0..{dim - 1}")
+    return traj.expect(np.bincount(indices, minlength=dim))
 
 
 def mean_photon(state: np.ndarray, params: ModelParams) -> float:

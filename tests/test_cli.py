@@ -103,6 +103,14 @@ class TestSimulate:
         )
         assert traj.read_text() == trajectory_csv(direct, params)
 
+    @pytest.mark.parametrize("flag", ["--out", "--traj-out"])
+    def test_unwritable_output_is_one_line_usage_error(self, fast_sim_args, tmp_path, flag):
+        path = tmp_path / "missing" / "out.txt"
+        proc = run_cli(*fast_sim_args, flag, str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"usctransfer: cannot write {flag} {path}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_unnormalized_input_is_usage_error(self, fast_sim_args):
         proc = run_cli(*fast_sim_args, "--alpha", "1", "--beta", "1")
         assert proc.returncode == 1

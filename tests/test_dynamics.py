@@ -16,9 +16,11 @@ from usctransfer import (
     ModelParams,
     PiecewiseConstantSchedule,
     PropagationOptions,
+    SweepFixed,
     basis_state,
     conserved_blocks,
     excitation_operator,
+    gaussian_row,
     generators,
     integration_window,
     parity_operator,
@@ -570,6 +572,41 @@ class TestBlockPropagation:
         assert np.all(np.delete(states, idx, axis=1) == 0)
         np.testing.assert_array_equal(states[-1], traj.final)
 
+
+
+class TestExpect:
+    # oracle: the full-space populations |states|^2 contracted with D; at
+    # (0.6, 0.8) the RWA run fills padded blocks of sizes 1 and 3
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.6, 0.8)], ids=["0-1", "0.6-0.8"])
+    @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
+    def test_matches_full_space_populations(self, rwa, alpha, beta):
+        params = ModelParams(kappa=0.05, n_max=4)
+        psi0 = superposition_initial(alpha, beta, params)
+        traj = propagate(psi0, GaussianPair(g0=0.5, T=4.0, tau=2.4), params, (-8.0, 8.0), rwa=rwa)
+        if rwa and alpha:
+            assert [idx.size for idx in traj.blocks] == [1, 3]
+        rng = np.random.default_rng(3)
+        for diagonal in (rng.random(params.dim), rng.random((params.dim, 3))):
+            expected = np.abs(traj.states) ** 2 @ diagonal
+            assert traj.expect(diagonal).shape == expected.shape
+            np.testing.assert_allclose(traj.expect(diagonal), expected, rtol=0, atol=1e-15)
+
+    def test_amplitude_batched_row_matches_full_space_populations(self):
+        fixed = SweepFixed(params=ModelParams(n_max=4), options=PropagationOptions(dt=0.2))
+        row = gaussian_row(0.2, [0.1, 0.3, 0.5], fixed)
+        rng = np.random.default_rng(4)
+        diagonal = rng.random((fixed.params.dim, 3))
+        for _, traj in row:
+            for d in (diagonal[:, 0], diagonal):
+                np.testing.assert_allclose(traj.expect(d), np.abs(traj.states) ** 2 @ d, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(35,), (37, 2), (36, 2, 1), ()], ids=str)
+    def test_rejects_a_diagonal_of_another_dimension(self, shape):
+        params = ModelParams()
+        traj = propagate(superposition_initial(0.0, 1.0, params), GaussianPair(g0=0.3, T=4.0, tau=2.4),
+                         params, (-8.0, 8.0))
+        with pytest.raises(ValueError, match="diagonal has shape"):
+            traj.expect(np.ones(shape))
 
 RECIPROCAL_INPUTS = [(0.0, 1.0), (0.6, 0.8), (0.6, 0.48 + 0.64j)]
 

@@ -225,6 +225,14 @@ class TestTrajectoryCsv:
             lines += [",".join(fmt(v) for v in row) for row in table]
             assert trajectory_csv(traj, params) == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("n_max", [4, 12])
+    def test_rejects_params_of_another_cutoff(self, n_max):
+        params = ModelParams(n_max=8)
+        pair = GaussianPair(g0=0.3, T=4.0, tau=2.4)
+        traj = propagate(superposition_initial(0.0, 1.0, params), pair, params, (-8.0, 8.0))
+        with pytest.raises(ValueError, match="diagonal has shape"):
+            trajectory_csv(traj, ModelParams(n_max=n_max))
+
 
 class TestAtomicWrite:
     def test_writes_file(self, tmp_path):

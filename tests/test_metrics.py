@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,12 @@ from usctransfer import (
     GaussianPair,
     ModelParams,
     PropagationOptions,
+    SweepFixed,
     Trajectory,
     basis_state,
     cavity_indices,
+    gaussian_row,
+    gaussian_run,
     integration_window,
     leakage,
     mean_photon,
@@ -24,7 +28,10 @@ from usctransfer import (
     superposition_initial,
     transfer_efficiency,
 )
+from usctransfer.formats import trajectory_csv
 from usctransfer.model import basis_index, flat_index
+
+from conftest import REF_G0, reference_fixed
 
 PARAMS = ModelParams(kappa=0.0, n_max=3)
 
@@ -126,6 +133,19 @@ class TestPopulations:
         p_source = populations(traj, [flat_index(0, 0, 1, params)])
         np.testing.assert_allclose(p_source[0], 1.0, atol=1e-12)
 
+    def test_rejects_out_of_range_indices(self):
+        # a negative index would wrap to the last basis state, and bincount
+        # would drop one past the end without a word
+        params, traj = short_gaussian_run()
+        for index in (-1, params.dim):
+            with pytest.raises(ValueError, match=f"basis index {index} is outside 0..{params.dim - 1}"):
+                populations(traj, [0, index])
+
+    def test_repeated_index_counts_again(self):
+        params, traj = short_gaussian_run()
+        source = flat_index(0, 0, 1, params)
+        np.testing.assert_array_equal(populations(traj, [source, source]), 2 * populations(traj, [source]))
+
     def test_subspace_selector(self):
         for params in (PARAMS, ModelParams(n_max=1)):
             indices = cavity_indices(params)
@@ -165,3 +185,33 @@ class TestTrajectoryContainer:
         states = np.array([[1.0 + 0j, 0j], [0.6 + 0j, 0.3j]])
         traj = Trajectory(times, (np.arange(2),), states[:, None], states[-1])
         np.testing.assert_allclose(traj.norms2(), [1.0, 0.45])
+
+
+class TestBlockReads:
+    def test_observables_never_build_the_full_space_states(self, monkeypatch):
+        def unavailable(traj):
+            raise AssertionError("Trajectory.states was read")
+
+        monkeypatch.setattr(Trajectory, "states", property(unavailable))
+        params, traj = short_gaussian_run(kappa=0.006)
+        assert trajectory_csv(traj, params).count("\n") == traj.times.size + 1
+        populations(traj, cavity_indices(params))
+        traj.norms2()
+        leakage(traj)
+        fixed = SweepFixed(params=params, options=PropagationOptions(dt=0.2))
+        assert len(gaussian_row(0.2, [0.2, 0.3], fixed)) == 2
+
+    def test_populations_holds_no_full_space_array(self):
+        # the traced peak of one population read on the reference-g0
+        # t_inv = 0.01 trajectory stays below one (samples, dim) complex array
+        fixed = reference_fixed()
+        _, traj = gaussian_run(0.01, REF_G0, fixed)
+        indices = [flat_index(0, 0, 1, fixed.params)]
+        populations(traj, indices)
+        tracemalloc.start()
+        try:
+            populations(traj, indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.times.size * fixed.params.dim * 16
