@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, basis_labels, block_generators, conserved_blocks
+from .model import ModelParams, basis_labels, block_generators, occupied_blocks
 
 __all__ = [
     "IntegrationError",
@@ -71,7 +71,9 @@ __all__ = [
     "propagate",
 ]
 
-_TAYLOR_THETA = 0.5  # scale matrices below this 1-norm before the Taylor sum
+# largest 1-norm bound of one substep's X = -i (h / s) K: at 1 no Taylor term
+# X^j v / j! exceeds |v|_1, so the sum rounds at the 1e-16 level
+_TAYLOR_THETA = 1.0
 _TAYLOR_TOL = 2.0**-53  # Taylor remainder bound per substep, relative to the state's 1-norm
 _CHUNK_BYTES = 2**18  # most generator bytes the stepper builds with one BLAS product
 # fourth-order commutator-free Magnus weights a_1, a_2 and Gauss nodes c_1, c_2
@@ -93,11 +95,12 @@ class PropagationOptions:
     The stepper takes fixed fourth-order commutator-free Magnus steps of at
     most ``dt`` (two exponentials per step, controls sampled at the two
     Gauss nodes, on the occupied conserved blocks with their trace shifted
-    out) and stores every step, so the default trajectory is sampled every
-    0.1; at that step every transfer efficiency of the default 10 x 10 map
-    is within 1e-10 of a dt = 0.0125 run.  ``dt`` must be finite and
-    positive.  The model is not a stepper setting: every propagator takes it
-    as its ``rwa`` keyword.
+    out) and stores every step.  The default 0.1 is calibrated on the
+    fastest row of the default 10 x 10 map, t_inv = 0.1; on slower rows
+    :func:`sweep.gaussian_row` widens it for one-block inputs, and every
+    transfer efficiency of the map is within 1.1e-10 of a dt = 0.0125 run.
+    ``dt`` must be finite and positive.  The model is not a stepper
+    setting: every propagator takes it as its ``rwa`` keyword.
     """
 
     dt: float = 0.1
@@ -164,23 +167,30 @@ def _taylor_plan(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Substep counts and Taylor degrees for a 1-d array of 1-norm bounds x = |scale| |B|_1.
 
     Entry i gets s_i = max(1, ceil(x_i / _TAYLOR_THETA)) substeps of the
-    smallest degree m whose remainder bound e^y y^(m+1)/(m+1)! at
-    y = x_i / s_i is at most _TAYLOR_TOL; that bounds the 1-norm error of
-    each substep's degree-m Taylor sum of exp(B / s_i) v relative to |v|_1.
-    The bound is updated term by term, y/(m+1) at a time, on all entries at
-    once, with the floating-point operations of the scalar loop (``math.exp``
-    included), so each degree equals the scalar one bit for bit.
+    :func:`_taylor_degrees` degree at y = x_i / s_i.
     """
     substeps = np.maximum(1, np.ceil(x / _TAYLOR_THETA)).astype(int)
-    x = x / substeps
-    degrees = np.zeros(x.size, dtype=int)
-    bound = np.fromiter(map(math.exp, x), float, x.size) * x
+    return substeps, _taylor_degrees(x / substeps)
+
+
+def _taylor_degrees(y: np.ndarray) -> np.ndarray:
+    """Smallest Taylor degree m for each entry of a 1-d array of 1-norm bounds y = |B|_1.
+
+    m is the least degree whose remainder bound e^y y^(m+1)/(m+1)! is at
+    most _TAYLOR_TOL; that bounds the 1-norm error of the degree-m Taylor
+    sum of exp(B) v relative to |v|_1.  The bound is updated term by term,
+    y/(m+1) at a time, on all entries at once, with the floating-point
+    operations of the scalar loop (``math.exp`` included), so each degree
+    equals the scalar one bit for bit.
+    """
+    degrees = np.zeros(y.size, dtype=int)
+    bound = np.fromiter(map(math.exp, y), float, y.size) * y
     live = np.flatnonzero(bound > _TAYLOR_TOL)
     while live.size:
         degrees[live] += 1
-        bound[live] *= x[live] / (degrees[live] + 1)
+        bound[live] *= y[live] / (degrees[live] + 1)
         live = live[bound[live] > _TAYLOR_TOL]
-    return substeps, degrees
+    return degrees
 
 
 def _taylor_chunk(bind, gens, substeps, degrees, stacks, cur, states) -> int:
@@ -433,8 +443,7 @@ def propagate(
         raise ValueError("schedule.values(t) must return the two couplings (g1, g2), each of t's shape")
     if (bad := ~np.isfinite(couplings).all(axis=(1, 2))).any():
         raise IntegrationError(f"schedule produced non-finite couplings in the step from t={float(times[bad.argmax()])}")
-    occupied = tuple(b for b, idx in enumerate(conserved_blocks(params, rwa)) if state0[idx].any())
-    layout = block_generators(params, rwa, occupied)
+    layout = block_generators(params, rwa, occupied_blocks(params, rwa, state0))
     block_states = _cf4_steps(state0, couplings[:, 1:3], times, h, layout, amps)
     if not np.all(np.isfinite(block_states[:, -1])):
         raise IntegrationError("state became non-finite during propagation")

@@ -53,6 +53,7 @@ __all__ = [
     "excitation_operator",
     "parity_operator",
     "conserved_blocks",
+    "occupied_blocks",
     "generators",
     "block_generators",
 ]
@@ -252,6 +253,15 @@ def conserved_blocks(params: ModelParams, rwa: bool) -> tuple[np.ndarray, ...]:
     for block in blocks:
         block.flags.writeable = False
     return blocks
+
+
+def occupied_blocks(params: ModelParams, rwa: bool, *states: np.ndarray) -> tuple[int, ...]:
+    """Numbers of the :func:`conserved_blocks` on which each of ``states`` has a nonzero amplitude.
+
+    For one state, the blocks that its evolution never leaves; for an initial
+    and a target state, the only blocks on which their overlap can build up.
+    """
+    return tuple(b for b, idx in enumerate(conserved_blocks(params, rwa)) if all(s[idx].any() for s in states))
 
 
 @functools.lru_cache(maxsize=32)

@@ -28,7 +28,7 @@ exact gradient: the stepper applies two exponentials per bin to the state,
 each a Taylor sum planned on its own, while :func:`_block_pass` forms every
 bin's propagator as a matrix by Paterson-Stockmeyer and squaring and
 differentiates that.  The two share only the degree rule of
-:func:`dynamics._taylor_plan`.  Both oracles are public so they can be re-run
+:func:`dynamics._taylor_degrees`.  Both oracles are public so they can be re-run
 as a health check at any time.  The bins set the steps; the model is the
 keyword ``rwa``.
 
@@ -49,9 +49,9 @@ from typing import Sequence
 import numpy as np
 
 from ._blas import single_blas_thread
-from .dynamics import _TAYLOR_THETA, PropagationOptions, _check_initial, _taylor_plan, propagate
+from .dynamics import PropagationOptions, _check_initial, _taylor_degrees, propagate
 from .metrics import transfer_efficiency
-from .model import ModelParams, block_generators, conserved_blocks, superposition_initial, superposition_target
+from .model import ModelParams, block_generators, occupied_blocks, superposition_initial, superposition_target
 from .pulses import DEFAULT_TAU_RATIO, GaussianPair, PiecewiseConstantSchedule
 
 __all__ = [
@@ -137,10 +137,13 @@ def objective(
     return transfer_efficiency(traj.final, target)
 
 
-# Every Y with |Y|_1 < _TAYLOR_THETA takes the degree that the stepper's plan gives at
-# _TAYLOR_THETA, whose remainder bound covers them all; _PS_WEIGHTS[i, j] = 1/(4i + j)!,
-# zero above that degree, weighs Y^j in the Paterson-Stockmeyer chunk B_i
-_PS_WEIGHTS = 1.0 / np.array([math.factorial(j) for j in range(int(_taylor_plan(np.array([_TAYLOR_THETA]))[1][0]) + 1)])
+# Each bin's Y is scaled by 2^-s to |Y|_1 < _PS_THETA, the gradient's own
+# threshold, apart from the stepper's substep bound.  Every such Y takes the
+# stepper's Taylor degree at _PS_THETA, whose remainder bound covers them all;
+# _PS_WEIGHTS[i, j] = 1/(4i + j)!, zero above that degree, weighs Y^j in the
+# Paterson-Stockmeyer chunk B_i
+_PS_THETA = 0.5
+_PS_WEIGHTS = 1.0 / np.array([math.factorial(j) for j in range(int(_taylor_degrees(np.array([_PS_THETA]))[0]) + 1)])
 _PS_WEIGHTS = np.pad(_PS_WEIGHTS, (0, -_PS_WEIGHTS.size % 4)).reshape(-1, 4)
 
 
@@ -232,8 +235,8 @@ def _block_pass(
     y = powers[1]
     np.matmul(-1j * dt * np.array([np.ones(m_bins), *values]).T, ops.reshape(3, -1), out=y.reshape(m_bins, -1))
     abs_y = np.abs(y, out=tmp.reshape(-1).view(float)[: y.size].reshape(y.shape))  # in tmp's first half
-    s = max(0, math.frexp(float(abs_y.sum(axis=1).max()) / _TAYLOR_THETA)[1])
-    y *= 0.5**s  # now |Y|_1 < _TAYLOR_THETA
+    s = max(0, math.frexp(float(abs_y.sum(axis=1).max()) / _PS_THETA)[1])
+    y *= 0.5**s  # now |Y|_1 < _PS_THETA
     for j in range(2, p + 1):
         np.matmul(powers[j - 1], y, out=powers[j])
     # real weights act on the real and the imaginary parts alike: one real product
@@ -288,8 +291,7 @@ def objective_and_gradient(
     if target.shape != initial.shape:
         raise ValueError(f"dimension mismatch: target {target.shape} vs state {initial.shape}")
     values = (sched.values1, sched.values2)
-    shared = [b for b, idx in enumerate(conserved_blocks(params, rwa)) if initial[idx].any() and target[idx].any()]
-    blocks, mu, ops = block_generators(params, rwa, tuple(shared))
+    blocks, mu, ops = block_generators(params, rwa, occupied_blocks(params, rwa, initial, target))
     final = np.zeros(params.dim, dtype=complex)
     terms = np.zeros((2, sched.bins), dtype=complex)
     for b, idx in enumerate(blocks):

@@ -16,6 +16,7 @@ that the points of a row fail or succeed together.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .dynamics import PropagationOptions, Trajectory, propagate
 from .metrics import RunRecord, leakage, transfer_efficiency
-from .model import ModelParams, _check_input_pair, superposition_initial, superposition_target
+from .model import ModelParams, _check_input_pair, occupied_blocks, superposition_initial, superposition_target
 from .pulses import (
     DEFAULT_TAU_RATIO,
     DEFAULT_WINDOW_CUTOFF,
@@ -51,6 +52,8 @@ DEFAULT_T_INV_VALUES = np.linspace(0.01, 0.10, 10)
 DEFAULT_G0_VALUES = np.linspace(0.05, 0.5, 10)
 CALIBRATION_RATIOS = tuple(np.round(np.arange(0.4, 1.21, 0.1), 10))
 PUBLISHED_REFERENCE_EFFICIENCY = 0.95
+# the fastest row of the default map, the row at which PropagationOptions.dt is calibrated
+STEP_CALIBRATION_T_INV = 0.1
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,17 @@ def gaussian_row(
     one unit-amplitude pulse pair scaled by each ``g0``.  Returns a (record,
     trajectory) pair per ``g0``, in order; every record's ``wall_time`` is
     the row's wall time divided by the number of runs.
+
+    The row steps at ``fixed.options.dt`` when it is at least as fast as
+    ``STEP_CALIBRATION_T_INV`` (0.1), the row the default step is calibrated
+    on.  A slower row whose input lies in one conserved block of the model,
+    such as the default (0, 1) or (1, 0), steps at
+    dt sqrt(STEP_CALIBRATION_T_INV / t_inv): the step error of its
+    efficiency falls with the pulse width, and at the default step every
+    such F of the default map stays within 1.1e-10 of a dt = 0.0125 run.
+    An input on two blocks keeps ``dt`` on every row, because its F also
+    reads the relative phase of the blocks, whose step error grows with the
+    window.
     """
     if not 0 < t_inv < np.inf:
         raise ValueError(f"t_inv must be finite and positive, got {t_inv}")
@@ -129,7 +143,11 @@ def gaussian_row(
     window = integration_window(unit, fixed.cutoff)
     duration, pulse = effective_duration(unit), {"T": width, "tau": unit.tau}
     runs = [(g0, duration, _descriptor(t_inv, g0, fixed, model, **pulse, window=list(window))) for g0 in g0s]
-    return _run(unit, window, fixed.options, fixed, model, runs)
+    opts = fixed.options
+    initial = superposition_initial(fixed.alpha, fixed.beta, fixed.params)
+    if t_inv < STEP_CALIBRATION_T_INV and len(occupied_blocks(fixed.params, model == "rwa", initial)) == 1:
+        opts = PropagationOptions(dt=opts.dt * math.sqrt(STEP_CALIBRATION_T_INV / t_inv))
+    return _run(unit, window, opts, fixed, model, runs)
 
 
 def schedule_run(

@@ -525,6 +525,26 @@ class TestExitCodes:
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--out"), ("simulate", "--traj-out"), ("optimize", "--out"), ("optimize", "--schedule-out"),
+         ("sweep", "--out")],
+    )
+    @pytest.mark.parametrize("parent, reason", [("missing", "No such file or directory"), ("file", "Not a directory")])
+    def test_missing_output_directory_fails_before_any_run(self, command, flag, parent, reason, tmp_path, monkeypatch):
+        import usctransfer.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output directory was checked")
+
+        for name in ("gaussian_run", "optimize", "run_sweep"):
+            monkeypatch.setattr(cli_mod, name, never)
+        (tmp_path / "file").write_text("")
+        path = tmp_path / parent / "out.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_mod.main([command, flag, str(path)])
+        assert exit_info.value.code == f"usctransfer: cannot write {flag} {path}: {reason}"
+
 
 class TestReferencePoint:
     def test_published_efficiency_at_calibrated_delay(self):

@@ -21,6 +21,7 @@ from usctransfer import (
     conserved_blocks,
     excitation_operator,
     gaussian_row,
+    gaussian_run,
     generators,
     integration_window,
     parity_operator,
@@ -335,7 +336,8 @@ class TestBatchedPropagation:
 
 
 # inputs that reach both kernel paths: one matrix, and batched (amplitude,
-# block) pairs on padded blocks
+# block) pairs on padded blocks.  :func:`kernel_run` steps them at 0.4, which
+# gives every case exponentials of one and of two substeps
 KERNEL_CASES = [
     pytest.param({(0, 0, 1): 1.0}, None, False, id="one-state"),
     pytest.param({(0, 0, 0): 0.6, (0, 0, 1): 0.8}, [0.3, 1.0], False, id="batched-both-blocks"),
@@ -360,7 +362,7 @@ def kernel_run(kets, amplitudes, rwa, monkeypatch):
     """
     params = ModelParams(kappa=0.01, n_max=3)
     pair = GaussianPair(g0=1.0, T=2.0, tau=1.0)
-    window, opts = (-4.0, 4.0), PropagationOptions(dt=0.2)
+    window, opts = (-4.0, 4.0), PropagationOptions(dt=0.4)
     psi0 = sum(weight * basis_state(*ket, params) for ket, weight in kets.items())
     taken, gens, products = [], [], []
     kernel = dynamics._taylor_chunk
@@ -677,6 +679,18 @@ class TestPhotonPeak:
         errors = [abs(peak(dt) - reference) / reference for dt in (4 * default, 2 * default, default)]
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] <= 1e-7
+
+    def test_peak_at_the_step_the_cli_takes(self):
+        # the default one-block input steps the reference point at
+        # 0.1 sqrt(0.1 / 0.04), about 0.158; its peak stays within 1e-7 of the
+        # dt = 0.0125 peak
+        fixed = SweepFixed()
+        psi0 = superposition_initial(fixed.alpha, fixed.beta, fixed.params)
+        window = integration_window(self.PAIR)
+        reference = propagate(psi0, self.PAIR, fixed.params, window, PropagationOptions(dt=0.0125)).peak_mean_photon
+        record, traj = gaussian_run(0.04, 0.3, fixed)
+        assert 0.15 < np.diff(traj.times).max() < 0.16
+        assert abs(record.peak_mean_photon - reference) / reference <= 1e-7
 
     @pytest.mark.parametrize(
         "alpha, beta, seed, rwa",

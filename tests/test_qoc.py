@@ -236,6 +236,32 @@ def assert_matches_frechet_reference(sched, params, initial, target, rwa):
     np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
 
 
+class TestScalingThreshold:
+    def test_gradient_plan_is_independent_of_the_stepper(self):
+        # the gradient scales every bin below 1-norm 0.5 and takes the Taylor
+        # degree at 0.5, whatever substep bound the stepper plans with, so a
+        # change of the stepper's bound leaves every gradient bit alone.  The
+        # package imports qoc with dynamics, so qoc is reloaded after the change
+        code = (
+            "import importlib, usctransfer.dynamics as d, usctransfer.qoc as q\n"
+            "d._TAYLOR_THETA = {theta}\n"
+            "q = importlib.reload(q)\n"
+            "from usctransfer import ModelParams, PiecewiseConstantSchedule, superposition_initial, superposition_target\n"
+            "p = ModelParams(n_max=2)\n"
+            "s = PiecewiseConstantSchedule(0.0, 1.25, [0.1, 0.4, 0.2], [0.3, 0.2, 0.5])\n"
+            "f, g = q.objective_and_gradient(s, p, superposition_initial(0, 1, p), superposition_target(0, 1, p))\n"
+            "print(q._PS_THETA, q._PS_WEIGHTS.tobytes().hex(), repr(f), g.tobytes().hex())\n"
+        )
+        outputs = set()
+        for theta in (0.25, 0.5, 1.0, 4.0):
+            proc = subprocess.run([sys.executable, "-c", code.format(theta=theta)], capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().split()[0] == "0.5"
+
+
 class TestGradientOracle:
     """The adjoint Taylor gradient against per-bin Frechet derivatives on the full space."""
 

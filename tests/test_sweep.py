@@ -17,6 +17,7 @@ from usctransfer import (
     SweepGrid,
     calibrate_tau,
     gaussian_row,
+    gaussian_run,
     run_point,
     run_sweep,
 )
@@ -197,7 +198,7 @@ class TestDefaultStep:
         "alpha, beta", [pytest.param(0.0, 1.0, id="odd-block"), pytest.param(0.6, 0.8, id="both-blocks")]
     )
     def test_default_step_matches_fine_step(self, model, alpha, beta):
-        # t_inv = 0.1 is the default map's row with the largest step error
+        # t_inv = 0.1 is the fastest row, the one the default step is calibrated on
         fixed = SweepFixed(alpha=alpha, beta=beta)
         fine = replace(fixed, options=PropagationOptions(dt=0.0125))
         t_inv = DEFAULT_T_INV_VALUES[-1]
@@ -205,6 +206,38 @@ class TestDefaultStep:
         reference = gaussian_row(t_inv, DEFAULT_G0_VALUES, fine, model)
         error = max(abs(rec.fidelity - ref.fidelity) for (rec, _), (ref, _) in zip(row, reference))
         assert error <= 2e-10
+
+    @pytest.mark.parametrize("model", ["rabi", "rwa"])
+    @pytest.mark.parametrize(
+        "alpha, beta", [pytest.param(0.0, 1.0, id="odd-block"), pytest.param(1.0, 0.0, id="even-block")]
+    )
+    @pytest.mark.parametrize(
+        "t_inv", [pytest.param(DEFAULT_T_INV_VALUES[0], id="t_inv-0.01"), pytest.param(DEFAULT_T_INV_VALUES[3], id="t_inv-0.04")]
+    )
+    def test_widened_step_matches_fine_step(self, model, alpha, beta, t_inv, monkeypatch):
+        # a one-block input steps the slow rows at dt sqrt(0.1 / t_inv); g0 =
+        # 0.1 and 0.5 carry the worst errors of these rows (the worst of the
+        # map, 1.07e-10, is Rabi (0, 1) at t_inv 0.01, g0 0.5).  The reference
+        # steps at dt = 0.0125 itself, with the widening switched off
+        fixed, g0s = SweepFixed(alpha=alpha, beta=beta), [0.1, 0.5]
+        row = gaussian_row(t_inv, g0s, fixed, model)
+        monkeypatch.setattr(sweep, "STEP_CALIBRATION_T_INV", 0.0)
+        reference = gaussian_row(t_inv, g0s, replace(fixed, options=PropagationOptions(dt=0.0125)), model)
+        error = max(abs(rec.fidelity - ref.fidelity) for (rec, _), (ref, _) in zip(row, reference))
+        assert error <= 2e-10
+
+    @pytest.mark.parametrize("model", ["rabi", "rwa"])
+    @pytest.mark.parametrize(
+        "alpha, beta, step",
+        [pytest.param(0.6, 0.8, 0.1, id="both-blocks-keep-dt"), pytest.param(0.0, 1.0, 0.1 * math.sqrt(10), id="odd-block")],
+    )
+    def test_only_one_block_inputs_step_wider(self, model, alpha, beta, step):
+        # on the t_inv 0.01 row a two-block input samples every dt = 0.1 (the
+        # window cut into equal steps of at most dt); a one-block input every
+        # 0.1 sqrt(10)
+        _, traj = gaussian_run(DEFAULT_T_INV_VALUES[0], 0.3, SweepFixed(alpha=alpha, beta=beta), model)
+        span = traj.times[-1] - traj.times[0]
+        np.testing.assert_allclose(np.diff(traj.times), span / math.ceil(span / step), rtol=1e-9)
 
 
 class TestGridValidation:
