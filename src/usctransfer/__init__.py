@@ -34,12 +34,10 @@ from .metrics import (
     RunRecord,
     cavity_indices,
     leakage,
-    mean_photon,
     populations,
     transfer_efficiency,
 )
 from .qoc import (
-    NumericError,
     OptimizationConfig,
     OptimizationResult,
     finite_difference_gradient,
@@ -52,7 +50,6 @@ from .sweep import (
     SweepFixed,
     SweepGrid,
     calibrate_tau,
-    default_grid,
     gaussian_row,
     gaussian_run,
     run_point,

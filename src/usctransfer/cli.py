@@ -8,8 +8,8 @@ has one (``--help`` shows it).  A flat JSON config file can supply any flag
 value: its keys are read as flags placed before the typed ones, so they pass
 the same checks and typed flags win (a key naming no flag of the subcommand
 is a usage error).  Outputs go to stdout unless ``--out`` is given, in which
-case files are written atomically.  An output file whose directory does not
-exist is rejected before anything is computed.
+case files are written atomically.  An output path that is a directory, or
+whose directory does not exist, is rejected before anything is computed.
 
 Exit codes: 0 success, 1 usage error or unwritable output, 2 numeric failure.
 """
@@ -36,7 +36,7 @@ from .formats import (
     trajectory_csv,
 )
 from .model import ModelParams, superposition_initial, superposition_target
-from .qoc import NumericError, OptimizationConfig, gradient_check, optimize
+from .qoc import OptimizationConfig, gradient_check, optimize
 from .sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, SweepFixed, SweepGrid, gaussian_run, run_sweep, schedule_run
 
 __all__ = ["main"]
@@ -114,13 +114,13 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
-    """Reject an output file whose directory does not exist before any run, with the message its write would give."""
+    """Reject an output path that is a directory or whose directory is missing before any run, as its write would."""
     for flag in ("--out", "--traj-out", "--schedule-out"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
         directory = os.path.dirname(path or "") or "."
-        if path and not os.path.isdir(directory):
-            reason = os.strerror(errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT)
-            raise SystemExit(f"usctransfer: cannot write {flag} {path}: {reason}")
+        if path and (os.path.isdir(path) or not os.path.isdir(directory)):
+            code = errno.EISDIR if os.path.isdir(path) else errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+            raise SystemExit(f"usctransfer: cannot write {flag} {path}: {os.strerror(code)}")
 
 
 def _write(flag: str, path: str, text: str) -> None:
@@ -317,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"usctransfer: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (IntegrationError, NumericError, FloatingPointError) as exc:
+    except (IntegrationError, FloatingPointError) as exc:
         print(f"usctransfer: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
 

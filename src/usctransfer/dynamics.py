@@ -85,7 +85,7 @@ _READ_AT = np.array([1e-9, *_CF4_C, 1.0 - 1e-9])
 
 
 class IntegrationError(RuntimeError):
-    """Propagation failed (non-finite couplings, amplitudes or state)."""
+    """A propagation or its gradient went non-finite (couplings, amplitudes, state or gradient entries)."""
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,14 @@ class Trajectory:
 
         ``diagonal`` holds D's ``dim`` entries, shape (dim,), or the entries
         of k observables as columns, shape (dim, k); the result has shape
-        (samples,) or (samples, k).  The sum runs over the occupied block
+        (samples,) or (samples, k).  A complex D is accepted when its
+        imaginary part is exactly 0.  The sum runs over the occupied block
         entries only, never over the full space.
         """
-        diagonal, dim = np.asarray(diagonal, dtype=float), self.final.size
+        diagonal, dim = np.asarray(diagonal), self.final.size
+        if np.iscomplexobj(diagonal) and np.any(diagonal.imag):
+            raise ValueError("diagonal is not real: a diagonal observable has real entries")
+        diagonal = np.asarray(diagonal.real, dtype=float)
         if diagonal.ndim not in (1, 2) or diagonal.shape[0] != dim:
             raise ValueError(f"diagonal has shape {diagonal.shape}, expected ({dim},) or ({dim}, k)")
         pop = np.abs(self.block_states) ** 2

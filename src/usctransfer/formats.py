@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
+import stat
 from dataclasses import asdict
 from typing import Any
 
@@ -47,12 +48,19 @@ def fmt(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file and rename, so readers never see partials."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write via a temporary file and rename, so readers never see partials.
+
+    The file gets the mode a plain ``open(path, "w")`` would leave: that of
+    the file it replaces, or for a new file 0o666 less the umask, which the
+    system applies to the temporary file.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        if os.path.isfile(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,15 +79,7 @@ def _json_default(value: Any) -> Any:
 
 def run_record_to_dict(record: RunRecord) -> dict[str, Any]:
     """Fields of a run record as :func:`run_record_json` writes them (wall time excluded, see module doc)."""
-    return {
-        "params": asdict(record.params),
-        "schedule": record.schedule,
-        "fidelity": record.fidelity,
-        "leakage": record.leakage,
-        "peak_mean_photon": record.peak_mean_photon,
-        "duration": record.duration,
-        "error": record.error,
-    }
+    return {key: value for key, value in asdict(record).items() if key != "wall_time"}
 
 
 def run_record_json(record: RunRecord) -> str:

@@ -2,9 +2,10 @@
 
 The figure of merit is the squared overlap |<target|final>|^2 evaluated with
 the raw (possibly sub-normalized) final state, so population leaked through
-the cavity directly reduces the efficiency.  Populations, photon number and
-leakage diagnostics operate on sampled trajectories; the per-sample
-populations are read off the block states through
+the cavity directly reduces the efficiency.  Populations and leakage
+diagnostics operate on sampled trajectories; the per-sample populations,
+like the photon number ``traj.expect(basis_labels(params)[0])``, are read
+off the block states through
 :meth:`~usctransfer.dynamics.Trajectory.expect`.  The peak photon
 number is not a maximum over samples: the propagators compute it from a
 cubic Hermite interpolant with exact slopes and store it on the
@@ -28,7 +29,6 @@ __all__ = [
     "transfer_efficiency",
     "populations",
     "cavity_indices",
-    "mean_photon",
     "leakage",
 ]
 
@@ -90,14 +90,6 @@ def populations(traj: Trajectory, indices: Iterable[int]) -> np.ndarray:
     if outside.size:
         raise ValueError(f"basis index {outside[0]} is outside 0..{dim - 1}")
     return traj.expect(np.bincount(indices, minlength=dim))
-
-
-def mean_photon(state: np.ndarray, params: ModelParams) -> float:
-    """Raw photon-number expectation <psi|a^dag a|psi> (no renormalization)."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (params.dim,):
-        raise ValueError(f"state has shape {state.shape}, expected ({params.dim},)")
-    return float(np.sum(basis_labels(params)[0] * np.abs(state) ** 2))
 
 
 def leakage(traj: Trajectory) -> float:

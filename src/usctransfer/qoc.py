@@ -49,13 +49,12 @@ from typing import Sequence
 import numpy as np
 
 from ._blas import single_blas_thread
-from .dynamics import PropagationOptions, _check_initial, _taylor_degrees, propagate
+from .dynamics import IntegrationError, PropagationOptions, _check_initial, _taylor_degrees, propagate
 from .metrics import transfer_efficiency
 from .model import ModelParams, block_generators, occupied_blocks, superposition_initial, superposition_target
 from .pulses import DEFAULT_TAU_RATIO, GaussianPair, PiecewiseConstantSchedule
 
 __all__ = [
-    "NumericError",
     "OptimizationConfig",
     "OptimizationResult",
     "objective",
@@ -74,10 +73,6 @@ _FD_STEP = 1e-6
 # amplitude range (0, 0.3) less a 5% margin at each end
 _CHECK_DURATION = 5.0
 _CHECK_VALUES = (0.015, 0.285)
-
-
-class NumericError(RuntimeError):
-    """A non-finite value appeared inside an objective or gradient evaluation."""
 
 
 @dataclass(frozen=True)
@@ -299,12 +294,12 @@ def objective_and_gradient(
         final[idx], block_terms = _block_pass(ops[:, b, :n, :n], mu[b], values, sched.dt, initial[idx], target[idx])
         terms += block_terms
     if not np.all(np.isfinite(final)):
-        raise NumericError("propagation produced non-finite amplitudes")
+        raise IntegrationError("propagation produced non-finite amplitudes")
     efficiency = transfer_efficiency(final, target)
     overlap = np.vdot(target, final)
     grad = 2.0 * np.real(np.conj(overlap) * terms).ravel()
     if not np.all(np.isfinite(grad)):
-        raise NumericError("gradient evaluation produced non-finite entries")
+        raise IntegrationError("gradient evaluation produced non-finite entries")
     return efficiency, grad
 
 

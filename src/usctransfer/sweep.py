@@ -43,7 +43,6 @@ __all__ = [
     "run_sweep",
     "schedule_run",
     "calibrate_tau",
-    "default_grid",
     "DEFAULT_T_INV_VALUES",
     "DEFAULT_G0_VALUES",
 ]
@@ -91,7 +90,7 @@ class SweepGrid:
     def __post_init__(self) -> None:
         for name in ("t_inv_values", "g0_values"):
             try:
-                axis = np.asarray(getattr(self, name), dtype=float)
+                axis = np.array(getattr(self, name), dtype=float)  # a copy, so the grid aliases no caller's array
             except (TypeError, ValueError):  # ragged, or not numbers
                 axis = None
             if axis is None or axis.ndim != 1:
@@ -105,8 +104,14 @@ class SweepGrid:
                 raise ValueError(f"{name} must be positive")
             if axis.size > 1 and not np.all(np.diff(axis) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
-        if self.model not in ("rabi", "rwa"):
-            raise ValueError(f"model must be 'rabi' or 'rwa', got {self.model!r}")
+        _is_rwa(self.model)
+
+
+def _is_rwa(model: str) -> bool:
+    """Whether ``model`` names the rotating-wave dynamics; a name other than 'rabi' or 'rwa' raises ValueError."""
+    if model not in ("rabi", "rwa"):
+        raise ValueError(f"model must be 'rabi' or 'rwa', got {model!r}")
+    return model == "rwa"
 
 
 def gaussian_row(
@@ -145,7 +150,7 @@ def gaussian_row(
     runs = [(g0, duration, _descriptor(t_inv, g0, fixed, model, **pulse, window=list(window))) for g0 in g0s]
     opts = fixed.options
     initial = superposition_initial(fixed.alpha, fixed.beta, fixed.params)
-    if t_inv < STEP_CALIBRATION_T_INV and len(occupied_blocks(fixed.params, model == "rwa", initial)) == 1:
+    if t_inv < STEP_CALIBRATION_T_INV and len(occupied_blocks(fixed.params, _is_rwa(model), initial)) == 1:
         opts = PropagationOptions(dt=opts.dt * math.sqrt(STEP_CALIBRATION_T_INV / t_inv))
     return _run(unit, window, opts, fixed, model, runs)
 
@@ -168,14 +173,12 @@ def _run(schedule, window, opts, fixed: SweepFixed, model: str, runs) -> list[tu
 
     Every record's ``wall_time`` is the stepper's wall time divided by the number of runs.
     """
-    if model not in ("rabi", "rwa"):
-        raise ValueError(f"model must be 'rabi' or 'rwa', got {model!r}")
-    params = fixed.params
+    rwa, params = _is_rwa(model), fixed.params
     initial = superposition_initial(fixed.alpha, fixed.beta, params)
     target = superposition_target(fixed.alpha, fixed.beta, params)
     start = time.perf_counter()
     amplitudes = [amp for amp, _, _ in runs]
-    trajs = propagate(initial, schedule, params, window, opts, amplitudes=amplitudes, rwa=(model == "rwa"))
+    trajs = propagate(initial, schedule, params, window, opts, amplitudes=amplitudes, rwa=rwa)
     wall = (time.perf_counter() - start) / len(runs)
     return [
         (RunRecord(params=params, schedule=descriptor, fidelity=transfer_efficiency(traj.final, target),
@@ -293,13 +296,3 @@ def calibrate_tau(
     records = [run_point(t_inv, g0, replace(fixed, tau_ratio=float(r)), model) for r in ratios]
     best = min(records, key=lambda rec: abs(rec.fidelity - PUBLISHED_REFERENCE_EFFICIENCY))
     return best, records
-
-
-def default_grid(fixed: SweepFixed | None = None, model: str = "rabi") -> SweepGrid:
-    """The standard 10 x 10 map covering the USC window and the reference point."""
-    return SweepGrid(
-        t_inv_values=DEFAULT_T_INV_VALUES.copy(),
-        g0_values=DEFAULT_G0_VALUES.copy(),
-        fixed=fixed or SweepFixed(),
-        model=model,
-    )

@@ -530,7 +530,10 @@ class TestExitCodes:
         [("simulate", "--out"), ("simulate", "--traj-out"), ("optimize", "--out"), ("optimize", "--schedule-out"),
          ("sweep", "--out")],
     )
-    @pytest.mark.parametrize("parent, reason", [("missing", "No such file or directory"), ("file", "Not a directory")])
+    @pytest.mark.parametrize(
+        "parent, reason",
+        [("missing", "No such file or directory"), ("file", "Not a directory"), ("dir", "Is a directory")],
+    )
     def test_missing_output_directory_fails_before_any_run(self, command, flag, parent, reason, tmp_path, monkeypatch):
         import usctransfer.cli as cli_mod
 
@@ -540,6 +543,7 @@ class TestExitCodes:
         for name in ("gaussian_run", "optimize", "run_sweep"):
             monkeypatch.setattr(cli_mod, name, never)
         (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "out.txt").mkdir(parents=True)  # the output path itself is a directory
         path = tmp_path / parent / "out.txt"
         with pytest.raises(SystemExit) as exit_info:
             cli_mod.main([command, flag, str(path)])

@@ -31,7 +31,7 @@ from usctransfer import (
     superposition_target,
 )
 from usctransfer import dynamics
-from usctransfer.model import block_generators, coupling_operator
+from usctransfer.model import block_generators, coupling_operator, number_operator
 
 from conftest import dense_generator, reciprocal_runs, reciprocal_schedule, replay
 
@@ -602,13 +602,28 @@ class TestExpect:
             for d in (diagonal[:, 0], diagonal):
                 np.testing.assert_allclose(traj.expect(d), np.abs(traj.states) ** 2 @ d, rtol=0, atol=1e-15)
 
+    @staticmethod
+    def default_run():
+        params = ModelParams()
+        return params, propagate(superposition_initial(0.0, 1.0, params), GaussianPair(g0=0.3, T=4.0, tau=2.4),
+                                 params, (-8.0, 8.0))
+
     @pytest.mark.parametrize("shape", [(35,), (37, 2), (36, 2, 1), ()], ids=str)
     def test_rejects_a_diagonal_of_another_dimension(self, shape):
-        params = ModelParams()
-        traj = propagate(superposition_initial(0.0, 1.0, params), GaussianPair(g0=0.3, T=4.0, tau=2.4),
-                         params, (-8.0, 8.0))
+        _, traj = self.default_run()
         with pytest.raises(ValueError, match="diagonal has shape"):
             traj.expect(np.ones(shape))
+
+    def test_accepts_a_complex_diagonal_with_zero_imaginary_part(self):
+        params, traj = self.default_run()
+        n = number_operator(params).diagonal()  # the library's operators are complex
+        assert np.iscomplexobj(n)
+        np.testing.assert_array_equal(traj.expect(n), traj.expect(n.real))
+
+    def test_rejects_a_diagonal_that_is_not_real(self):
+        params, traj = self.default_run()
+        with pytest.raises(ValueError, match="not real"):
+            traj.expect(1j * np.ones(params.dim))
 
 RECIPROCAL_INPUTS = [(0.0, 1.0), (0.6, 0.8), (0.6, 0.48 + 0.64j)]
 

@@ -247,3 +247,21 @@ class TestAtomicWrite:
         assert path.read_text() == "new"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize(
+        "umask, old_mode, mode",
+        [(0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o640, 0o640)],
+        ids=["new-022", "new-077", "replaced-640"],
+    )
+    def test_mode_is_that_of_a_plain_write(self, umask, old_mode, mode, tmp_path):
+        # a new file gets 0o666 less the umask, a replaced one keeps its mode
+        path = tmp_path / "out.csv"
+        if old_mode is not None:
+            path.write_text("old")
+            path.chmod(old_mode)
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(str(path), "new")
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == mode

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import usctransfer.qoc as qoc_mod
 from usctransfer import (
+    IntegrationError,
     ModelParams,
     OptimizationConfig,
     PiecewiseConstantSchedule,
@@ -567,7 +568,7 @@ print(json.dumps({"before": before, "seen": seen}))
         def spy(*args, **kwargs):
             seen.append([get() for get, _ in controls])
             if fails:
-                raise qoc_mod.NumericError("injected")
+                raise IntegrationError("injected")
             return objective_and_gradient(*args, **kwargs)
 
         monkeypatch.setattr(qoc_mod, "objective_and_gradient", spy)
@@ -578,7 +579,7 @@ print(json.dumps({"before": before, "seen": seen}))
             for _, put in controls:
                 put(2)  # a count the pin has to change, also on a one-core host
             if fails:
-                with pytest.raises(qoc_mod.NumericError):
+                with pytest.raises(IntegrationError):
                     optimize(config, params, initial, photon_target, rwa=True)
             else:
                 optimize(config, params, initial, photon_target, rwa=True)

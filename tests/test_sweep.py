@@ -23,7 +23,7 @@ from usctransfer import (
 )
 from usctransfer import sweep
 from usctransfer.formats import sweep_csv
-from usctransfer.sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, default_grid
+from usctransfer.sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES
 
 CRASH_T_INV = 0.1
 ROW_TASK = sweep._row_task
@@ -299,10 +299,18 @@ class TestGridValidation:
             gaussian_row(t_inv, [0.2], fast_fixed())
 
     def test_default_grid_shape(self):
-        grid = default_grid()
+        grid = SweepGrid(DEFAULT_T_INV_VALUES, DEFAULT_G0_VALUES)
         assert grid.t_inv_values.size == 10 and grid.g0_values.size == 10
         assert grid.t_inv_values[0] == 0.01 and grid.g0_values[-1] == 0.5
 
+    def test_grid_keeps_its_own_copy_of_the_axes(self):
+        grid = SweepGrid(DEFAULT_T_INV_VALUES, DEFAULT_G0_VALUES)
+        # checked before the write, which would otherwise corrupt the constants for later tests
+        assert not np.shares_memory(grid.t_inv_values, DEFAULT_T_INV_VALUES)
+        assert not np.shares_memory(grid.g0_values, DEFAULT_G0_VALUES)
+        grid.t_inv_values[0] = 7.0
+        assert DEFAULT_T_INV_VALUES[0] == 0.01
+
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
-            run_sweep(default_grid(), jobs=0)
+            run_sweep(SweepGrid(DEFAULT_T_INV_VALUES, DEFAULT_G0_VALUES), jobs=0)
