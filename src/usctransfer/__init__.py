@@ -6,9 +6,7 @@ piecewise-constant optimal control of the two coupling schedules.
 """
 
 from .model import (
-    BasisIndex,
     ModelParams,
-    basis_index,
     basis_state,
     conserved_blocks,
     excitation_operator,
@@ -51,7 +49,6 @@ from .sweep import (
     SweepGrid,
     calibrate_tau,
     gaussian_row,
-    gaussian_run,
     run_point,
     run_sweep,
 )

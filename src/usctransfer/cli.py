@@ -37,7 +37,10 @@ from .formats import (
 )
 from .model import ModelParams, superposition_initial, superposition_target
 from .qoc import OptimizationConfig, gradient_check, optimize
-from .sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, SweepFixed, SweepGrid, gaussian_run, run_sweep, schedule_run
+from .sweep import (
+    DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, STEP_CALIBRATION_T_INV, STEP_F_ERROR, SweepFixed, SweepGrid, _is_rwa,
+    gaussian_row, run_sweep, schedule_run,
+)
 
 __all__ = ["main"]
 
@@ -45,6 +48,10 @@ USAGE_ERROR = 1
 NUMERIC_ERROR = 2
 # sweep config keys that name no flag: the axes of the map
 GRID_KEYS = ("t_inv_values", "g0_values")
+# the step rule of a Gaussian run and the accuracy of the default step, for the --dt help and warning
+STEP_RULE = (f"at t_inv < {STEP_CALIBRATION_T_INV} a one-block input steps at dt*sqrt({STEP_CALIBRATION_T_INV}/t_inv),"
+             " and at the default step every transfer efficiency of a one-block input on the default map is within "
+             f"{STEP_F_ERROR:g} of a dt = 0.0125 run")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,9 +164,8 @@ def _fixed(args: argparse.Namespace) -> SweepFixed:
 def _warn_on_coarse_step(dt: float) -> None:
     """Warn on stderr when ``--dt`` exceeds the calibrated step; called once every input is checked."""
     if dt > PropagationOptions.dt:
-        print(f"usctransfer: warning: --dt {dt} is above the calibrated step {PropagationOptions.dt}, which (widened "
-              "by sqrt(0.1/t_inv) on the slower rows of a one-block input) keeps every transfer efficiency of the "
-              "default map within 1.1e-10 of a dt = 0.0125 run", file=sys.stderr)
+        print(f"usctransfer: warning: --dt {dt} is above the default step {PropagationOptions.dt}: {STEP_RULE}",
+              file=sys.stderr)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -172,7 +178,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.schedule:
         record, traj = schedule_run(_read_schedule(args.schedule), fixed, args.model)
     else:
-        record, traj = gaussian_run(args.t_inv, args.g0, fixed, args.model)
+        record, traj = gaussian_row(args.t_inv, [args.g0], fixed, args.model)[0]
     _emit(run_record_json(record), args.out)
     if args.traj_out:
         _write("--traj-out", args.traj_out, trajectory_csv(traj, fixed.params))
@@ -184,12 +190,12 @@ def _read_schedule(path: str):
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as exc:
-        raise SystemExit(f"usctransfer: cannot read schedule {path}: {exc}")
-    if path.endswith(".json"):
+        if not path.endswith(".json"):
+            return schedule_from_csv(text)
         data = json.loads(text)
-        return schedule_from_dict(data["schedule"] if isinstance(data, dict) and "schedule" in data else data)
-    return schedule_from_csv(text)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read schedule {path}: {exc}") from None
+    return schedule_from_dict(data["schedule"] if isinstance(data, dict) and "schedule" in data else data)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
@@ -208,7 +214,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     )
     initial = superposition_initial(args.alpha, args.beta, params)
     target = superposition_target(args.alpha, args.beta, params)
-    result = optimize(config, params, initial, target, rwa=(args.model == "rwa"))
+    result = optimize(config, params, initial, target, rwa=_is_rwa(args.model))
     _emit(optimization_result_json(result), args.out)
     if args.schedule_out:
         _write("--schedule-out", args.schedule_out, schedule_csv(result.best_schedule))
@@ -259,8 +265,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, gaussian: bool = True) -> No
         sub.add_argument("--cutoff", type=float, default=fixed.cutoff, action=_GaussianFlag,
                          help="window truncation level relative to g0 (default %(default)s)")
         sub.add_argument("--dt", type=float, default=fixed.options.dt, action=_GaussianFlag,
-                         help="propagation step and trajectory sample spacing; at t_inv < 0.1 an input on one "
-                              "conserved block steps at dt*sqrt(0.1/t_inv) (default %(default)s)")
+                         help=f"propagation step and trajectory sample spacing; {STEP_RULE} (default %(default)s)")
     sub.add_argument("--out", help="output path (stdout when omitted)")
     sub.add_argument("--config", help="flat JSON config file; flags override its values")
 

@@ -90,15 +90,15 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagationOptions:
-    """Step of :func:`propagate`, the only function that reads it.
+    """Step of :func:`propagate`.
 
     The stepper takes fixed fourth-order commutator-free Magnus steps of at
     most ``dt`` (two exponentials per step, controls sampled at the two
     Gauss nodes, on the occupied conserved blocks with their trace shifted
     out) and stores every step.  The default 0.1 is calibrated on the
-    fastest row of the default 10 x 10 map, t_inv = 0.1; on slower rows
-    :func:`sweep.gaussian_row` widens it for one-block inputs, and every
-    transfer efficiency of the map is within 1.1e-10 of a dt = 0.0125 run.
+    fastest row of the default 10 x 10 map, t_inv = 0.1;
+    :func:`sweep.gaussian_row` widens it on slower rows for one-block inputs
+    and states the accuracy of the map at the default.
     ``dt`` must be finite and positive.  The model is not a stepper
     setting: every propagator takes it as its ``rwa`` keyword.
     """

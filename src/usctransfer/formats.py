@@ -50,11 +50,13 @@ def fmt(x: float) -> str:
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temporary file and rename, so readers never see partials.
 
-    The file gets the mode a plain ``open(path, "w")`` would leave: that of
-    the file it replaces, or for a new file 0o666 less the umask, which the
-    system applies to the temporary file.
+    As with a plain ``open(path, "w")``, a symbolic link is written through:
+    its target is replaced and the link stays.  The file gets the mode a
+    plain write would leave: that of the file it replaces, or for a new file
+    0o666 less the umask, which the system applies to the temporary file.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{secrets.token_hex(8)}")
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{secrets.token_hex(8)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
@@ -155,10 +157,15 @@ def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
         k = misnumbered[0]
         raise ValueError(f"schedule CSV line {k + 2} has bin {rows[k][0]!r}, not {k}: "
                          "the bins must read 0, 1, ... in order")
-    t0s = np.array([float(r[1]) for r in rows])
-    t1s = np.array([float(r[2]) for r in rows])
-    v1 = np.array([float(r[3]) for r in rows])
-    v2 = np.array([float(r[4]) for r in rows])
+    table = []
+    for number, row in enumerate(rows, 2):
+        try:
+            table.append([float(cell) for cell in row[1:]])
+        except ValueError:
+            raise ValueError(f"schedule CSV line {number} has a value that is not a number: {','.join(row)}") from None
+        if not np.all(np.isfinite(table[-1][:2])):
+            raise ValueError(f"schedule CSV line {number} has t0 = {row[1]}, t1 = {row[2]}: the times must be finite")
+    t0s, t1s, v1, v2 = (np.array(column) for column in zip(*table))
     atol = 1e-12 + 1e-10 * float(np.abs(np.concatenate([t0s, t1s])).max())
     dts = t1s - t0s
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=atol):

@@ -17,7 +17,7 @@ model's generator is block diagonal.  The stepper, the photon peak and the
 gradient engine all work on their stack, :func:`block_generators`.
 
 The oscillator ladder is truncated at ``n_max`` photons and the basis is the
-factorized set ``|n, s2, s1>`` with the first qubit varying fastest, i.e.
+factorized set ``|n, s2, s1>`` (s = 0 ground, 1 excited) with the first qubit varying fastest, i.e.
 flat index ``n*4 + s2*2 + s1``; :func:`basis_labels` tabulates the labels
 once per ``ModelParams``.  All operators are dense complex matrices; the
 spaces of interest stay small (dim = 4*(n_max+1)).
@@ -30,24 +30,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ModelParams",
-    "BasisIndex",
     "basis_labels",
     "flat_index",
-    "basis_index",
     "basis_state",
     "superposition_initial",
     "superposition_target",
     "annihilation",
-    "creation",
     "number_operator",
     "qubit_lowering",
-    "qubit_raising",
     "drift_hamiltonian",
     "coupling_operator",
     "excitation_operator",
@@ -92,14 +87,6 @@ class ModelParams:
         return 4 * (self.n_max + 1)
 
 
-class BasisIndex(NamedTuple):
-    """Factorized basis label |n, s2, s1> (s = 0 ground, 1 excited)."""
-
-    n: int
-    s2: int
-    s1: int
-
-
 @functools.lru_cache(maxsize=32)
 def basis_labels(params: ModelParams) -> np.ndarray:
     """Read-only (3, dim) integer table of the labels n, s2 and s1 of every flat index.
@@ -119,15 +106,6 @@ def flat_index(n: int, s2: int, s1: int, params: ModelParams) -> int:
     if s1 not in (0, 1) or s2 not in (0, 1):
         raise ValueError(f"qubit levels must be 0 or 1, got s2={s2}, s1={s1}")
     return n * 4 + s2 * 2 + s1
-
-
-def basis_index(flat: int, params: ModelParams) -> BasisIndex:
-    """Inverse of :func:`flat_index`."""
-    if not 0 <= flat < params.dim:
-        raise ValueError(f"flat index {flat} outside 0..{params.dim - 1}")
-    n, rest = divmod(flat, 4)
-    s2, s1 = divmod(rest, 2)
-    return BasisIndex(n, s2, s1)
 
 
 def basis_state(n: int, s2: int, s1: int, params: ModelParams) -> np.ndarray:
@@ -176,11 +154,6 @@ def annihilation(params: ModelParams) -> np.ndarray:
     return np.kron(ladder, np.eye(4, dtype=complex))
 
 
-def creation(params: ModelParams) -> np.ndarray:
-    """Cavity creation operator a^dag."""
-    return annihilation(params).conj().T
-
-
 def number_operator(params: ModelParams) -> np.ndarray:
     """Photon number operator a^dag a (diagonal)."""
     return np.diag(basis_labels(params)[0]).astype(complex)
@@ -196,11 +169,6 @@ def qubit_lowering(i: int, params: ModelParams) -> np.ndarray:
     else:
         raise ValueError(f"qubit id must be 1 or 2, got {i}")
     return np.kron(np.eye(n_dim, dtype=complex), single)
-
-
-def qubit_raising(i: int, params: ModelParams) -> np.ndarray:
-    """Raising operator sigma_+^i = |e_i><g_i|."""
-    return qubit_lowering(i, params).conj().T
 
 
 def drift_hamiltonian(params: ModelParams) -> np.ndarray:

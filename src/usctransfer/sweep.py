@@ -38,7 +38,6 @@ __all__ = [
     "SweepFixed",
     "SweepGrid",
     "gaussian_row",
-    "gaussian_run",
     "run_point",
     "run_sweep",
     "schedule_run",
@@ -53,6 +52,10 @@ CALIBRATION_RATIOS = tuple(np.round(np.arange(0.4, 1.21, 0.1), 10))
 PUBLISHED_REFERENCE_EFFICIENCY = 0.95
 # the fastest row of the default map, the row at which PropagationOptions.dt is calibrated
 STEP_CALIBRATION_T_INV = 0.1
+# at the default step, the bound on the transfer-efficiency error of a one-block input
+# on the default map, under both models, against a dt = 0.0125 run (worst measured:
+# 1.07e-10, Rabi (0, 1) at t_inv 0.01, g0 0.5); the two-block (0.6, 0.8) reaches 1.59e-10
+STEP_F_ERROR = 1.1e-10
 
 
 @dataclass(frozen=True)
@@ -130,11 +133,11 @@ def gaussian_row(
     on.  A slower row whose input lies in one conserved block of the model,
     such as the default (0, 1) or (1, 0), steps at
     dt sqrt(STEP_CALIBRATION_T_INV / t_inv): the step error of its
-    efficiency falls with the pulse width, and at the default step every
-    such F of the default map stays within 1.1e-10 of a dt = 0.0125 run.
-    An input on two blocks keeps ``dt`` on every row, because its F also
-    reads the relative phase of the blocks, whose step error grows with the
-    window.
+    efficiency falls with the pulse width, and at the default step every F
+    of a one-block input on the default map stays within ``STEP_F_ERROR``
+    of a dt = 0.0125 run.  An input on two blocks keeps ``dt`` on every row,
+    because its F also reads the relative phase of the blocks, whose step
+    error grows with the window.
     """
     if not 0 < t_inv < np.inf:
         raise ValueError(f"t_inv must be finite and positive, got {t_inv}")
@@ -188,20 +191,9 @@ def _run(schedule, window, opts, fixed: SweepFixed, model: str, runs) -> list[tu
     ]
 
 
-def gaussian_run(
-    t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi"
-) -> tuple[RunRecord, Trajectory]:
-    """One Gaussian-protocol run at inverse speed ``t_inv`` and peak ``g0``.
-
-    The one-point case of :func:`gaussian_row`.  Returns the run record
-    together with the trajectory it was measured on.
-    """
-    return gaussian_row(t_inv, [g0], fixed, model)[0]
-
-
 def run_point(t_inv: float, g0: float, fixed: SweepFixed, model: str = "rabi") -> RunRecord:
-    """Record of :func:`gaussian_run` at (``t_inv``, ``g0``), without the trajectory."""
-    return gaussian_run(t_inv, g0, fixed, model)[0]
+    """Record of the one Gaussian-protocol run of :func:`gaussian_row` at (``t_inv``, ``g0``)."""
+    return gaussian_row(t_inv, [g0], fixed, model)[0][0]
 
 
 def _descriptor(t_inv, g0, fixed: SweepFixed, model: str, **pulse) -> dict:

@@ -434,9 +434,14 @@ class TestMalformedSchedule:
             ("repeated.csv", "bin,t0,t1,g1,g2\n0,0,1,0.1,0.2\n0,0,1,0.1,0.2\n", "line 3 has bin '0', not 1"),
             ("nan-start.json", '{"t_start": NaN, "dt": 1.0, "values1": [0.1], "values2": [0.2]}',
              "t_start must be finite"),
+            ("nan-t0.csv", "bin,t0,t1,g1,g2\n0,nan,1,0.1,0.2\n1,1,2,0.2,0.1\n", "line 2 has t0 = nan"),
+            ("inf-t1.csv", "bin,t0,t1,g1,g2\n0,0,inf,0.1,0.2\n1,1,2,0.2,0.1\n", "line 2 has t0 = 0, t1 = inf"),
+            ("not-a-number.csv", "bin,t0,t1,g1,g2\n0,abc,1,0.1,0.2\n", "line 2 has a value that is not a number"),
+            ("bad.json", '{"t_start": 0.0, dt: 1.0}', "bad.json: Expecting property name"),
         ],
         ids=["json-not-an-object", "json-null-field", "json-missing-field", "csv-short-row", "json-null-coupling",
-             "csv-nan-coupling", "csv-gap", "csv-reversed-rows", "csv-repeated-row", "json-nan-start"],
+             "csv-nan-coupling", "csv-gap", "csv-reversed-rows", "csv-repeated-row", "json-nan-start",
+             "csv-nan-t0", "csv-inf-t1", "csv-not-a-number", "json-not-json"],
     )
     def test_usage_error_names_the_problem(self, name, text, problem, tmp_path, capsys):
         from usctransfer.cli import main
@@ -504,12 +509,14 @@ class TestInvalidValues:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_step_above_the_calibrated_default_warns(self, command, cheap_args, capsys):
         from usctransfer.cli import main
+        from usctransfer.sweep import STEP_F_ERROR
 
         assert main([*cheap_args[command], "--dt", "0.1"]) == 0
         assert capsys.readouterr().err == ""
         assert main([*cheap_args[command], "--dt", "0.2"]) == 0
         out, err = capsys.readouterr()
         assert out and err.count("\n") == 1 and err.startswith("usctransfer: warning: --dt 0.2 ")
+        assert f"one-block input on the default map is within {STEP_F_ERROR:g} of a dt = 0.0125 run" in err
 
 
 class TestExitCodes:
@@ -520,7 +527,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise IntegrationError("stepper diverged")
 
-        monkeypatch.setattr(cli_mod, "gaussian_run", explode)
+        monkeypatch.setattr(cli_mod, "gaussian_row", explode)
         code = cli_mod.main(["simulate", "--t-inv", "0.2", "--g0", "0.2"])
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
@@ -540,7 +547,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("ran before the output directory was checked")
 
-        for name in ("gaussian_run", "optimize", "run_sweep"):
+        for name in ("gaussian_row", "optimize", "run_sweep"):
             monkeypatch.setattr(cli_mod, name, never)
         (tmp_path / "file").write_text("")
         (tmp_path / "dir" / "out.txt").mkdir(parents=True)  # the output path itself is a directory

@@ -21,7 +21,6 @@ from usctransfer import (
     conserved_blocks,
     excitation_operator,
     gaussian_row,
-    gaussian_run,
     generators,
     integration_window,
     parity_operator,
@@ -703,7 +702,7 @@ class TestPhotonPeak:
         psi0 = superposition_initial(fixed.alpha, fixed.beta, fixed.params)
         window = integration_window(self.PAIR)
         reference = propagate(psi0, self.PAIR, fixed.params, window, PropagationOptions(dt=0.0125)).peak_mean_photon
-        record, traj = gaussian_run(0.04, 0.3, fixed)
+        record, traj = gaussian_row(0.04, [0.3], fixed)[0]
         assert 0.15 < np.diff(traj.times).max() < 0.16
         assert abs(record.peak_mean_photon - reference) / reference <= 1e-7
 

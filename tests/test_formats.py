@@ -265,3 +265,18 @@ class TestAtomicWrite:
         finally:
             os.umask(previous)
         assert path.stat().st_mode & 0o777 == mode
+
+    def test_writes_through_a_symbolic_link(self, tmp_path):
+        # as a plain write does: the link stays, its target (here in another
+        # directory) gets the text and keeps its mode, and no temporary is left
+        target = tmp_path / "real" / "out.json"
+        target.parent.mkdir()
+        target.write_text("old")
+        target.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        atomic_write_text(str(link), "new")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new" and target.stat().st_mode & 0o777 == 0o640
+        assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")] == []
+        assert os.listdir(target.parent) == ["out.json"]

@@ -17,7 +17,6 @@ from usctransfer import (
     SweepGrid,
     calibrate_tau,
     gaussian_row,
-    gaussian_run,
     run_point,
     run_sweep,
 )
@@ -235,7 +234,7 @@ class TestDefaultStep:
         # on the t_inv 0.01 row a two-block input samples every dt = 0.1 (the
         # window cut into equal steps of at most dt); a one-block input every
         # 0.1 sqrt(10)
-        _, traj = gaussian_run(DEFAULT_T_INV_VALUES[0], 0.3, SweepFixed(alpha=alpha, beta=beta), model)
+        _, traj = gaussian_row(DEFAULT_T_INV_VALUES[0], [0.3], SweepFixed(alpha=alpha, beta=beta), model)[0]
         span = traj.times[-1] - traj.times[0]
         np.testing.assert_allclose(np.diff(traj.times), span / math.ceil(span / step), rtol=1e-9)
 
