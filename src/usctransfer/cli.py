@@ -11,7 +11,10 @@ is a usage error).  Outputs go to stdout unless ``--out`` is given, in which
 case files are written atomically.  An output path that is a directory, or
 whose directory does not exist, is rejected before anything is computed.
 
-Exit codes: 0 success, 1 usage error or unwritable output, 2 numeric failure.
+``optimize`` runs its restarts in parallel on the CPUs the process may use.
+
+Exit codes: 0 success, 1 usage error or unwritable output, 2 numeric failure,
+3 an optimize restart whose worker process died twice.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .formats import (
     trajectory_csv,
 )
 from .model import ModelParams, superposition_initial, superposition_target
-from .qoc import OptimizationConfig, gradient_check, optimize
+from .qoc import OptimizationConfig, WorkerLostError, gradient_check, optimize
 from .sweep import (
     DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES, STEP_CALIBRATION_T_INV, STEP_F_ERROR, SweepFixed, SweepGrid, _is_rwa,
     gaussian_row, run_sweep, schedule_run,
@@ -46,6 +49,7 @@ __all__ = ["main"]
 
 USAGE_ERROR = 1
 NUMERIC_ERROR = 2
+WORKER_LOST = 3
 # sweep config keys that name no flag: the axes of the map
 GRID_KEYS = ("t_inv_values", "g0_values")
 # the step rule of a Gaussian run and the accuracy of the default step, for the --dt help and warning
@@ -325,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except (IntegrationError, FloatingPointError) as exc:
         print(f"usctransfer: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    except WorkerLostError as exc:
+        print(f"usctransfer: {exc}", file=sys.stderr)
+        return WORKER_LOST
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ as a health check at any time.  The bins set the steps; the model is the
 keyword ``rwa``.
 
 :func:`optimize` runs every loaded OpenBLAS on one thread and restores the
-previous thread counts when it returns.  A second BLAS thread does not speed
+previous thread counts when it returns; the worker processes it forks for
+its restarts inherit that pin.  A second BLAS thread does not speed
 up the block algebra (at most 18-dim), and once L-BFGS-B has woken scipy's
 OpenBLAS worker, that worker spins between iterations for the whole run,
 about doubling the CPU time for the same wall time.
@@ -44,11 +45,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from ._blas import single_blas_thread
+from ._pool import run_tasks
 from .dynamics import IntegrationError, PropagationOptions, _check_initial, _taylor_degrees, propagate
 from .metrics import transfer_efficiency
 from .model import ModelParams, block_generators, occupied_blocks, superposition_initial, superposition_target
@@ -62,7 +65,13 @@ __all__ = [
     "finite_difference_gradient",
     "gradient_check",
     "optimize",
+    "WorkerLostError",
 ]
+
+
+class WorkerLostError(RuntimeError):
+    """An optimize restart whose worker process died in the pool and again when it ran alone."""
+
 
 # L-BFGS-B stops when the relative decrease of -F or the largest projected gradient entry falls below these
 _OBJECTIVE_TOL = 1e-12
@@ -417,6 +426,12 @@ def optimize(
     read from optimizer state.  The ascents and the re-evaluation run every
     loaded OpenBLAS on one thread (see the module docstring); the previous
     thread counts are restored on return, also when an ascent raises.
+    The ascents run on one forked worker process per restart, up to the
+    CPUs this process may use (in process when that is one, so
+    ``taskset -c 0`` runs them serially); the workers inherit the
+    one-thread pin, and the result is the same bit for bit.  A restart whose
+    worker dies, in the pool and again alone, raises
+    :class:`WorkerLostError` naming it.
 
     Parameters
     ----------
@@ -453,8 +468,12 @@ def optimize(
     rng = np.random.default_rng(config.seed)
     starts = [first, *(rng.uniform(lo, hi, size=2 * m) for _ in range(config.restarts - 1))]
 
+    ascend = partial(_ascend, template, config=config, params=params, initial=initial, target=target, rwa=rwa)
     with single_blas_thread():
-        ascents = [_ascend(template, x0, config, params, initial, target, rwa) for x0 in starts]
+        ascents = run_tasks(ascend, starts)
+        if lost := [i for i, ascent in enumerate(ascents, 1) if isinstance(ascent, Exception)]:
+            raise WorkerLostError(f"optimize restart(s) {', '.join(map(str, lost))} of {len(starts)} lost: the worker "
+                                  f"process died in the pool and again alone ({ascents[lost[0] - 1]})")
         best = max((res for res, _ in ascents), key=lambda res: -res.fun)  # the first of the best
         best_schedule = template.with_values(np.clip(best.x, lo, hi))
         fresh = objective(best_schedule, params, initial, target, rwa=rwa)

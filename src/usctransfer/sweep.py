@@ -6,12 +6,13 @@ point.  The points of one t_inv row share the pulse shape, the integration
 window and the step grid and differ only in g0, so a row is one task: its
 points are stepped together by one call of the stepper, and each record's
 ``wall_time`` is the row's wall time divided by its point count.  Rows are
-independent; with ``jobs > 1`` they run on a process pool (more workers than
-rows leaves the extra workers idle), and the output ordering is row-major
-(t_inv outer, g0 inner) no matter how execution interleaves.  A row that
-raises records each of its points with NaN figures and the row's error, and
-the sweep continues.  The grid admits only finite positive axis values, so
-that the points of a row fail or succeed together.
+independent; with ``jobs > 1`` they run on a pool of at most one worker
+process per row, and the output ordering is row-major (t_inv outer, g0
+inner) no matter how execution interleaves.  A row that raises records each
+of its points with NaN figures and the row's error, and the sweep
+continues.  A crashed worker costs only its own rows: the rows lost with it
+run again alone.  The grid admits only finite positive axis values, so that
+the points of a row fail or succeed together.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._pool import run_tasks
 from .dynamics import PropagationOptions, Trajectory, propagate
 from .metrics import RunRecord, leakage, transfer_efficiency
 from .model import ModelParams, _check_input_pair, occupied_blocks, superposition_initial, superposition_target
@@ -242,33 +244,22 @@ def run_sweep(grid: SweepGrid, jobs: int = 1) -> list[RunRecord]:
 
     Each t_inv row is one task whose points are stepped together, and each
     of its records carries the row's wall time divided by its point count.
-    ``jobs > 1`` distributes the rows over a process pool, in ascending
-    t_inv so that the slowest rows start first; workers beyond the number of
-    rows stay idle, and the result is identical either way.  Every point of
-    a row that raises is returned as a record with NaN figures and the row's
-    error message in ``record.error``; so is every point of a row lost with a
-    crashed worker.
+    ``jobs > 1`` distributes the rows over ``min(jobs, rows)`` worker
+    processes, in ascending t_inv so that the slowest rows start first;
+    workers beyond the number of rows are never started, and the result is
+    identical either way.  Every point of a row that raises is returned as a
+    record with NaN figures and the row's error message in ``record.error``.
+    A row lost with a crashed worker runs again alone, and only a row whose
+    worker dies again is recorded so, with the ``BrokenProcessPool``: a
+    crashed worker costs only its own rows.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     g0_values = [float(g0) for g0 in grid.g0_values]
     tasks = [(float(t_inv), g0_values, grid.fixed, grid.model) for t_inv in grid.t_inv_values]
-    if jobs == 1:
-        return [record for task in tasks for record in _row_task(task)]
-    # imported here so that simulate and optimize start without multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     records = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_row_task, task) for task in tasks]
-        for (t_inv, *_), future in zip(tasks, futures):
-            try:
-                records.extend(future.result())
-            except BrokenProcessPool as exc:
-                records.extend(
-                    _failed_record(t_inv, g0, grid.fixed, grid.model, exc) for g0 in g0_values
-                )
+    for (t_inv, *_), row in zip(tasks, run_tasks(_row_task, tasks, jobs)):
+        if isinstance(row, Exception):  # the row's worker died twice
+            row = [_failed_record(t_inv, g0, grid.fixed, grid.model, row) for g0 in g0_values]
+        records.extend(row)
     return records
 
 

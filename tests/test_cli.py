@@ -2,12 +2,24 @@
 
 import inspect
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import usctransfer.qoc as qoc
+
 CLI = [sys.executable, "-m", "usctransfer"]
+ASCEND = qoc._ascend
+
+
+def crash_on_second_start(template, x0, *, config, **kwargs):
+    """Ascent that kills its worker process on the first random start, the second restart."""
+    if np.array_equal(x0, np.random.default_rng(config.seed).uniform(*config.bounds, size=2 * config.bins)):
+        os._exit(1)
+    return ASCEND(template, x0, config=config, **kwargs)
 
 
 def run_cli(*args, **kwargs):
@@ -168,6 +180,17 @@ class TestOptimizeCommand:
             outputs.append((out.read_bytes(), schedule.read_bytes()))
         assert outputs[0] == outputs[2]
         assert outputs[0] != outputs[1]
+
+    def test_restart_whose_worker_dies_twice_exits_3_naming_it(self, monkeypatch, capsys):
+        from usctransfer.cli import WORKER_LOST, main
+
+        monkeypatch.setattr(qoc, "_ascend", crash_on_second_start)  # fork-started workers inherit it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool also on one core
+        code = main(["optimize", "--t-inv", "0.2", "--g0", "0.3", "--bins", "3", "--restarts", "3",
+                     "--max-iters", "5", "--nmax", "2", "--seed", "11"])
+        err = capsys.readouterr().err
+        assert code == WORKER_LOST == 3
+        assert err.startswith("usctransfer: optimize restart(s) 2 of 3 lost: ") and err.count("\n") == 1
 
     def test_resimulate_from_result_json(self, tmp_path):
         out = tmp_path / "result.json"

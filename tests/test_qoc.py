@@ -38,6 +38,11 @@ INITIAL = superposition_initial(0.0, 1.0, PARAMS)
 TARGET = superposition_target(0.0, 1.0, PARAMS)
 
 
+def use_cpus(monkeypatch, count):
+    """Let optimize see ``count`` usable CPUs: with 1 it runs its restarts in process, with more it forks them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def random_schedule(seed, bins=5, duration=5.0, bounds=(0.0, 0.3)):
     rng = np.random.default_rng(seed)
     lo, hi = bounds
@@ -450,7 +455,8 @@ class TestOptimize:
         result = optimize(config, params, initial, photon_target, rwa=True, initial_schedule=start)
         assert result.best_fidelity > 1 - 1e-8
 
-    def test_iterates_respect_bounds(self):
+    def test_iterates_respect_bounds(self, monkeypatch):
+        use_cpus(monkeypatch, 1)  # the spy records in this process
         params, initial, photon_target = self.toy_problem()
         seen = []
         original = objective_and_gradient
@@ -519,11 +525,49 @@ class TestOptimize:
         np.testing.assert_array_equal(merged.best_schedule.stacked(), best.best_schedule.stacked())
         assert merged.converged == best.converged
 
+    @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
+    def test_pooled_restarts_match_serial_bit_for_bit(self, rwa, monkeypatch):
+        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.3), bins=3, seed=5, restarts=3, max_iters=40)
+        results = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            results.append(optimize(config, PARAMS, INITIAL, TARGET, rwa=rwa))
+        serial, pooled = results
+        np.testing.assert_array_equal(pooled.best_schedule.stacked(), serial.best_schedule.stacked())
+        assert pooled.best_fidelity == serial.best_fidelity
+        assert pooled.iteration_history == serial.iteration_history
+        assert pooled.converged == serial.converged
+
+    def test_pooled_ascents_run_blas_on_one_thread(self, monkeypatch):
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no scipy-bundled OpenBLAS loaded")
+
+        def spy(*args, **kwargs):  # runs in the forked workers, whose error reaches optimize's caller
+            if (counts := [get() for get, _ in controls]) != [1] * len(controls):
+                raise AssertionError(f"an ascent ran OpenBLAS on {counts} threads")
+            return objective_and_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(qoc_mod, "objective_and_gradient", spy)
+        use_cpus(monkeypatch, 2)
+        params, initial, photon_target = self.toy_problem()
+        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=4, restarts=2)
+        original = [get() for get, _ in controls]
+        try:
+            for _, put in controls:
+                put(2)  # a count the pin has to change, also on a one-core host
+            optimize(config, params, initial, photon_target, rwa=True)
+        finally:
+            for (_, put), threads in zip(controls, original):
+                put(threads)
+
     def test_pins_the_blas_that_its_first_call_loads(self):
         # in a fresh process scipy's OpenBLAS is loaded by optimize itself; the pin must cover it
         code = """
-import ctypes, json
+import ctypes, json, os
 import usctransfer.qoc as qoc
+
+os.sched_getaffinity = lambda pid: {0}  # one usable CPU: the restarts run in process, where the spy records
 from usctransfer import ModelParams, OptimizationConfig, basis_state, superposition_initial
 
 def thread_counts():
@@ -572,6 +616,7 @@ print(json.dumps({"before": before, "seen": seen}))
             return objective_and_gradient(*args, **kwargs)
 
         monkeypatch.setattr(qoc_mod, "objective_and_gradient", spy)
+        use_cpus(monkeypatch, 1)  # the spy records in this process
         params, initial, photon_target = self.toy_problem()
         config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=4, restarts=2)
         original = [get() for get, _ in controls]

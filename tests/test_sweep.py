@@ -124,16 +124,34 @@ class TestRunSweep:
         assert records[0].error == records[1].error  # the row's error
 
     def test_crashed_worker_loses_only_its_rows(self, monkeypatch):
+        grid = SweepGrid([0.09, CRASH_T_INV], [0.2, 0.25], fixed=fast_fixed())
+        uncrashed = run_sweep(grid, jobs=1)
         # fork-started workers inherit the patched row task
         monkeypatch.setattr(sweep, "_row_task", crash_on_row)
-        grid = SweepGrid([0.09, CRASH_T_INV], [0.2, 0.25], fixed=fast_fixed())
         records = run_sweep(grid, jobs=2)
         points = [(rec.schedule["t_inv"], rec.schedule["g0"]) for rec in records]
         assert points == [(t, g) for t in (0.09, CRASH_T_INV) for g in (0.2, 0.25)]
-        for rec in records:
-            if rec.schedule["t_inv"] == CRASH_T_INV or rec.error is not None:
-                assert rec.error is not None and "BrokenProcessPool" in rec.error
-                assert math.isnan(rec.fidelity)
+        for rec in records[2:]:
+            assert rec.error is not None and "BrokenProcessPool" in rec.error
+            assert math.isnan(rec.fidelity)
+        assert [replace(rec, wall_time=0.0) for rec in records[:2]] == [
+            replace(rec, wall_time=0.0) for rec in uncrashed[:2]
+        ]
+
+    def test_forks_at_most_one_worker_per_row(self, monkeypatch):
+        workers = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:  # in the parent
+                workers.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        grid = SweepGrid([0.09, 0.1], [0.2, 0.25], fixed=fast_fixed())
+        run_sweep(grid, jobs=8)
+        assert len(set(workers)) == len(grid.t_inv_values)
 
     def test_row_is_one_stepper_call(self, monkeypatch):
         calls = []
