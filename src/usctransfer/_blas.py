@@ -3,7 +3,17 @@
 numpy and scipy each bundle an OpenBLAS that starts a worker thread per
 extra core.  On the conserved blocks of :mod:`qoc` (at most 18-dim) a second
 BLAS thread buys nothing, and once an L-BFGS-B run has woken scipy's worker
-it spins between calls for the rest of the run, doubling the CPU time.
+it spins between calls for the rest of the run: forked ascents without the
+pin took about 3x the wall time.
+
+Pin before forking.  OpenBLAS's own fork handler shuts its thread pool
+down, so a child forked inside the pin inherits the count of one and runs
+on its one thread.  Setting the count in the child instead starts the pool
+again, and the new thread spins for about 0.13 s: such a worker-side pin
+took each L-BFGS-B ascent from about 65 to about 150 ms.  The parent's pin
+has a cost of its own: a pin, a fork and a restore made an idle parent burn
+about 0.25 s of CPU afterwards, where a pin and a restore without a fork
+burned none.
 """
 
 from __future__ import annotations

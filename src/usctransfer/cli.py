@@ -279,7 +279,7 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sim = commands.add_parser("simulate", help="one protocol run, RunRecord JSON")
-    _add_point_flags(sim, "inverse speed (omega_c T)^-1", "peak coupling over omega_c")
+    _add_point_flags(sim, "inverse speed (omega_c T)^-1", "peak coupling in units of the reference frequency")
     sim.add_argument("--schedule", help="re-simulate a schedule from CSV or optimization JSON")
     sim.add_argument("--traj-out", dest="traj_out", help="also write the trajectory CSV here")
     _add_common_flags(sim)

@@ -30,7 +30,9 @@ Every step is a sample.  The peak photon number of a trajectory is computed
 once, after propagation and on the block states, by :func:`_photon_peaks`:
 between samples <n>(t) is the cubic Hermite interpolant of the sampled
 values and their exact slopes d<n>/dt = 2 Re <psi|N(-iK)psi>, so the peak
-does not move with the step the way a maximum over samples does.
+does not move with the step the way a maximum over samples does.  It is
+taken over fixed blocks of samples, so its temporaries stay the size of a
+block, not of the trajectory.
 
 Each exponential is applied directly to the amplitude vectors, never
 formed as a propagator; its substep count and Taylor degree follow from a
@@ -57,6 +59,7 @@ scattered into the full space.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -75,7 +78,7 @@ __all__ = [
 # X^j v / j! exceeds |v|_1, so the sum rounds at the 1e-16 level
 _TAYLOR_THETA = 1.0
 _TAYLOR_TOL = 2.0**-53  # Taylor remainder bound per substep, relative to the state's 1-norm
-_CHUNK_BYTES = 2**18  # most generator bytes the stepper builds with one BLAS product
+_CHUNK_BYTES = 2**18  # most bytes of one temporary: a stepper BLAS product, a photon-peak block
 # fourth-order commutator-free Magnus weights a_1, a_2 and Gauss nodes c_1, c_2
 _CF4_A = (0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0)
 _CF4_C = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -246,7 +249,9 @@ def _photon_peaks(times, states, params, layout, amps, left, right) -> np.ndarra
     the largest value of these cubics.  K0 is diagonal and V1, V2 are real,
     so with psi = r + i s the slope is 2 sum_j |psi_j|^2 n_j Im K0_jj plus
     2 a g r^T [N, V] s for each control, summed over the padded block
-    entries with n_j = 0 on the padding.
+    entries with n_j = 0 on the padding.  The samples are read a block of
+    intervals at a time, sized by ``_CHUNK_BYTES``, so the working
+    memory stays near one block whatever the trajectory's length.
     """
     blocks, _, (_, v1, v2) = layout
     n = np.zeros(v1.shape[:2])
@@ -257,32 +262,37 @@ def _photon_peaks(times, states, params, layout, amps, left, right) -> np.ndarra
     comm = np.stack([(n[:, :, None] - n[:, None, :]) * v.real for v in (v1, v2)])
     on, rows, cols = np.nonzero(comm.any(axis=0))
     weights = 2.0 * comm[:, on, rows, cols]
-    mean_n, drift = np.zeros(states.shape[:2]), np.zeros(states.shape[:2])
-    coupled = np.zeros((2, *states.shape[:2]))  # 2 r^T [N, V] s for V1 and V2
-    # one trajectory at a time keeps the temporaries small and the products
-    # free of threaded BLAS calls
-    for p, traj in enumerate(states):
-        pop = traj.real**2 + traj.imag**2
-        mean_n[p] = np.einsum("bj,kbj->k", n, pop)
-        drift[p] = np.einsum("bj,kbj->k", decay, pop)
-        coupled[:, p] = np.einsum("ce,ke->ck", weights, traj.real[:, on, rows] * traj.imag[:, on, cols])
-
-    a = amps[:, None]
-    h = np.diff(times)
-    p0, p1 = mean_n[:, :-1], mean_n[:, 1:]
-    m0 = h * (drift[:, :-1] + a * (left[:, 0] * coupled[0, :, :-1] + left[:, 1] * coupled[1, :, :-1]))
-    m1 = h * (drift[:, 1:] + a * (right[:, 0] * coupled[0, :, 1:] + right[:, 1] * coupled[1, :, 1:]))
-    # <n> = p0 + m0 x + c2 x^2 + c3 x^3 for x = (t - t_k) / h in [0, 1]
-    c2 = 3.0 * (p1 - p0) - 2.0 * m0 - m1
-    c3 = 2.0 * (p0 - p1) + m0 + m1
-    # stationary points 3 c3 x^2 + 2 c2 x + m0 = 0, in the cancellation-free form
-    disc = c2**2 - 3.0 * c3 * m0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -(c2 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c2))
-        roots = np.stack([q / (3.0 * c3), m0 / q])
-    x = np.where((disc >= 0.0) & np.isfinite(roots), np.clip(roots, 0.0, 1.0), 0.0)
-    inner = p0 + x * (m0 + x * (c2 + x * c3))
-    return np.maximum(mean_n.max(axis=1), inner.max(axis=(0, 2)))
+    # a block of intervals at a time, each block sharing its last sample with
+    # the next, so no temporary spans the trajectory.  Every value is one
+    # sample's own sum or one interval's own cubic, and the maximum is exact,
+    # so the peak is the same bit for bit whatever the blocks
+    span = max(1, _CHUNK_BYTES // (8 * max(1, on.size)))  # intervals per block
+    steps = np.diff(times)
+    peaks = np.full(amps.size, -np.inf)
+    for p, lo in itertools.product(range(amps.size), range(0, steps.size, span)):
+        hi = min(lo + span, steps.size)
+        part = states[p, lo : hi + 1]
+        pop = part.real**2 + part.imag**2
+        mean_n = np.einsum("bj,kbj->k", n, pop)
+        drift = np.einsum("bj,kbj->k", decay, pop)
+        # 2 r^T [N, V] s for V1 and V2
+        coupled = np.einsum("ce,ke->ck", weights, part.real[:, on, rows] * part.imag[:, on, cols])
+        a, h, lc, rc = amps[p], steps[lo:hi], left[lo:hi], right[lo:hi]
+        p0, p1 = mean_n[:-1], mean_n[1:]
+        m0 = h * (drift[:-1] + a * (lc[:, 0] * coupled[0, :-1] + lc[:, 1] * coupled[1, :-1]))
+        m1 = h * (drift[1:] + a * (rc[:, 0] * coupled[0, 1:] + rc[:, 1] * coupled[1, 1:]))
+        # <n> = p0 + m0 x + c2 x^2 + c3 x^3 for x = (t - t_k) / h in [0, 1]
+        c2 = 3.0 * (p1 - p0) - 2.0 * m0 - m1
+        c3 = 2.0 * (p0 - p1) + m0 + m1
+        # stationary points 3 c3 x^2 + 2 c2 x + m0 = 0, in the cancellation-free form
+        disc = c2**2 - 3.0 * c3 * m0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(c2 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c2))
+            roots = np.stack([q / (3.0 * c3), m0 / q])
+        x = np.where((disc >= 0.0) & np.isfinite(roots), np.clip(roots, 0.0, 1.0), 0.0)
+        inner = p0 + x * (m0 + x * (c2 + x * c3))
+        peaks[p] = np.max((peaks[p], mean_n.max(), inner.max()))  # a NaN propagates
+    return peaks
 
 
 def _cf4_steps(state0, nodes, times, h, layout, amps) -> np.ndarray:

@@ -34,10 +34,8 @@ keyword ``rwa``.
 
 :func:`optimize` runs every loaded OpenBLAS on one thread and restores the
 previous thread counts when it returns; the worker processes it forks for
-its restarts inherit that pin.  A second BLAS thread does not speed
-up the block algebra (at most 18-dim), and once L-BFGS-B has woken scipy's
-OpenBLAS worker, that worker spins between iterations for the whole run,
-about doubling the CPU time for the same wall time.
+its restarts inherit that pin.  The pin is set before the fork, never in a
+worker (see :mod:`_blas`).
 """
 
 from __future__ import annotations

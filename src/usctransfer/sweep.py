@@ -1,18 +1,20 @@
 """Batch harness: Gaussian runs, schedule replays, delay calibration, and 2-D sweeps.
 
 A sweep evaluates the Gaussian protocol on a grid over the inverse speed
-(omega_c T)^-1 and the peak coupling g0/omega_c, producing one record per
-point.  The points of one t_inv row share the pulse shape, the integration
-window and the step grid and differ only in g0, so a row is one task: its
-points are stepped together by one call of the stepper, and each record's
-``wall_time`` is the row's wall time divided by its point count.  Rows are
-independent; with ``jobs > 1`` they run on a pool of at most one worker
-process per row, and the output ordering is row-major (t_inv outer, g0
-inner) no matter how execution interleaves.  A row that raises records each
-of its points with NaN figures and the row's error, and the sweep
-continues.  A crashed worker costs only its own rows: the rows lost with it
-run again alone.  The grid admits only finite positive axis values, so that
-the points of a row fail or succeed together.
+t_inv = (omega_c T)^-1, relative to the cavity frequency, and the peak
+coupling g0, an absolute coupling in units of the reference frequency of
+:class:`model.ModelParams`, producing one record per point.  The points of
+one t_inv row share the pulse shape, the integration window and the step
+grid and differ only in g0, so a row is one task: its points are stepped
+together by one call of the stepper, and each record's ``wall_time`` is the
+row's wall time divided by its point count.  Rows are independent; with
+``jobs > 1`` they run on a pool of at most one worker process per row, and
+the output ordering is row-major (t_inv outer, g0 inner) no matter how
+execution interleaves.  A row that raises records each of its points with
+NaN figures and the row's error, and the sweep continues.  A crashed worker
+costs only its own rows: the rows lost with it run again alone.  The grid
+admits only finite positive axis values, so that the points of a row fail or
+succeed together.
 """
 
 from __future__ import annotations

@@ -546,6 +546,10 @@ class TestOptimize:
         def spy(*args, **kwargs):  # runs in the forked workers, whose error reaches optimize's caller
             if (counts := [get() for get, _ in controls]) != [1] * len(controls):
                 raise AssertionError(f"an ascent ran OpenBLAS on {counts} threads")
+            # a count set inside the worker reads 1 too, but it re-creates the
+            # BLAS thread pool that the fork shut down, and that thread spins
+            if os.path.isdir("/proc/self/task") and (threads := len(os.listdir("/proc/self/task"))) != 1:
+                raise AssertionError(f"an ascent's worker runs {threads} OS threads")
             return objective_and_gradient(*args, **kwargs)
 
         monkeypatch.setattr(qoc_mod, "objective_and_gradient", spy)
