@@ -209,7 +209,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if not 0 <= args.g0 < math.inf:
         raise ValueError(f"g0 must be finite and non-negative, got {args.g0}")
     config = OptimizationConfig(
-        duration=1.0 / (params.omega_c * args.t_inv),
+        duration=1.0 / args.t_inv,
         bounds=(0.0, args.g0),
         bins=args.bins,
         max_iters=args.max_iters,
@@ -279,7 +279,7 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sim = commands.add_parser("simulate", help="one protocol run, RunRecord JSON")
-    _add_point_flags(sim, "inverse speed (omega_c T)^-1", "peak coupling in units of the reference frequency")
+    _add_point_flags(sim, "inverse speed (omega_c T)^-1", "peak coupling in units of omega_c")
     sim.add_argument("--schedule", help="re-simulate a schedule from CSV or optimization JSON")
     sim.add_argument("--traj-out", dest="traj_out", help="also write the trajectory CSV here")
     _add_common_flags(sim)

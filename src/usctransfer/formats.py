@@ -112,8 +112,9 @@ def trajectory_csv(traj: Trajectory, params: ModelParams) -> str:
 
     The five columns after ``time`` are the expectations of five diagonal
     observables, read off the block states in one :meth:`Trajectory.expect`
-    call.  ``params`` must be the model the trajectory ran under (a
-    ``ValueError`` otherwise).
+    call.  Only the Fock cutoff of ``params`` is read, to lay out the basis:
+    a cutoff other than the run's gives another dimension, which
+    :meth:`Trajectory.expect`'s shape check rejects with a ``ValueError``.
     """
     n = basis_labels(params)[0]
     source, target = np.eye(params.dim)[[flat_index(0, 0, 1, params), flat_index(0, 1, 0, params)]]

@@ -1,9 +1,9 @@
 """Hilbert space, operators and Hamiltonians of the two-qubit / one-cavity system.
 
 Two two-level systems (splittings ``eps1``, ``eps2``) couple to a single
-cavity mode (frequency ``omega_c``) through their ``sigma_x``-like dipole
+cavity mode of frequency omega_c through their ``sigma_x``-like dipole
 operators.  The full Rabi Hamiltonian keeps the counter-rotating terms that
-matter once the couplings reach a sizeable fraction of ``omega_c``; the RWA
+matter once the couplings reach a sizeable fraction of omega_c; the RWA
 variant drops them and then conserves the total excitation number exactly.
 Cavity photon loss at rate ``kappa`` enters as the anti-Hermitian term
 ``-(i/2) kappa a^dag a`` of the non-Hermitian generator that
@@ -22,8 +22,9 @@ flat index ``n*4 + s2*2 + s1``; :func:`basis_labels` tabulates the labels
 once per ``ModelParams``.  All operators are dense complex matrices; the
 spaces of interest stay small (dim = 4*(n_max+1)).
 
-Frequencies are expressed in units of a reference frequency (``omega_c = 1``
-by convention) and times in the inverse of that unit.
+omega_c is the unit, not a parameter: ``eps1``, ``eps2``, ``kappa`` and
+every coupling (g0, g1, g2) are in units of omega_c, and every time and
+step ``dt`` is in units of 1/omega_c.
 """
 
 from __future__ import annotations
@@ -61,21 +62,18 @@ _IDENTITY2 = np.eye(2, dtype=complex)
 class ModelParams:
     """Physical constants of the tripartite system.
 
-    ``omega_c`` is the cavity frequency, ``eps1``/``eps2`` the qubit
-    splittings, ``kappa`` the cavity decay rate (all in units of the
-    reference frequency) and ``n_max`` the Fock cutoff (photons 0..n_max).
-    The resonant case ``eps1 = eps2 = omega_c`` is the default.
+    ``eps1``/``eps2`` are the qubit splittings and ``kappa`` the cavity
+    decay rate, in units of the cavity frequency omega_c, and ``n_max`` is
+    the Fock cutoff (photons 0..n_max).  The resonant case
+    ``eps1 = eps2 = 1`` is the default.
     """
 
-    omega_c: float = 1.0
     eps1: float = 1.0
     eps2: float = 1.0
     kappa: float = 0.005
     n_max: int = 8
 
     def __post_init__(self) -> None:
-        if not self.omega_c > 0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
         if not 0 <= self.kappa < np.inf:
             raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
         if self.n_max < 1:
@@ -172,9 +170,9 @@ def qubit_lowering(i: int, params: ModelParams) -> np.ndarray:
 
 
 def drift_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Uncoupled part omega_c a^dag a + sum_i eps_i sigma_+^i sigma_-^i."""
+    """Uncoupled part a^dag a + sum_i eps_i sigma_+^i sigma_-^i (omega_c = 1)."""
     n, s2, s1 = basis_labels(params)
-    return np.diag(params.omega_c * n + params.eps1 * s1 + params.eps2 * s2).astype(complex)
+    return np.diag(n + params.eps1 * s1 + params.eps2 * s2).astype(complex)
 
 
 def coupling_operator(i: int, params: ModelParams, rwa: bool = False) -> np.ndarray:

@@ -88,9 +88,8 @@ class OptimizationConfig:
 
     ``bins`` piecewise-constant values per control over ``duration``, within
     amplitude ``bounds``.  The first of the ``restarts`` starts is a Gaussian
-    pair compressed onto the control window (unless :func:`optimize` is given
-    an ``initial_schedule``); the other ``restarts - 1`` are uniform random
-    values, drawn from the generator seeded with ``seed``.
+    pair compressed onto the control window; the other ``restarts - 1`` are
+    uniform random values, drawn from the generator seeded with ``seed``.
     """
 
     duration: float
@@ -413,13 +412,12 @@ def optimize(
     target: np.ndarray,
     *,
     rwa: bool = False,
-    initial_schedule: PiecewiseConstantSchedule | None = None,
 ) -> OptimizationResult:
     """Maximize the transfer efficiency over bounded piecewise schedules.
 
     Runs ``config.restarts`` L-BFGS-B ascents and keeps the best.  The first
-    starts from ``initial_schedule`` when given, else from the Gaussian pair
-    compressed onto the control window; the rest start from random values.
+    starts from the Gaussian pair compressed onto the control window; the
+    rest start from random values.
     The reported fidelity is re-evaluated from the returned schedule, not
     read from optimizer state.  The ascents and the re-evaluation run every
     loaded OpenBLAS on one thread (see the module docstring); the previous
@@ -441,8 +439,6 @@ def optimize(
         Normalized source and target amplitude vectors.
     rwa : bool, keyword-only
         Optimize under the rotating-wave controls instead of the Rabi ones.
-    initial_schedule : PiecewiseConstantSchedule, optional
-        Explicit first start; must match the configured grid.
 
     Returns
     -------
@@ -457,12 +453,7 @@ def optimize(
     lo, hi = config.bounds
     template = PiecewiseConstantSchedule(0.0, dt, np.full(m, lo), np.full(m, lo))
 
-    if initial_schedule is None:
-        first = _gaussian_sampled_start(config, (np.arange(m) + 0.5) * dt)
-    elif initial_schedule.bins != m or abs(initial_schedule.dt - dt) > 1e-12 * max(dt, 1.0):
-        raise ValueError("initial_schedule does not match the configured grid")
-    else:
-        first = np.clip(initial_schedule.stacked(), lo, hi)
+    first = _gaussian_sampled_start(config, (np.arange(m) + 0.5) * dt)
     rng = np.random.default_rng(config.seed)
     starts = [first, *(rng.uniform(lo, hi, size=2 * m) for _ in range(config.restarts - 1))]
 

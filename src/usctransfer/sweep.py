@@ -1,15 +1,14 @@
 """Batch harness: Gaussian runs, schedule replays, delay calibration, and 2-D sweeps.
 
 A sweep evaluates the Gaussian protocol on a grid over the inverse speed
-t_inv = (omega_c T)^-1, relative to the cavity frequency, and the peak
-coupling g0, an absolute coupling in units of the reference frequency of
-:class:`model.ModelParams`, producing one record per point.  The points of
-one t_inv row share the pulse shape, the integration window and the step
-grid and differ only in g0, so a row is one task: its points are stepped
-together by one call of the stepper, and each record's ``wall_time`` is the
-row's wall time divided by its point count.  Rows are independent; with
-``jobs > 1`` they run on a pool of at most one worker process per row, and
-the output ordering is row-major (t_inv outer, g0 inner) no matter how
+t_inv = (omega_c T)^-1 and the peak coupling g0, both in units of the cavity
+frequency omega_c (see :mod:`model`), producing one record per point.  The
+points of one t_inv row share the pulse shape, the integration window and
+the step grid and differ only in g0, so a row is one task: its points are
+stepped together by one call of the stepper, and each record's ``wall_time``
+is the row's wall time divided by its point count.  Rows are independent;
+with ``jobs > 1`` they run on a pool of at most one worker process per row,
+and the output ordering is row-major (t_inv outer, g0 inner) no matter how
 execution interleaves.  A row that raises records each of its points with
 NaN figures and the row's error, and the sweep continues.  A crashed worker
 costs only its own rows: the rows lost with it run again alone.  The grid
@@ -150,7 +149,7 @@ def gaussian_row(
         raise ValueError("g0_values must be non-empty")
     if bad := [g0 for g0 in g0s if not 0 <= g0 < np.inf]:
         raise ValueError(f"peak coupling must be finite and non-negative, got g0 = {bad[0]}")
-    width = 1.0 / (fixed.params.omega_c * t_inv)
+    width = 1.0 / t_inv
     unit = GaussianPair(g0=1.0, T=width, tau=fixed.tau_ratio * width)
     window = integration_window(unit, fixed.cutoff)
     duration, pulse = effective_duration(unit), {"T": width, "tau": unit.tau}

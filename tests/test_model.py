@@ -66,7 +66,7 @@ class TestIndexing:
             assert int(np.argmax(np.abs(state))) == flat
 
     def test_label_table_matches_divmod(self):
-        params = ModelParams(omega_c=1.3, eps1=0.97, eps2=1.11, n_max=3)
+        params = ModelParams(eps1=0.97, eps2=1.11, n_max=3)
         labels = basis_labels(params)
         assert labels.shape == (3, params.dim) and not labels.flags.writeable
         assert basis_labels(replace(params)) is labels
@@ -76,7 +76,7 @@ class TestIndexing:
             s2, s1 = divmod(rest, 2)
             assert tuple(labels[:, flat]) == (n, s2, s1)
             # the per-state loop that the table replaced, to the last bit
-            assert drift[flat] == params.omega_c * n + params.eps1 * s1 + params.eps2 * s2
+            assert drift[flat] == n + params.eps1 * s1 + params.eps2 * s2
 
     def test_dim(self):
         assert P1.dim == 8 and P3.dim == 16
@@ -164,7 +164,7 @@ class TestHamiltonians:
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         for flat in range(params.dim):
             n, s2, s1 = np.unravel_index(flat, (params.n_max + 1, 2, 2))
-            expected = params.omega_c * n + params.eps1 * s1 + params.eps2 * s2
+            expected = n + params.eps1 * s1 + params.eps2 * s2
             np.testing.assert_allclose(h[flat, flat], expected)
 
     def test_single_coupling_matrix_element(self):
@@ -368,7 +368,3 @@ class TestParamValidation:
     def test_zero_cutoff_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(n_max=0)
-
-    def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            ModelParams(omega_c=0.0)
