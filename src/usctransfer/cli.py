@@ -206,11 +206,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     params = _params(args)
     if not 0 < args.t_inv < math.inf:
         raise ValueError(f"t_inv must be finite and positive, got {args.t_inv}")
-    if not 0 <= args.g0 < math.inf:
-        raise ValueError(f"g0 must be finite and non-negative, got {args.g0}")
     config = OptimizationConfig(
         duration=1.0 / args.t_inv,
-        bounds=(0.0, args.g0),
+        g0=args.g0,
         bins=args.bins,
         max_iters=args.max_iters,
         seed=args.seed,
@@ -321,9 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     _check_output_dirs(args)
     try:
         return args.run(args)
-    except SystemExit:
-        raise
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usctransfer: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (IntegrationError, FloatingPointError) as exc:

@@ -78,6 +78,7 @@ __all__ = [
 # X^j v / j! exceeds |v|_1, so the sum rounds at the 1e-16 level
 _TAYLOR_THETA = 1.0
 _TAYLOR_TOL = 2.0**-53  # Taylor remainder bound per substep, relative to the state's 1-norm
+_PLAN_LIMIT = 2.0**62  # the largest h |K|_1 bound planned: its substep count must fit an int64
 _CHUNK_BYTES = 2**18  # most bytes of one temporary: a stepper BLAS product, a photon-peak block
 # fourth-order commutator-free Magnus weights a_1, a_2 and Gauss nodes c_1, c_2
 _CF4_A = (0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0)
@@ -88,7 +89,7 @@ _READ_AT = np.array([1e-9, *_CF4_C, 1.0 - 1e-9])
 
 
 class IntegrationError(RuntimeError):
-    """A propagation or its gradient went non-finite (couplings, amplitudes, state or gradient entries)."""
+    """A run went non-finite (couplings, amplitudes, state or gradient entries) or planned more substeps than fit."""
 
 
 @dataclass(frozen=True)
@@ -295,14 +296,14 @@ def _photon_peaks(times, states, params, layout, amps, left, right) -> np.ndarra
     return peaks
 
 
-def _cf4_steps(state0, nodes, times, h, layout, amps) -> np.ndarray:
+def _cf4_steps(state0, nodes, times, h, layout, amps, kappa) -> np.ndarray:
     """The block states at ``times``, steps of length h apart, shape (G, steps + 1, blocks, d).
 
     State p evolves under K0 + amps[p] (g1 V1 + g2 V2) from ``state0`` on the
     blocks of ``layout``, with the couplings (g1, g2) at Gauss node i of step
     k in ``nodes[k, i]``.  Entry [p, k, b] is block b of state p after step
     k, phase restored and zero-padded; the plan, chunks and stacks live only
-    while stepping.
+    while stepping.  A plan past _PLAN_LIMIT raises :class:`IntegrationError`.
     """
     (a1, a2), n_steps, g = _CF4_A, times.size - 1, amps.size
     # exponential f = 2 i + e of step i weighs the nodes by weights[e]; the
@@ -316,8 +317,12 @@ def _cf4_steps(state0, nodes, times, h, layout, amps) -> np.ndarray:
     half_k0 = 0.5 * k0  # each factor's share of the shifted drift
     n0, nv1, nv2 = (float(np.abs(ops).sum(axis=1).max()) for ops in (half_k0, v1, v2))  # largest block 1-norms
     a_max = float(np.abs(amps).max())
-    bound = n0 + a_max * (np.abs(u[:, 0]) * nv1 + np.abs(u[:, 1]) * nv2)
-    substeps, degrees = _taylor_plan(h * bound)
+    bound = h * (n0 + a_max * (np.abs(u[:, 0]) * nv1 + np.abs(u[:, 1]) * nv2))
+    if not np.all(bound < _PLAN_LIMIT):  # a NaN fails too
+        raise IntegrationError(f"the step plan cannot run: the generator bound h |K|_1 reaches {bound.max():.3g}, "
+                               f"not below 2^62 (largest coupling {a_max * float(np.abs(nodes).max()):.3g}, "
+                               f"kappa {kappa:.3g})")
+    substeps, degrees = _taylor_plan(bound)
     scale = -1j * h / substeps
     scaled_u = scale[:, None] * u
 
@@ -458,7 +463,7 @@ def propagate(
     if (bad := ~np.isfinite(couplings).all(axis=(1, 2))).any():
         raise IntegrationError(f"schedule produced non-finite couplings in the step from t={float(times[bad.argmax()])}")
     layout = block_generators(params, rwa, occupied_blocks(params, rwa, state0))
-    block_states = _cf4_steps(state0, couplings[:, 1:3], times, h, layout, amps)
+    block_states = _cf4_steps(state0, couplings[:, 1:3], times, h, layout, amps, params.kappa)
     if not np.all(np.isfinite(block_states[:, -1])):
         raise IntegrationError("state became non-finite during propagation")
     peaks = _photon_peaks(times, block_states, params, layout, amps, couplings[:, 0], couplings[:, 3])

@@ -57,9 +57,9 @@ class PiecewiseConstantSchedule:
     """Step-function schedule: M bins of width ``dt`` starting at ``t_start``.
 
     ``t_start``, ``dt`` and the per-bin couplings ``values1``/``values2``
-    must be finite; outside the window both couplings are zero.  The amplitude
-    bounds of an optimization belong to its ``OptimizationConfig``, not to
-    the schedule.  :func:`dynamics.propagate` replays a schedule exactly
+    must be finite; outside the window both couplings are zero.  The box
+    [0, g0] of an optimization is ``OptimizationConfig.g0``, not part of the
+    schedule.  :func:`dynamics.propagate` replays a schedule exactly
     with ``window=(sched.t_start, sched.t_end)`` and
     ``PropagationOptions(dt=sched.dt)``: one step per bin, on the bin edges.
     It reads the couplings just inside both ends of each step, so every

@@ -19,7 +19,7 @@ mmap threshold, cost more in page faults than the products cost to compute.
 The optimization has one recipe: the first start is a counterintuitive
 Gaussian pair sampled onto the bins, the others are seeded random values.
 Each start is one ascent, :func:`_ascend`, in which L-BFGS-B climbs -F
-within the amplitude bounds.  :func:`optimize` merges the ascents: it keeps
+with every control in [0, g0].  :func:`optimize` merges the ascents: it keeps
 the first one with the highest F and numbers their traces in restart order.
 :func:`objective` replays the schedule with :func:`dynamics.propagate`, one
 CF4 step per bin, which is exact for constant couplings.  It and the
@@ -86,14 +86,14 @@ _CHECK_VALUES = (0.015, 0.285)
 class OptimizationConfig:
     """Search-space and optimizer settings for the schedule optimization.
 
-    ``bins`` piecewise-constant values per control over ``duration``, within
-    amplitude ``bounds``.  The first of the ``restarts`` starts is a Gaussian
+    ``bins`` piecewise-constant values per control over ``duration``, each in
+    [0, ``g0``].  The first of the ``restarts`` starts is a Gaussian
     pair compressed onto the control window; the other ``restarts - 1`` are
     uniform random values, drawn from the generator seeded with ``seed``.
     """
 
     duration: float
-    bounds: tuple[float, float]
+    g0: float
     bins: int = 20
     max_iters: int = 500
     seed: int = 0
@@ -104,9 +104,8 @@ class OptimizationConfig:
             raise ValueError(f"bins must be at least 1, got {self.bins}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be finite and positive, got {self.duration}")
-        lo, hi = self.bounds
-        if not -math.inf < lo <= hi < math.inf:
-            raise ValueError(f"bounds must be finite and ordered, got {self.bounds}")
+        if not 0 <= self.g0 < math.inf:
+            raise ValueError(f"g0 must be finite and non-negative, got {self.g0}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.restarts < 1:
@@ -367,12 +366,11 @@ def _gaussian_sampled_start(config: OptimizationConfig, bin_mids: np.ndarray) ->
     Width duration/3 centers the whole pulse-pair structure inside the
     window and keeps the start in the basin of the STIRAP-like optimum;
     much stronger compression lands in poor intuitive-ordered basins.
+    Its values lie in [0, g0] exactly: g0 exp(-x^2) cannot round above g0.
     """
-    lo, hi = config.bounds
-    g0 = hi if hi > 0 else 1.0
     width = config.duration / 3.0
-    pair = GaussianPair(g0=g0, T=width, tau=DEFAULT_TAU_RATIO * width)
-    return np.clip(np.concatenate(pair.values(bin_mids - 0.5 * config.duration)), lo, hi)
+    pair = GaussianPair(g0=config.g0, T=width, tau=DEFAULT_TAU_RATIO * width)
+    return np.concatenate(pair.values(bin_mids - 0.5 * config.duration))
 
 
 def _ascend(template, x0, config: OptimizationConfig, params, initial, target, rwa) -> tuple:
@@ -394,7 +392,7 @@ def _ascend(template, x0, config: OptimizationConfig, params, initial, target, r
         x0,
         jac=True,
         method="L-BFGS-B",
-        bounds=[config.bounds] * (2 * config.bins),
+        bounds=[(0.0, config.g0)] * (2 * config.bins),
         callback=lambda _xk: trace.append(evaluations[-1]),
         options={
             "maxiter": config.max_iters,
@@ -413,7 +411,7 @@ def optimize(
     *,
     rwa: bool = False,
 ) -> OptimizationResult:
-    """Maximize the transfer efficiency over bounded piecewise schedules.
+    """Maximize the transfer efficiency over piecewise schedules with every control in [0, g0].
 
     Runs ``config.restarts`` L-BFGS-B ascents and keeps the best.  The first
     starts from the Gaussian pair compressed onto the control window; the
@@ -432,7 +430,7 @@ def optimize(
     Parameters
     ----------
     config : OptimizationConfig
-        Discretization, bounds, iteration budget and seeding.
+        Discretization, amplitude bound g0, iteration budget and seeding.
     params : ModelParams
         System constants (losses included in the propagation).
     initial, target : ndarray
@@ -450,12 +448,11 @@ def optimize(
 
     m = config.bins
     dt = config.duration / m
-    lo, hi = config.bounds
-    template = PiecewiseConstantSchedule(0.0, dt, np.full(m, lo), np.full(m, lo))
+    template = PiecewiseConstantSchedule(0.0, dt, np.zeros(m), np.zeros(m))
 
     first = _gaussian_sampled_start(config, (np.arange(m) + 0.5) * dt)
     rng = np.random.default_rng(config.seed)
-    starts = [first, *(rng.uniform(lo, hi, size=2 * m) for _ in range(config.restarts - 1))]
+    starts = [first, *(rng.uniform(0.0, config.g0, size=2 * m) for _ in range(config.restarts - 1))]
 
     ascend = partial(_ascend, template, config=config, params=params, initial=initial, target=target, rwa=rwa)
     with single_blas_thread():
@@ -464,7 +461,7 @@ def optimize(
             raise WorkerLostError(f"optimize restart(s) {', '.join(map(str, lost))} of {len(starts)} lost: the worker "
                                   f"process died in the pool and again alone ({ascents[lost[0] - 1]})")
         best = max((res for res, _ in ascents), key=lambda res: -res.fun)  # the first of the best
-        best_schedule = template.with_values(np.clip(best.x, lo, hi))
+        best_schedule = template.with_values(np.clip(best.x, 0.0, config.g0))
         fresh = objective(best_schedule, params, initial, target, rwa=rwa)
     points = (point for _, trace in ascents for point in trace)
     history = [(i, *point) for i, point in enumerate(points, 1)]

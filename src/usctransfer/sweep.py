@@ -269,14 +269,13 @@ def calibrate_tau(
     g0: float,
     fixed: SweepFixed,
     model: str = "rabi",
-    ratios=CALIBRATION_RATIOS,
 ) -> tuple[RunRecord, list[RunRecord]]:
-    """Scan the pulse delay tau/T over ``ratios``; return the run closest to the published efficiency, and the scan.
+    """Delay scan over tau/T in ``CALIBRATION_RATIOS``, 0.4 to 1.2: the run nearest the published F, and the scan.
 
     The delay of the published protocol is not known, so it is calibrated:
     the selected run is the first whose efficiency is closest to
     ``PUBLISHED_REFERENCE_EFFICIENCY`` (0.95), the published operating point.
     """
-    records = [run_point(t_inv, g0, replace(fixed, tau_ratio=float(r)), model) for r in ratios]
+    records = [run_point(t_inv, g0, replace(fixed, tau_ratio=float(r)), model) for r in CALIBRATION_RATIOS]
     best = min(records, key=lambda rec: abs(rec.fidelity - PUBLISHED_REFERENCE_EFFICIENCY))
     return best, records

@@ -7,6 +7,7 @@ use them are marked ``slow``, so ``pytest -m "not slow"`` skips the costly
 fixtures.
 """
 
+import ctypes
 import dataclasses
 import time
 
@@ -30,6 +31,8 @@ from usctransfer.model import coupling_operator, drift_hamiltonian, number_opera
 REF_T_INV = 0.04
 REF_G0 = 0.3
 REF_KAPPA = 0.005
+# the largest change of F, leakage or the photon peak that a second OpenBLAS kernel may make (see test_kernels.py)
+KERNEL_BOUND = 1e-12
 SLOW_FIXTURES = {"reference_scan_rabi", "reference_scan_rwa", "reference_qoc"}
 
 
@@ -37,6 +40,20 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if SLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
             item.add_marker(pytest.mark.slow)
+
+
+def corename():
+    """Name of the kernel of the first loaded OpenBLAS that reports one, or None."""
+    for line in open("/proc/self/maps"):
+        path = line.split()[-1]
+        if "openblas" in path.lower() and path.startswith("/"):
+            try:
+                get = ctypes.CDLL(path).scipy_openblas_get_corename64_
+            except (OSError, AttributeError):
+                continue
+            get.restype = ctypes.c_char_p
+            return get().decode()
+    return None
 
 
 def dense_generator(params, g1, g2, rwa=False):
@@ -101,7 +118,7 @@ def reference_qoc():
     initial = superposition_initial(0.0, 1.0, params)
     target = superposition_target(0.0, 1.0, params)
     config = OptimizationConfig(
-        duration=1.0 / REF_T_INV, bounds=(0.0, REF_G0), bins=20, seed=7, restarts=5
+        duration=1.0 / REF_T_INV, g0=REF_G0, bins=20, seed=7, restarts=5
     )
     start = time.perf_counter()
     result = optimize(config, params, initial, target)

@@ -64,7 +64,7 @@ def test_criterion_2_qoc_beats_gaussian(reference_qoc, reference_scan_rabi):
     width = 1.0 / REF_T_INV
     gaussian_duration = reference_scan_rabi["best"].duration
 
-    assert config.bins == 20 and config.bounds == (0.0, REF_G0)
+    assert config.bins == 20 and config.g0 == REF_G0
     assert config.max_iters <= 500 and config.restarts <= 5
     schedule_in_bounds = (
         result.best_schedule.stacked().min() >= 0.0

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ ASCEND = qoc._ascend
 
 def crash_on_second_start(template, x0, *, config, **kwargs):
     """Ascent that kills its worker process on the first random start, the second restart."""
-    if np.array_equal(x0, np.random.default_rng(config.seed).uniform(*config.bounds, size=2 * config.bins)):
+    if np.array_equal(x0, np.random.default_rng(config.seed).uniform(0.0, config.g0, size=2 * config.bins)):
         os._exit(1)
     return ASCEND(template, x0, config=config, **kwargs)
 
@@ -554,6 +556,49 @@ class TestExitCodes:
         code = cli_mod.main(["simulate", "--t-inv", "0.2", "--g0", "0.2"])
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, names",
+        [("g0", "largest coupling 1e+300, kappa 0.005"), ("kappa", "largest coupling 0.3, kappa 1e+300"),
+         ("schedule", "largest coupling 1e+300, kappa 0.005")],
+        ids=["g0", "kappa", "schedule"],
+    )
+    def test_step_plan_past_an_int64_count_exits_two_naming_its_bound(self, case, names, tmp_path, capsys):
+        # a substep count above 2^63 would wrap to a negative count, apply no exponential and exit 0
+        from usctransfer.cli import main
+
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text("bin,t0,t1,g1,g2\n0,0,1,1e300,0.1\n1,1,2,0.1,0.1\n")
+        flags = {"g0": ["--g0", "1e300"], "kappa": ["--kappa", "1e300"], "schedule": ["--schedule", str(schedule)]}
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", *flags[case]])
+        wall = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("usctransfer: numeric failure: the step plan cannot run: the generator bound h |K|_1 ")
+        assert f"not below 2^62 ({names})" in err
+        assert wall < 1.0
+
+    def test_sweep_row_with_a_plan_past_an_int64_count_records_its_error_on_each_point(self, tmp_path, capsys):
+        # the row's plan follows its largest amplitude, so its healthy point would get a wrong F
+        from usctransfer import SweepGrid, run_sweep
+        from usctransfer.cli import main
+
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"t_inv_values": [0.1], "g0_values": [0.1, 1e300]}))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", str(grid)])
+            records = run_sweep(SweepGrid([0.1], [0.1, 1e300]))
+        wall = time.perf_counter() - start
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["0.1,0.1,rabi,nan,nan,nan", "0.1,1e+300,rabi,nan,nan,nan"]
+        errors = [record.error.split(": ")[:2] for record in records]
+        assert errors == [["IntegrationError", "the step plan cannot run"]] * 2
+        assert wall < 1.0
 
     @pytest.mark.parametrize(
         "command, flag",

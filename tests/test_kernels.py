@@ -9,6 +9,7 @@ the kernels Prescott, Nehalem, Sandybridge and Haswell moved them by at most
 2.2e-15.  ``KERNEL_BOUND`` is the bound the README states.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ import sys
 
 import pytest
 
-KERNEL_BOUND = 1e-12
+from conftest import KERNEL_BOUND, corename
+
 SECOND_KERNEL = "Prescott"
 
 # one Gaussian row of a two-block input under both models, and the stepper's
@@ -24,21 +26,10 @@ SECOND_KERNEL = "Prescott"
 # optimize path is chaotic in the gradient's last bits
 CHILD = """
 import ctypes, json
+""" + inspect.getsource(corename) + """
 import numpy as np
 from usctransfer import ModelParams, PiecewiseConstantSchedule, SweepFixed, gaussian_row, objective
 from usctransfer import superposition_initial, superposition_target
-
-def corename():
-    for line in open("/proc/self/maps"):
-        path = line.split()[-1]
-        if "openblas" in path.lower() and path.startswith("/"):
-            try:
-                get = ctypes.CDLL(path).scipy_openblas_get_corename64_
-            except (OSError, AttributeError):
-                continue
-            get.restype = ctypes.c_char_p
-            return get().decode()
-    return None
 
 figures = []
 for model in ("rabi", "rwa"):

@@ -51,7 +51,7 @@ def ascend_from(start, config, params, initial, target, rwa=False):
     optimize's first start is always the Gaussian pair, so a test that needs
     another start runs the single ascent, ``qoc._ascend``, from it.
     """
-    lo, hi = config.bounds
+    lo, hi = 0.0, config.g0
     with single_blas_thread():
         res, trace = qoc_mod._ascend(start, np.clip(start.stacked(), lo, hi), config, params, initial, target, rwa)
         best = start.with_values(np.clip(res.x, lo, hi))
@@ -450,12 +450,26 @@ class TestOptimize:
         photon_target = basis_state(1, 0, 0, params)
         return params, initial, photon_target
 
+    @pytest.mark.parametrize("g0", [0.0, 0.3, 1e3])
+    def test_gaussian_start_lies_in_the_box_without_a_clip(self, g0):
+        # g0 exp(-x^2) with exp(-x^2) <= 1 cannot round above g0, at the peaks and far out in the tails
+        for duration, bins in [(1e-3, 1), (5.0, 2), (25.0, 20), (3.0, 1000), (1e4, 7)]:
+            config = OptimizationConfig(duration=duration, g0=g0, bins=bins)
+            tau = qoc_mod.DEFAULT_TAU_RATIO * duration / 3.0
+            mids = (np.arange(bins) + 0.5) * (duration / bins)
+            extremes = 0.5 * duration + np.array([-tau, tau, 0.0, -1e100, 1e100, np.nextafter(tau, 0.0)])
+            for centres in (mids, extremes):
+                start = qoc_mod._gaussian_sampled_start(config, centres)
+                assert start.shape == (2 * centres.size,)
+                assert start.min() >= 0.0 and start.max() <= g0, (duration, bins)
+            assert start.max() == g0  # the extremes hit both peaks: the box is tight
+
     def test_stationary_start_converges_immediately(self):
         params, initial, photon_target = self.toy_problem()
         dt = 4.0
         g_star = np.pi / (2 * dt)
         start = PiecewiseConstantSchedule(0.0, dt, [g_star], [0.0])
-        config = OptimizationConfig(duration=dt, bounds=(0.0, 1.0), bins=1, restarts=1)
+        config = OptimizationConfig(duration=dt, g0=1.0, bins=1, restarts=1)
         result = ascend_from(start, config, params, initial, photon_target, rwa=True)
         assert len(result.iteration_history) <= 2
         np.testing.assert_allclose(result.best_fidelity, 1.0, atol=1e-12)
@@ -463,7 +477,7 @@ class TestOptimize:
 
     def test_toy_problem_reaches_optimum_from_random(self):
         params, initial, photon_target = self.toy_problem()
-        config = OptimizationConfig(duration=6.0, bounds=(0.0, 0.5), bins=2, seed=1, restarts=3)
+        config = OptimizationConfig(duration=6.0, g0=0.5, bins=2, seed=1, restarts=3)
         values = np.random.default_rng(0).uniform(0.0, 0.5, size=4)
         start = PiecewiseConstantSchedule(0.0, 3.0, values[:2], values[2:])
         result = ascend_from(start, config, params, initial, photon_target, rwa=True)
@@ -481,8 +495,8 @@ class TestOptimize:
 
         import usctransfer.qoc as qoc_mod
 
-        bounds = (0.0, 0.2)
-        config = OptimizationConfig(duration=8.0, bounds=bounds, bins=3, seed=2, restarts=2)
+        g0 = 0.2
+        config = OptimizationConfig(duration=8.0, g0=g0, bins=3, seed=2, restarts=2)
         old = qoc_mod.objective_and_gradient
         qoc_mod.objective_and_gradient = spy
         try:
@@ -490,18 +504,18 @@ class TestOptimize:
         finally:
             qoc_mod.objective_and_gradient = old
         stacked = np.array(seen)
-        assert stacked.min() >= bounds[0] - 1e-15 and stacked.max() <= bounds[1] + 1e-15
+        assert stacked.min() >= 0.0 - 1e-15 and stacked.max() <= g0 + 1e-15
 
     def test_best_fidelity_is_fresh_evaluation(self):
         params, initial, photon_target = self.toy_problem()
-        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=3, restarts=1)
+        config = OptimizationConfig(duration=5.0, g0=0.4, bins=2, seed=3, restarts=1)
         result = optimize(config, params, initial, photon_target, rwa=True)
         fresh = objective(result.best_schedule, params, initial, photon_target, rwa=True)
         assert abs(result.best_fidelity - fresh) < 1e-10
 
     def test_bit_for_bit_reproducible(self):
         params, initial, photon_target = self.toy_problem()
-        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=3, seed=12, restarts=2)
+        config = OptimizationConfig(duration=5.0, g0=0.4, bins=3, seed=12, restarts=2)
         first = optimize(config, params, initial, photon_target, rwa=True)
         second = optimize(config, params, initial, photon_target, rwa=True)
         assert first.best_fidelity == second.best_fidelity
@@ -511,7 +525,7 @@ class TestOptimize:
 
     def test_history_records_iterations(self):
         params, initial, photon_target = self.toy_problem()
-        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=4, restarts=1)
+        config = OptimizationConfig(duration=5.0, g0=0.4, bins=2, seed=4, restarts=1)
         result = optimize(config, params, initial, photon_target, rwa=True)
         iters = [entry[0] for entry in result.iteration_history]
         assert iters == sorted(iters)
@@ -522,14 +536,14 @@ class TestOptimize:
         # the seeded generator draws them.  At this iteration cap only the second start
         # converges, and it ends clearly ahead of the other two.
         params, initial, photon_target = self.toy_problem()
-        (lo, hi), m, seed = (0.0, 0.4), 2, 0
-        config = OptimizationConfig(duration=5.0, bounds=(lo, hi), bins=m, seed=seed, restarts=3, max_iters=6)
+        g0, m, seed = 0.4, 2, 0
+        config = OptimizationConfig(duration=5.0, g0=g0, bins=m, seed=seed, restarts=3, max_iters=6)
         merged = optimize(config, params, initial, photon_target, rwa=True)
         single = dataclasses.replace(config, restarts=1)
         runs = [optimize(single, params, initial, photon_target, rwa=True)]
         rng = np.random.default_rng(seed)
         for _ in range(config.restarts - 1):
-            values = rng.uniform(lo, hi, 2 * m)
+            values = rng.uniform(0.0, g0, 2 * m)
             start = PiecewiseConstantSchedule(0.0, config.duration / m, values[:m], values[m:])
             runs.append(ascend_from(start, single, params, initial, photon_target, rwa=True))
         points = [point[1:] for run in runs for point in run.iteration_history]
@@ -541,7 +555,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["rabi", "rwa"])
     def test_pooled_restarts_match_serial_bit_for_bit(self, rwa, monkeypatch):
-        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.3), bins=3, seed=5, restarts=3, max_iters=40)
+        config = OptimizationConfig(duration=5.0, g0=0.3, bins=3, seed=5, restarts=3, max_iters=40)
         results = []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
@@ -569,7 +583,7 @@ class TestOptimize:
         monkeypatch.setattr(qoc_mod, "objective_and_gradient", spy)
         use_cpus(monkeypatch, 2)
         params, initial, photon_target = self.toy_problem()
-        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=4, restarts=2)
+        config = OptimizationConfig(duration=5.0, g0=0.4, bins=2, seed=4, restarts=2)
         original = [get() for get, _ in controls]
         try:
             for _, put in controls:
@@ -608,7 +622,7 @@ def spy(*args, **kwargs):
 
 qoc.objective_and_gradient = spy
 params = ModelParams(kappa=0.0, n_max=1)
-config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, restarts=1)
+config = OptimizationConfig(duration=5.0, g0=0.4, bins=2, restarts=1)
 qoc.optimize(config, params, superposition_initial(0.0, 1.0, params), basis_state(1, 0, 0, params), rwa=True)
 print(json.dumps({"before": before, "seen": seen}))
 """
@@ -636,7 +650,7 @@ print(json.dumps({"before": before, "seen": seen}))
         monkeypatch.setattr(qoc_mod, "objective_and_gradient", spy)
         use_cpus(monkeypatch, 1)  # the spy records in this process
         params, initial, photon_target = self.toy_problem()
-        config = OptimizationConfig(duration=5.0, bounds=(0.0, 0.4), bins=2, seed=4, restarts=2)
+        config = OptimizationConfig(duration=5.0, g0=0.4, bins=2, seed=4, restarts=2)
         original = [get() for get, _ in controls]
         try:
             for _, put in controls:
@@ -657,7 +671,7 @@ print(json.dumps({"before": before, "seen": seen}))
         # losses can only reduce the achievable overlap here; verified, not assumed
         lossy = ModelParams(kappa=0.005, n_max=2)
         lossless = ModelParams(kappa=0.0, n_max=2)
-        config = OptimizationConfig(duration=10.0, bounds=(0.0, 0.3), bins=8, seed=5, restarts=2, max_iters=150)
+        config = OptimizationConfig(duration=10.0, g0=0.3, bins=8, seed=5, restarts=2, max_iters=150)
         results = {}
         for params in (lossy, lossless):
             initial = superposition_initial(0.0, 1.0, params)
@@ -667,25 +681,23 @@ print(json.dumps({"before": before, "seen": seen}))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            OptimizationConfig(duration=-1.0, bounds=(0.0, 0.3))
+            OptimizationConfig(duration=-1.0, g0=0.3)
         with pytest.raises(ValueError):
-            OptimizationConfig(duration=1.0, bounds=(0.3, 0.0))
+            OptimizationConfig(duration=1.0, g0=-0.3)
 
     @pytest.mark.parametrize(
         "setting, match",
         [
             ({"duration": float("inf")}, "duration must be finite"),
-            ({"bounds": (0.0, float("nan"))}, "bounds must be finite"),
-            ({"bounds": (float("nan"), 0.3)}, "bounds must be finite"),
-            ({"bounds": (0.0, float("inf"))}, "bounds must be finite"),
-            ({"bounds": (float("-inf"), 0.3)}, "bounds must be finite"),
+            ({"g0": float("nan")}, "g0 must be finite"),
+            ({"g0": float("inf")}, "g0 must be finite"),
             ({"max_iters": 0}, "max_iters must be at least 1"),
         ],
-        ids=["inf-duration", "nan-upper", "nan-lower", "inf-upper", "inf-lower", "no-iterations"],
+        ids=["inf-duration", "nan-g0", "inf-g0", "no-iterations"],
     )
     def test_non_finite_or_empty_config_rejected(self, setting, match):
         with pytest.raises(ValueError, match=match):
-            OptimizationConfig(**{"duration": 1.0, "bounds": (0.0, 0.3), **setting})
+            OptimizationConfig(**{"duration": 1.0, "g0": 0.3, **setting})
 
     @pytest.mark.parametrize("bins", [0, -1])
     def test_gradient_check_needs_a_bin(self, bins):
@@ -704,7 +716,7 @@ class TestRefinement:
         fine_values2 = np.repeat(coarse.best_schedule.values2, 2)
         fine_start = PiecewiseConstantSchedule(0.0, config.duration / 40, fine_values1, fine_values2)
         fine_config = OptimizationConfig(
-            duration=config.duration, bounds=config.bounds, bins=40,
+            duration=config.duration, g0=config.g0, bins=40,
             seed=config.seed, restarts=1, max_iters=60,
         )
         fine = ascend_from(fine_start, fine_config, params, reference_qoc["initial"], reference_qoc["target"])
@@ -717,7 +729,7 @@ FORMER_OPTS_SLOT = [  # each function with the positional arguments before its f
     (objective_and_gradient, (SCHED, PARAMS, INITIAL, TARGET)),
     (finite_difference_gradient, (SCHED, PARAMS, INITIAL, TARGET)),
     (gradient_check, (PARAMS, (0,), 2)),
-    (optimize, (OptimizationConfig(duration=5.0, bounds=(0.0, 0.3), bins=2, restarts=1), PARAMS, INITIAL, TARGET)),
+    (optimize, (OptimizationConfig(duration=5.0, g0=0.3, bins=2, restarts=1), PARAMS, INITIAL, TARGET)),
 ]
 
 

@@ -22,7 +22,7 @@ from usctransfer import (
 )
 from usctransfer import sweep
 from usctransfer.formats import sweep_csv
-from usctransfer.sweep import DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES
+from usctransfer.sweep import CALIBRATION_RATIOS, DEFAULT_G0_VALUES, DEFAULT_T_INV_VALUES
 
 CRASH_T_INV = 0.1
 ROW_TASK = sweep._row_task
@@ -75,10 +75,10 @@ class TestRunPoint:
 class TestCalibration:
     def test_match_metric_selects_closest(self):
         # the published efficiency of the reference protocol is 0.95
-        best, records = calibrate_tau(0.1, 0.25, fast_fixed(), ratios=(0.5, 0.7, 0.9))
+        best, records = calibrate_tau(0.1, 0.25, fast_fixed())
         gaps = [abs(rec.fidelity - 0.95) for rec in records]
         assert best is records[int(np.argmin(gaps))]
-        assert [rec.schedule["tau_ratio"] for rec in records] == [0.5, 0.7, 0.9]
+        assert [rec.schedule["tau_ratio"] for rec in records] == list(CALIBRATION_RATIOS)
 
 
 class TestRunSweep:
