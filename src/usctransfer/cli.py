@@ -31,10 +31,9 @@ from .dynamics import IntegrationError, PropagationOptions
 from .formats import (
     atomic_write_text,
     optimization_result_json,
+    read_schedule,
     run_record_json,
     schedule_csv,
-    schedule_from_csv,
-    schedule_from_dict,
     sweep_csv,
     trajectory_csv,
 )
@@ -180,26 +179,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     fixed = _fixed(args)
     _warn_on_coarse_step(args.dt)
     if args.schedule:
-        record, traj = schedule_run(_read_schedule(args.schedule), fixed, args.model)
+        record, traj = schedule_run(read_schedule(args.schedule), fixed, args.model)
     else:
         record, traj = gaussian_row(args.t_inv, [args.g0], fixed, args.model)[0]
     _emit(run_record_json(record), args.out)
     if args.traj_out:
-        _write("--traj-out", args.traj_out, trajectory_csv(traj, fixed.params))
+        _write("--traj-out", args.traj_out, trajectory_csv(traj))
     return 0
-
-
-def _read_schedule(path: str):
-    """Piecewise schedule of a schedule CSV or an optimization JSON file."""
-    try:
-        with open(path) as handle:
-            text = handle.read()
-        if not path.endswith(".json"):
-            return schedule_from_csv(text)
-        data = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read schedule {path}: {exc}") from None
-    return schedule_from_dict(data["schedule"] if isinstance(data, dict) and "schedule" in data else data)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:

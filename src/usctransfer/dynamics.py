@@ -78,7 +78,9 @@ __all__ = [
 # X^j v / j! exceeds |v|_1, so the sum rounds at the 1e-16 level
 _TAYLOR_THETA = 1.0
 _TAYLOR_TOL = 2.0**-53  # Taylor remainder bound per substep, relative to the state's 1-norm
-_PLAN_LIMIT = 2.0**62  # the largest h |K|_1 bound planned: its substep count must fit an int64
+# the most Taylor products one run plans, about 100 times the 97,482 of the
+# default map's costliest row (t_inv 0.01); far below 2^62, so every count fits an int64
+_PRODUCT_BUDGET = 1e7
 _CHUNK_BYTES = 2**18  # most bytes of one temporary: a stepper BLAS product, a photon-peak block
 # fourth-order commutator-free Magnus weights a_1, a_2 and Gauss nodes c_1, c_2
 _CF4_A = (0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0)
@@ -89,7 +91,7 @@ _READ_AT = np.array([1e-9, *_CF4_C, 1.0 - 1e-9])
 
 
 class IntegrationError(RuntimeError):
-    """A run went non-finite (couplings, amplitudes, state or gradient entries) or planned more substeps than fit."""
+    """A run went non-finite (couplings, amplitudes, state or gradient entries) or planned more work than it may."""
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,14 @@ def _full_space(blocks, block_states: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _taylor_plan(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Substep counts and Taylor degrees for a 1-d array of 1-norm bounds x = |scale| |B|_1.
+    """Substep counts, as floats, and Taylor degrees for a 1-d array of 1-norm bounds x = |scale| |B|_1.
 
     Entry i gets s_i = max(1, ceil(x_i / _TAYLOR_THETA)) substeps of the
-    :func:`_taylor_degrees` degree at y = x_i / s_i.
+    :func:`_taylor_degrees` degree at y = x_i / s_i.  The counts stay floats,
+    so a huge or non-finite bound plans a huge or non-finite count, which
+    the caller's budget rejects, instead of wrapping in an integer cast.
     """
-    substeps = np.maximum(1, np.ceil(x / _TAYLOR_THETA)).astype(int)
+    substeps = np.maximum(1.0, np.ceil(x / _TAYLOR_THETA))
     return substeps, _taylor_degrees(x / substeps)
 
 
@@ -303,7 +307,11 @@ def _cf4_steps(state0, nodes, times, h, layout, amps, kappa) -> np.ndarray:
     blocks of ``layout``, with the couplings (g1, g2) at Gauss node i of step
     k in ``nodes[k, i]``.  Entry [p, k, b] is block b of state p after step
     k, phase restored and zero-padded; the plan, chunks and stacks live only
-    while stepping.  A plan past _PLAN_LIMIT raises :class:`IntegrationError`.
+    while stepping.  A plan of more than _PRODUCT_BUDGET Taylor products, one
+    per power and one per weighted sum of every substep, raises
+    :class:`IntegrationError` before the first step (:func:`propagate` has
+    already refused more steps than half the budget, since every step takes
+    two exponentials of at least one product).
     """
     (a1, a2), n_steps, g = _CF4_A, times.size - 1, amps.size
     # exponential f = 2 i + e of step i weighs the nodes by weights[e]; the
@@ -317,12 +325,16 @@ def _cf4_steps(state0, nodes, times, h, layout, amps, kappa) -> np.ndarray:
     half_k0 = 0.5 * k0  # each factor's share of the shifted drift
     n0, nv1, nv2 = (float(np.abs(ops).sum(axis=1).max()) for ops in (half_k0, v1, v2))  # largest block 1-norms
     a_max = float(np.abs(amps).max())
-    bound = h * (n0 + a_max * (np.abs(u[:, 0]) * nv1 + np.abs(u[:, 1]) * nv2))
-    if not np.all(bound < _PLAN_LIMIT):  # a NaN fails too
+    # a bound or a count that overflows to inf, or an inf / inf degree, fails the budget
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = h * (n0 + a_max * (np.abs(u[:, 0]) * nv1 + np.abs(u[:, 1]) * nv2))
+        substeps, degrees = _taylor_plan(bound)
+        products = float(substeps @ (degrees + 1.0))
+    if not products <= _PRODUCT_BUDGET:  # a NaN fails too
         raise IntegrationError(f"the step plan cannot run: the generator bound h |K|_1 reaches {bound.max():.3g}, "
-                               f"not below 2^62 (largest coupling {a_max * float(np.abs(nodes).max()):.3g}, "
+                               f"which plans {products:.3g} Taylor products, above the budget of "
+                               f"{_PRODUCT_BUDGET:.3g} (largest coupling {a_max * float(np.abs(nodes).max()):.3g}, "
                                f"kappa {kappa:.3g})")
-    substeps, degrees = _taylor_plan(bound)
     scale = -1j * h / substeps
     scaled_u = scale[:, None] * u
 
@@ -360,7 +372,7 @@ def _cf4_steps(state0, nodes, times, h, layout, amps, kappa) -> np.ndarray:
     heads = [view[..., :1, :] for view in views]
     # the trace shift comes back as the phase exp(-i h mu)^k of each block after step k
     phases = np.cumprod(np.tile(np.exp(-1j * h * mu), (n_steps, 1)), axis=0)[:, :, None]
-    substeps, degrees = substeps.tolist(), degrees.tolist()
+    substeps, degrees = substeps.astype(int).tolist(), degrees.tolist()
     cur = 0
     for lo in range(0, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
@@ -454,6 +466,10 @@ def propagate(
         raise IntegrationError(f"non-finite coupling amplitude in {amps.tolist()}")
 
     ratio = (t1 - t0) / opts.dt
+    if not ratio <= _PRODUCT_BUDGET / 2:  # refused before the arrays of its steps exist
+        raise IntegrationError(f"the step plan cannot run: the window of {t1 - t0:.3g} at step {opts.dt:.3g} takes "
+                               f"{ratio:.3g} steps of two exponentials, at least {2 * ratio:.3g} Taylor products, "
+                               f"above the budget of {_PRODUCT_BUDGET:.3g}")
     n_steps = max(1, round(ratio) if math.isclose(ratio, round(ratio), rel_tol=1e-9) else math.ceil(ratio))
     h = (t1 - t0) / n_steps
     times = t0 + h * np.arange(n_steps + 1)

@@ -1,4 +1,4 @@
-"""Serialization of run outcomes: JSON records, CSV tables, atomic writes.
+"""Every file format of the package: JSON records, CSV tables, the schedule reader, atomic writes.
 
 All numeric text uses 12 significant digits with '.' as the decimal
 separator and newline-terminated rows, so identical inputs reproduce
@@ -27,24 +27,29 @@ __all__ = [
     "SWEEP_CSV_HEADER",
     "fmt",
     "atomic_write_text",
-    "run_record_to_dict",
     "run_record_json",
     "sweep_csv",
     "trajectory_csv",
     "schedule_csv",
     "schedule_from_csv",
-    "optimization_result_to_dict",
     "optimization_result_json",
     "schedule_to_dict",
     "schedule_from_dict",
+    "read_schedule",
 ]
 
 SWEEP_CSV_HEADER = "t_inv,g0,model,fidelity,leakage,peak_mean_photon"
+_CELL = "%.12g"  # every numeric CSV cell
 
 
 def fmt(x: float) -> str:
     """12-significant-digit text form used in every CSV cell."""
-    return f"{float(x):.12g}"
+    return _CELL % float(x)
+
+
+def _table(header: str, row_format: str, rows) -> str:
+    """CSV text: ``header``, then each row of ``rows`` formatted by one ``%`` with ``row_format``."""
+    return "\n".join([header, *(row_format % tuple(row) for row in rows)]) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -79,61 +84,40 @@ def _json_default(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def run_record_to_dict(record: RunRecord) -> dict[str, Any]:
-    """Fields of a run record as :func:`run_record_json` writes them (wall time excluded, see module doc)."""
-    return {key: value for key, value in asdict(record).items() if key != "wall_time"}
-
-
 def run_record_json(record: RunRecord) -> str:
-    return json.dumps(run_record_to_dict(record), indent=2, sort_keys=True, default=_json_default) + "\n"
+    """The record's fields as indented JSON, wall time excluded (see module doc)."""
+    fields = {key: value for key, value in asdict(record).items() if key != "wall_time"}
+    return json.dumps(fields, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def sweep_csv(records: list[RunRecord]) -> str:
     """Heatmap table, one row per grid point in the given (row-major) order."""
-    lines = [SWEEP_CSV_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    fmt(rec.schedule["t_inv"]),
-                    fmt(rec.schedule["g0"]),
-                    str(rec.schedule["model"]),
-                    fmt(rec.fidelity),
-                    fmt(rec.leakage),
-                    fmt(rec.peak_mean_photon),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((rec.schedule["t_inv"], rec.schedule["g0"], rec.schedule["model"], rec.fidelity, rec.leakage,
+             rec.peak_mean_photon) for rec in records)
+    return _table(SWEEP_CSV_HEADER, ",".join([_CELL, _CELL, "%s", _CELL, _CELL, _CELL]), rows)
 
 
-def trajectory_csv(traj: Trajectory, params: ModelParams) -> str:
+def trajectory_csv(traj: Trajectory) -> str:
     """Population histories: source / target / any-photon populations, <a^dag a> and norm.
 
     The five columns after ``time`` are the expectations of five diagonal
     observables, read off the block states in one :meth:`Trajectory.expect`
-    call.  Only the Fock cutoff of ``params`` is read, to lay out the basis:
-    a cutoff other than the run's gives another dimension, which
-    :meth:`Trajectory.expect`'s shape check rejects with a ``ValueError``.
+    call, on the basis of the trajectory's own Fock cutoff: its dimension is
+    4 (n_max + 1).
     """
+    params = ModelParams(n_max=traj.final.size // 4 - 1)
     n = basis_labels(params)[0]
     source, target = np.eye(params.dim)[[flat_index(0, 0, 1, params), flat_index(0, 1, 0, params)]]
     diagonals = np.column_stack([source, target, n >= 1, n, np.ones(params.dim)])
-    header = "time,p_source,p_target,p_cavity,mean_photon,norm2"
-    row = ",".join(["%.12g"] * 6)  # fmt's format, applied to a whole row at once
     table = np.column_stack([traj.times, traj.expect(diagonals)]).tolist()
-    return "\n".join([header, *(row % tuple(values) for values in table)]) + "\n"
+    return _table("time,p_source,p_target,p_cavity,mean_photon,norm2", ",".join([_CELL] * 6), table)
 
 
 def schedule_csv(sched: PiecewiseConstantSchedule) -> str:
     """Step-function schedule as one row per bin."""
-    lines = ["bin,t0,t1,g1,g2"]
-    for k in range(sched.bins):
-        t0 = sched.t_start + k * sched.dt
-        lines.append(
-            f"{k},{fmt(t0)},{fmt(t0 + sched.dt)},{fmt(sched.values1[k])},{fmt(sched.values2[k])}"
-        )
-    return "\n".join(lines) + "\n"
+    t0s = [sched.t_start + k * sched.dt for k in range(sched.bins)]
+    rows = ((k, t0, t0 + sched.dt, g1, g2) for k, (t0, g1, g2) in enumerate(zip(t0s, sched.values1, sched.values2)))
+    return _table("bin,t0,t1,g1,g2", ",".join(["%d", *[_CELL] * 4]), rows)
 
 
 def schedule_from_csv(text: str) -> PiecewiseConstantSchedule:
@@ -212,8 +196,26 @@ def schedule_from_dict(data: dict[str, Any]) -> PiecewiseConstantSchedule:
     )
 
 
-def optimization_result_to_dict(result: OptimizationResult) -> dict[str, Any]:
-    return {
+def read_schedule(path: str) -> PiecewiseConstantSchedule:
+    """Piecewise schedule of a schedule file; an unreadable or malformed one raises ValueError.
+
+    A ``.json`` path holds an optimization result, whose ``schedule`` is
+    read, or a bare schedule object; any other path holds a schedule CSV.
+    """
+    try:
+        with open(path) as handle:
+            text = handle.read()
+        if not path.endswith(".json"):
+            return schedule_from_csv(text)
+        data = json.loads(text)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read schedule {path}: {exc}") from None
+    return schedule_from_dict(data["schedule"] if isinstance(data, dict) and "schedule" in data else data)
+
+
+def optimization_result_json(result: OptimizationResult) -> str:
+    """The result as indented JSON: best F, convergence, the schedule and the (iteration, F, |grad|) trace."""
+    fields = {
         "best_fidelity": result.best_fidelity,
         "converged": result.converged,
         "schedule": schedule_to_dict(result.best_schedule),
@@ -222,7 +224,4 @@ def optimization_result_to_dict(result: OptimizationResult) -> dict[str, Any]:
             for it, f, g in result.iteration_history
         ],
     }
-
-
-def optimization_result_json(result: OptimizationResult) -> str:
-    return json.dumps(optimization_result_to_dict(result), indent=2, sort_keys=True) + "\n"
+    return json.dumps(fields, indent=2, sort_keys=True) + "\n"

@@ -145,6 +145,11 @@ def objective(
 _PS_THETA = 0.5
 _PS_WEIGHTS = 1.0 / np.array([math.factorial(j) for j in range(int(_taylor_degrees(np.array([_PS_THETA]))[0]) + 1)])
 _PS_WEIGHTS = np.pad(_PS_WEIGHTS, (0, -_PS_WEIGHTS.size % 4)).reshape(-1, 4)
+# the most squarings a pass takes.  Each one doubles the rounding carried by
+# the squared matrices: against a 60-digit exponential (n_max 2, two bins of
+# 2.5, 120 random couplings), F moved by at most 4.9e-10 at 24 squarings and
+# 1.07e-9 at 25, so 24 keeps F inside the 1e-9 rule
+_MAX_SQUARINGS = 24
 
 
 class _Workspace:
@@ -200,6 +205,7 @@ def _block_pass(
     dt: float,
     phi0: np.ndarray,
     chi_end: np.ndarray,
+    kappa: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward/backward pass on one conserved block.
 
@@ -208,7 +214,10 @@ def _block_pass(
     per-bin couplings, ``phi0`` and ``chi_end`` the block's parts of the
     initial and the target state.  Returns the final block state and the
     (2, M) array of <chi_k| dU_k/dg_jk |phi_k>, with phi_k the state
-    entering bin k and <chi_k| = <target| U_M-1 ... U_k+1.
+    entering bin k and <chi_k| = <target| U_M-1 ... U_k+1.  A bin that
+    needs more than _MAX_SQUARINGS squarings, or whose bound is not finite,
+    raises :class:`IntegrationError` before any power of Y is multiplied
+    out, naming the bound, the largest coupling and ``kappa``.
 
     U_k = exp(-i dt mu) P(Y_k)^(2^s), Y_k = -i dt (K_k - mu) / 2^s
     and P the Taylor polynomial by Paterson-Stockmeyer: Y^1..Y^p, then
@@ -233,9 +242,15 @@ def _block_pass(
     powers, horner, chunks, adjoint = ws.powers, ws.horner, ws.chunks, ws.adjoint  # powers: Y^0..Y^p
     tmp = adjoint[0]  # Y^0 = I needs no adjoint, so its slot is scratch throughout
     y = powers[1]
-    np.matmul(-1j * dt * np.array([np.ones(m_bins), *values]).T, ops.reshape(3, -1), out=y.reshape(m_bins, -1))
-    abs_y = np.abs(y, out=tmp.reshape(-1).view(float)[: y.size].reshape(y.shape))  # in tmp's first half
-    s = max(0, math.frexp(float(abs_y.sum(axis=1).max()) / _PS_THETA)[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound fails the check below
+        np.matmul(-1j * dt * np.array([np.ones(m_bins), *values]).T, ops.reshape(3, -1), out=y.reshape(m_bins, -1))
+        abs_y = np.abs(y, out=tmp.reshape(-1).view(float)[: y.size].reshape(y.shape))  # in tmp's first half
+        norm = float(abs_y.sum(axis=1).max())
+    if not norm < _PS_THETA * 2.0**_MAX_SQUARINGS:  # a NaN fails too
+        raise IntegrationError(f"the gradient cannot run: the bin generator bound dt |K|_1 reaches {norm:.3g}, not "
+                               f"below the {_PS_THETA * 2.0**_MAX_SQUARINGS:.3g} of {_MAX_SQUARINGS} squarings "
+                               f"(largest coupling {float(np.abs(values).max()):.3g}, kappa {kappa:.3g})")
+    s = max(0, math.frexp(norm / _PS_THETA)[1])
     y *= 0.5**s  # now |Y|_1 < _PS_THETA
     for j in range(2, p + 1):
         np.matmul(powers[j - 1], y, out=powers[j])
@@ -296,7 +311,8 @@ def objective_and_gradient(
     terms = np.zeros((2, sched.bins), dtype=complex)
     for b, idx in enumerate(blocks):
         n = idx.size
-        final[idx], block_terms = _block_pass(ops[:, b, :n, :n], mu[b], values, sched.dt, initial[idx], target[idx])
+        block = (ops[:, b, :n, :n], mu[b], values, sched.dt, initial[idx], target[idx], params.kappa)
+        final[idx], block_terms = _block_pass(*block)
         terms += block_terms
     if not np.all(np.isfinite(final)):
         raise IntegrationError("propagation produced non-finite amplitudes")

@@ -27,7 +27,7 @@ SWEEP_GRID = {"t_inv_values": [0.04, 0.07, 0.1], "g0_values": [0.05, 0.2, 0.35, 
 CORE_FILE = "core.txt"
 
 # each case's command line: {out} is the directory its outputs go to, {golden} this one,
-# whose sweep config and optimize JSON are inputs
+# whose sweep config, optimize JSON and schedule CSV are inputs
 CASES = {
     "simulate_rabi": ["simulate", "--t-inv", "0.1", "--model", "rabi", "--alpha", "0", "--beta", "1",
                       "--out", "{out}/simulate_rabi.json", "--traj-out", "{out}/traj_rabi.csv"],
@@ -37,6 +37,7 @@ CASES = {
     "optimize": ["optimize", "--t-inv", "0.04", "--g0", "0.3", "--bins", "20", "--seed", "7", "--restarts", "2",
                  "--max-iters", "25", "--out", "{out}/optimize.json", "--schedule-out", "{out}/schedule.csv"],
     "replay": ["simulate", "--schedule", "{golden}/optimize.json", "--out", "{out}/replay.json"],
+    "replay_csv": ["simulate", "--schedule", "{golden}/schedule.csv", "--out", "{out}/replay_csv.json"],
 }
 
 
@@ -52,7 +53,7 @@ def outputs(case: str) -> list[str]:
 
 def main() -> int:
     (GOLDEN / "sweep_config.json").write_text(json.dumps(SWEEP_GRID) + "\n")
-    for case in CASES:  # in order: the replay reads the optimize JSON just written
+    for case in CASES:  # in order: the replays read the optimize outputs just written
         if cli.main(argv(case, GOLDEN)) != 0:
             print(f"make_golden: case {case} failed", file=sys.stderr)
             return 1

@@ -24,6 +24,17 @@ def crash_on_second_start(template, x0, *, config, **kwargs):
     return ASCEND(template, x0, config=config, **kwargs)
 
 
+def main_timed(argv):
+    """``cli.main(argv)`` with every warning an error: its exit code and its wall time."""
+    from usctransfer.cli import main
+
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, time.perf_counter() - start
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, timeout=600, **kwargs
@@ -115,7 +126,7 @@ class TestSimulate:
             superposition_initial(0.0, 1.0, params), pair, params,
             integration_window(pair), PropagationOptions(),
         )
-        assert traj.read_text() == trajectory_csv(direct, params)
+        assert traj.read_text() == trajectory_csv(direct)
 
     @pytest.mark.parametrize("flag", ["--out", "--traj-out"])
     def test_unwritable_output_is_one_line_usage_error(self, fast_sim_args, tmp_path, flag):
@@ -578,8 +589,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1
         assert err.startswith("usctransfer: numeric failure: the step plan cannot run: the generator bound h |K|_1 ")
-        assert f"not below 2^62 ({names})" in err
+        assert f"above the budget of 1e+07 ({names})" in err
         assert wall < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--g0", "1e4"], ["simulate", "--g0", "1e18"], ["simulate", "--g0", "1.7e308"],
+         ["optimize", "--t-inv", "0.2", "--g0", "1e6", "--nmax", "2", "--bins", "2", "--restarts", "1",
+          "--max-iters", "2"]],
+        ids=["simulate-g0-1e4", "simulate-g0-1e18", "simulate-g0-1.7e308", "optimize-g0-1e6"],
+    )
+    def test_plan_above_the_product_budget_exits_two_within_a_second(self, argv, capsys):
+        # the first two and the last ran for minutes or more, the last in its replay of the best schedule; at
+        # 1.7e308 the bound overflows to inf, which fails the budget without a RuntimeWarning
+        code, wall = main_timed(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("usctransfer: numeric failure: the step plan cannot run: the generator bound h |K|_1 ")
+        assert "Taylor products, above the budget of 1e+07 (largest coupling " in err
+        assert err.endswith(", kappa 0.005)\n") and wall < 1.0
+
+    @pytest.mark.parametrize("t_inv", ["1e-9", "1e-300"])
+    def test_window_of_more_steps_than_half_the_budget_exits_two_within_a_second(self, t_inv, capsys):
+        # every step takes two exponentials of at least one product, so such a window is refused before its
+        # arrays exist: at 1e-9 they would have taken over 1 GB, at 1e-300 numpy refused their size with exit 1
+        code, wall = main_timed(["simulate", "--t-inv", t_inv])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("usctransfer: numeric failure: the step plan cannot run: the window of ")
+        assert err.endswith(" Taylor products, above the budget of 1e+07\n") and wall < 1.0
+
+    @pytest.mark.parametrize("g0, largest", [("1e100", "9.78e+99"), ("1.7e308", "1.66e+308")])
+    def test_gradient_past_its_squaring_limit_exits_two_within_a_second(self, g0, largest, capsys):
+        # at 1e100 it printed two matmul RuntimeWarnings, then a non-finite amplitude that named no bound; at
+        # 1.7e308 the bound itself overflows
+        code, wall = main_timed(["optimize", "--t-inv", "0.2", "--g0", g0, "--nmax", "2", "--bins", "2",
+                                 "--restarts", "1", "--max-iters", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("usctransfer: numeric failure: the gradient cannot run: the bin generator bound dt ")
+        assert err.endswith(f"of 24 squarings (largest coupling {largest}, kappa 0.005)\n") and wall < 1.0
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "sweep", "gradcheck"])
+    def test_cutoff_above_its_bound_exits_one_naming_it(self, command, capsys):
+        from usctransfer.cli import main
+
+        assert main([command, "--nmax", "5000"]) == 1
+        assert capsys.readouterr().err == "usctransfer: n_max must be between 1 and 200, got 5000\n"
 
     def test_sweep_row_with_a_plan_past_an_int64_count_records_its_error_on_each_point(self, tmp_path, capsys):
         # the row's plan follows its largest amplitude, so its healthy point would get a wrong F

@@ -866,6 +866,12 @@ class TestValidation:
                 (0.0, 1.0),
             )
 
+    @pytest.mark.parametrize("dim", [4, 13], ids=["shorter", "longer"])
+    def test_initial_of_another_dimension_rejected(self, dim):
+        psi0 = np.eye(dim, dtype=complex)[0]
+        with pytest.raises(ValueError, match=rf"^state has shape \({dim},\), expected \(12,\)$"):
+            propagate(psi0, constant_schedule(0.1, 0.1, 1.0), self.PARAMS, (0.0, 1.0))
+
     def test_infinite_window_rejected(self):
         psi0 = basis_state(0, 0, 0, self.PARAMS)
         with pytest.raises(ValueError):

@@ -186,7 +186,7 @@ class TestBlockReads:
 
         monkeypatch.setattr(Trajectory, "states", property(unavailable))
         params, traj = short_gaussian_run(kappa=0.006)
-        assert trajectory_csv(traj, params).count("\n") == traj.times.size + 1
+        assert trajectory_csv(traj).count("\n") == traj.times.size + 1
         populations(traj, cavity_indices(params))
         traj.norms2()
         leakage(traj)

@@ -368,3 +368,9 @@ class TestParamValidation:
     def test_zero_cutoff_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(n_max=0)
+
+    @pytest.mark.parametrize("n_max", [201, 5000])
+    def test_cutoff_above_the_bound_rejected(self, n_max):
+        assert ModelParams(n_max=200).dim == 804
+        with pytest.raises(ValueError, match=f"^n_max must be between 1 and 200, got {n_max}$"):
+            ModelParams(n_max=n_max)

@@ -155,6 +155,20 @@ class TestPiecewiseSchedule:
         with pytest.raises(ValueError):
             make_schedule(values1=[], values2=[])
 
+    @pytest.mark.parametrize(
+        "values1, values2",
+        [([0.1, 0.2], [0.1, 0.2, 0.3]), ([[0.1, 0.2]], [[0.1, 0.2]])],
+        ids=["unequal", "2-d"],
+    )
+    def test_values_of_unequal_length_or_not_1d_rejected(self, values1, values2):
+        with pytest.raises(ValueError, match="^values1 and values2 must be 1-d arrays of equal length$"):
+            make_schedule(values1=values1, values2=values2)
+
+    @pytest.mark.parametrize("size", [5, 7, 0])
+    def test_with_values_of_the_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match=rf"^expected a vector of length 6, got \({size},\)$"):
+            make_schedule().with_values(np.zeros(size))
+
     def test_stacked_roundtrip(self):
         sched = make_schedule()
         again = sched.with_values(sched.stacked())

@@ -284,6 +284,35 @@ class TestScalingThreshold:
         assert len(outputs) == 1
         assert outputs.pop().split()[0] == "0.5"
 
+    @staticmethod
+    def two_bins(g):
+        params = ModelParams(n_max=2)
+        sched = PiecewiseConstantSchedule(0.0, 2.5, [g, g / 2], [g / 3, g])
+        return sched, params, superposition_initial(0.6, 0.8, params), superposition_target(0.6, 0.8, params)
+
+    @pytest.mark.parametrize("g", [1e15, 1e16])
+    def test_a_bin_past_the_squaring_limit_raises_naming_its_bound(self, g):
+        # at about 50 squarings the norm grew with the overlap, and F came back as 2.43 and 1.03e7 without an error
+        limit = f"of {qoc_mod._MAX_SQUARINGS} squarings (largest coupling {g:.3g}, kappa 0.005)"
+        with pytest.raises(IntegrationError, match="^the gradient cannot run: the bin generator bound dt ") as error:
+            objective_and_gradient(*self.two_bins(g))
+        assert str(error.value).endswith(limit)
+
+    def test_the_squaring_limit_admits_its_last_count_and_refuses_the_next(self, monkeypatch):
+        # couplings across the limit either run with at most _MAX_SQUARINGS squarings or raise; both occur
+        taken = []
+        squares = qoc_mod._Workspace.squares
+        monkeypatch.setattr(qoc_mod._Workspace, "squares", lambda ws, s: taken.append(s) or squares(ws, s))
+        refused = 0
+        for g in np.geomspace(1e5, 1e7, 25):
+            try:
+                f = objective_and_gradient(*self.two_bins(g))[0]
+            except IntegrationError:
+                refused += 1
+            else:
+                assert 0.0 <= f <= 1.0
+        assert max(taken) == qoc_mod._MAX_SQUARINGS and 0 < refused < 25
+
 
 class TestGradientOracle:
     """The adjoint Taylor gradient against per-bin Frechet derivatives on the full space."""

@@ -310,6 +310,11 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="peak coupling must be finite and non-negative"):
             gaussian_row(0.1, [0.2, g0], fast_fixed())
 
+    @pytest.mark.parametrize("g0_values", [[], np.array([])], ids=["list", "array"])
+    def test_empty_row_rejected(self, g0_values):
+        with pytest.raises(ValueError, match="^g0_values must be non-empty$"):
+            gaussian_row(0.1, g0_values, fast_fixed())
+
     @pytest.mark.parametrize("t_inv", [math.nan, math.inf, 0.0])
     def test_invalid_inverse_speed_in_a_row(self, t_inv):
         with pytest.raises(ValueError, match="t_inv must be finite and positive"):
