@@ -13,8 +13,13 @@ whose directory does not exist, is rejected before anything is computed.
 
 ``optimize`` runs its restarts in parallel on the CPUs the process may use.
 
-Exit codes: 0 success, 1 usage error or unwritable output, 2 numeric failure,
-3 an optimize restart whose worker process died twice.
+Exit codes: ``main`` returns one for every argv but ``--help``, and each
+failure code comes from one exception, reported as one stderr line:
+0 success; 1 a ``ValueError``, a usage error or unwritable output (after
+argparse's usage line for a flag it rejects); 2 an ``IntegrationError``, a
+numeric failure, which includes a sweep that wrote NaN rows (its CSV is
+written first); 3 a ``WorkerLostError``, an optimize restart whose worker
+process died twice.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import sys
 from .dynamics import IntegrationError, PropagationOptions
 from .formats import (
     atomic_write_text,
+    fmt,
     optimization_result_json,
     read_schedule,
     run_record_json,
@@ -58,9 +64,9 @@ STEP_RULE = (f"at t_inv < {STEP_CALIBRATION_T_INV} a one-block input steps at dt
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse uses exit code 2; this CLI reserves 2 for numerics
+    def error(self, message):  # argparse exits 2; this CLI reserves 2 for numerics and returns 1 from main
         self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
 class _GaussianFlag(argparse.Action):
@@ -89,9 +95,9 @@ def _load_config(path: str) -> dict:
         with open(path) as handle:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"usctransfer: cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
-        raise SystemExit(f"usctransfer: config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     return data
 
 
@@ -102,7 +108,7 @@ def _config_flags(config: dict, path: str) -> list[str]:
         if isinstance(value, list):
             value = ",".join(map(str, value))
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise SystemExit(f"usctransfer: config {path} key {key}: {json.dumps(value)} is not a flag value")
+            raise ValueError(f"config {path} key {key}: {json.dumps(value)} is not a flag value")
         flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
 
@@ -116,7 +122,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     config = _load_config(args.config)
     unknown = sorted(set(config) - (set(vars(args)) - {"command", "run", "gaussian_flags"}))
     if unknown:
-        raise SystemExit(f"usctransfer: config {args.config} has unknown key(s): {', '.join(unknown)}")
+        raise ValueError(f"config {args.config} has unknown key(s): {', '.join(unknown)}")
     grid = {key: config.pop(key) for key in GRID_KEYS if key in config}
     args = parser.parse_args([argv[0], *_config_flags(config, args.config), *argv[1:]])
     vars(args).update(grid)
@@ -130,7 +136,7 @@ def _check_output_dirs(args: argparse.Namespace) -> None:
         directory = os.path.dirname(path or "") or "."
         if path and (os.path.isdir(path) or not os.path.isdir(directory)):
             code = errno.EISDIR if os.path.isdir(path) else errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
-            raise SystemExit(f"usctransfer: cannot write {flag} {path}: {os.strerror(code)}")
+            raise ValueError(f"cannot write {flag} {path}: {os.strerror(code)}")
 
 
 def _write(flag: str, path: str, text: str) -> None:
@@ -138,7 +144,7 @@ def _write(flag: str, path: str, text: str) -> None:
     try:
         atomic_write_text(path, text)
     except OSError as exc:
-        raise SystemExit(f"usctransfer: cannot write {flag} {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {flag} {path}: {exc.strerror or exc}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -174,7 +180,7 @@ def _warn_on_coarse_step(dt: float) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.schedule and args.gaussian_flags:  # given as flags or as config keys; rejected before the --dt warning
         flags = ", ".join(dict.fromkeys(args.gaussian_flags))
-        raise SystemExit(f"usctransfer: simulate --schedule replays the schedule's bins and takes no {flags} "
+        raise ValueError(f"simulate --schedule replays the schedule's bins and takes no {flags} "
                          "(as a flag or a config key)")
     fixed = _fixed(args)
     _warn_on_coarse_step(args.dt)
@@ -212,7 +218,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = SweepGrid(args.t_inv_values, args.g0_values, _fixed(args), args.model)
     _warn_on_coarse_step(args.dt)
-    _emit(sweep_csv(run_sweep(grid, jobs=args.jobs)), args.out)
+    records = run_sweep(grid, jobs=args.jobs)
+    _emit(sweep_csv(records), args.out)
+    failed = [record for record in records if record.error]
+    if failed:  # the CSV keeps the healthy rows; the exit code and stderr report the NaN ones
+        rows = ", ".join(dict.fromkeys(fmt(record.schedule["t_inv"]) for record in failed))
+        raise IntegrationError(f"the sweep wrote NaN rows at t_inv {rows}; the first error: {failed[0].error}")
     return 0
 
 
@@ -292,7 +303,8 @@ def _build_parser() -> _Parser:
     grad.add_argument("--nmax", type=int, default=2, help="Fock cutoff of the check system (default %(default)s)")
     grad.add_argument("--bins", type=int, default=inspect.signature(gradient_check).parameters["bins"].default,
                       help="schedule bins (default %(default)s)")
-    grad.add_argument("--kappa", type=float, default=ModelParams.kappa, help="cavity decay rate (default %(default)s)")
+    grad.add_argument("--kappa", type=float, default=ModelParams.kappa,
+                      help="cavity decay rate in units of omega_c (default %(default)s)")
     grad.add_argument("--tolerance", type=float, default=1e-5, help="relative error bound (default %(default)s)")
     grad.add_argument("--config", help="flat JSON config file")
     grad.set_defaults(run=_cmd_gradcheck)
@@ -301,14 +313,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    _check_output_dirs(args)
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        _check_output_dirs(args)
         return args.run(args)
     except ValueError as exc:
         print(f"usctransfer: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (IntegrationError, FloatingPointError) as exc:
+    except IntegrationError as exc:
         print(f"usctransfer: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except WorkerLostError as exc:

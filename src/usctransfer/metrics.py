@@ -21,7 +21,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import IntegrationError, Trajectory
 from .model import ModelParams, basis_labels
 
 __all__ = [
@@ -58,7 +58,7 @@ def transfer_efficiency(final: np.ndarray, target: np.ndarray) -> float:
     """Squared overlap |<target|final>|^2, insensitive to global phases.
 
     ``target`` must be normalized; ``final`` may be sub-normalized after a
-    lossy evolution.  Raises ``FloatingPointError`` when the overlap breaks
+    lossy evolution.  Raises ``IntegrationError`` when the overlap breaks
     the Cauchy-Schwarz bound, as it does when ``final`` holds a NaN.
     """
     final = np.asarray(final, dtype=complex)
@@ -72,7 +72,7 @@ def transfer_efficiency(final: np.ndarray, target: np.ndarray) -> float:
     norm2_final = float(np.vdot(final, final).real)
     # Cauchy-Schwarz; a NaN in ``final`` fails the comparison as well
     if not efficiency <= norm2_final * norm2_target * (1.0 + 1e-9) + 1e-300:
-        raise FloatingPointError(
+        raise IntegrationError(
             f"overlap {efficiency!r} exceeds |final|^2 |target|^2 = {norm2_final * norm2_target!r}"
         )
     return efficiency

@@ -82,6 +82,11 @@ class ModelParams:
             raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
         if not 1 <= self.n_max <= _N_MAX_LIMIT:
             raise ValueError(f"n_max must be between 1 and {_N_MAX_LIMIT}, got {self.n_max}")
+        # kappa n_max (n_max + 1) / 2 is the largest block trace of the loss term -(i/2) kappa a^dag a, and the
+        # generators overflow past it; float() keeps a numpy scalar from warning on that overflow
+        if not float(self.kappa) * (self.n_max * (self.n_max + 1) / 2) < np.inf:
+            raise ValueError(f"kappa must keep kappa n_max (n_max + 1) / 2 finite, got {self.kappa} "
+                             f"at n_max {self.n_max}")
 
     @property
     def dim(self) -> int:
@@ -120,7 +125,7 @@ def basis_state(n: int, s2: int, s1: int, params: ModelParams) -> np.ndarray:
 def _check_input_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     alpha = complex(alpha)
     beta = complex(beta)
-    norm2 = abs(alpha) ** 2 + abs(beta) ** 2
+    norm2 = abs(alpha) * abs(alpha) + abs(beta) * abs(beta)  # a product overflows to inf where ** would raise
     if not abs(norm2 - 1.0) <= 1e-10:  # also rejects a non-finite alpha or beta
         raise ValueError(
             f"|alpha|^2 + |beta|^2 = {norm2!r} is not 1 within 1e-10"

@@ -110,7 +110,17 @@ class SweepGrid:
                 raise ValueError(f"{name} must be positive")
             if axis.size > 1 and not np.all(np.diff(axis) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
+        _half_delay(float(self.t_inv_values[0]), self.fixed.tau_ratio)  # the slowest row has the longest delay
         _is_rwa(self.model)
+
+
+def _half_delay(t_inv: float, tau_ratio: float) -> float:
+    """The Gaussian pair's half-delay tau_ratio / t_inv; one past the largest float raises ValueError."""
+    tau = tau_ratio * (1.0 / t_inv)
+    if not tau < np.inf:
+        raise ValueError(f"tau_ratio {tau_ratio} at t_inv {t_inv} puts the half-delay tau_ratio / t_inv past the "
+                         "largest float")
+    return tau
 
 
 def _is_rwa(model: str) -> bool:
@@ -150,7 +160,7 @@ def gaussian_row(
     if bad := [g0 for g0 in g0s if not 0 <= g0 < np.inf]:
         raise ValueError(f"peak coupling must be finite and non-negative, got g0 = {bad[0]}")
     width = 1.0 / t_inv
-    unit = GaussianPair(g0=1.0, T=width, tau=fixed.tau_ratio * width)
+    unit = GaussianPair(g0=1.0, T=width, tau=_half_delay(t_inv, fixed.tau_ratio))
     window = integration_window(unit, fixed.cutoff)
     duration, pulse = effective_duration(unit), {"T": width, "tau": unit.tau}
     runs = [(g0, duration, _descriptor(t_inv, g0, fixed, model, **pulse, window=list(window))) for g0 in g0s]

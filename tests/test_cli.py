@@ -2,7 +2,9 @@
 
 import inspect
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -524,11 +526,7 @@ class TestInvalidValues:
         from usctransfer.cli import main
 
         # an uncaught exception (a traceback) fails the test before any assertion
-        try:
-            code = main([*cheap_args[command], f"{flag}={value}"])
-        except SystemExit as exc:  # argparse rejects a non-integer text of an integer flag
-            assert flag in INT_FLAGS and value in ("nan", "inf", "-inf")
-            code = exc.code
+        code = main([*cheap_args[command], f"{flag}={value}"])
         err = capsys.readouterr().err
         if (flag, value) in VALID:
             assert code == 0, err
@@ -541,6 +539,36 @@ class TestInvalidValues:
         else:
             assert err.count("\n") == 1, err
             assert ("n_max" if flag == "--nmax" else flag[2:].replace("-", "_")) in message
+
+    @pytest.mark.parametrize("value", ["1e-300", "1e300", "1.7e308"])
+    @pytest.mark.parametrize(
+        "command, flag", [(command, flag) for command, flags in CHECKED_FLAGS.items() for flag in flags]
+    )
+    def test_extreme_finite_value_exits_within_a_second_with_its_stated_outcome(self, command, flag, value, cheap_args,
+                                                                               capsys):
+        code, wall = main_timed([*cheap_args[command], f"{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert wall < 1.0
+        if code == 0:
+            numbers = re.findall(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf(?:inity)?)(?![\w.])", out, re.I)
+            assert numbers and all(math.isfinite(float(number)) for number in numbers), out
+            if command == "sweep":
+                efficiencies = [float(row.split(",")[3]) for row in out.splitlines()[1:]]
+            else:
+                efficiencies = [float(f) for f in re.findall(r'"(?:best_)?fidelity": ([^,\n]+)', out)]
+            assert all(0.0 <= f <= 1.0 for f in efficiencies) and (efficiencies or command == "gradcheck")
+        elif code == 1 and command == "gradcheck" and "FAIL" in out:  # the documented result of a failed check
+            assert err == ""
+        elif code == 1:
+            message = err.splitlines()[-1]
+            assert flag in message or ("n_max" if flag == "--nmax" else flag[2:].replace("-", "_")) in message
+            # only argparse's rejection of an integer flag's text comes after its usage line
+            assert err.count("\n") == 1 or message.startswith(f"usctransfer: argument {flag}: invalid int value")
+            assert message.startswith("usctransfer: ")
+        else:
+            assert code == 2 and err.count("\n") == 1, err
+            assert err.startswith("usctransfer: numeric failure: ")
+            assert "above the budget of 1e+07" in err or "of 24 squarings" in err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_step_above_the_calibrated_default_warns(self, command, cheap_args, capsys):
@@ -650,11 +678,28 @@ class TestExitCodes:
             code = main(["sweep", "--config", str(grid)])
             records = run_sweep(SweepGrid([0.1], [0.1, 1e300]))
         wall = time.perf_counter() - start
-        assert code == 0
-        assert capsys.readouterr().out.splitlines()[1:] == ["0.1,0.1,rabi,nan,nan,nan", "0.1,1e+300,rabi,nan,nan,nan"]
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == ["0.1,0.1,rabi,nan,nan,nan", "0.1,1e+300,rabi,nan,nan,nan"]
+        assert err.startswith("usctransfer: numeric failure: the sweep wrote NaN rows at t_inv 0.1; ")
         errors = [record.error.split(": ")[:2] for record in records]
         assert errors == [["IntegrationError", "the step plan cannot run"]] * 2
         assert wall < 1.0
+
+    def test_sweep_with_failed_rows_writes_its_csv_and_exits_two_naming_them(self, tmp_path, capsys):
+        # the NaN rows went out with exit 0 and nothing on stderr
+        from usctransfer.cli import main
+
+        grid, out = tmp_path / "g.json", tmp_path / "map.csv"
+        grid.write_text(json.dumps({"t_inv_values": [0.1, 0.2], "g0_values": [0.2, 1e300]}))
+        code, wall = main_timed(["sweep", "--nmax", "2", "--config", str(grid), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and wall < 1.0
+        assert out.read_text().splitlines()[1:] == [f"{t},{g},rabi,nan,nan,nan" for t in ("0.1", "0.2")
+                                                    for g in ("0.2", "1e+300")]
+        assert err.count("\n") == 1 and err.startswith("usctransfer: numeric failure: the sweep wrote NaN rows at "
+                                                        "t_inv 0.1, 0.2; the first error: IntegrationError: the step "
+                                                        "plan cannot run: ")
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -665,7 +710,8 @@ class TestExitCodes:
         "parent, reason",
         [("missing", "No such file or directory"), ("file", "Not a directory"), ("dir", "Is a directory")],
     )
-    def test_missing_output_directory_fails_before_any_run(self, command, flag, parent, reason, tmp_path, monkeypatch):
+    def test_missing_output_directory_fails_before_any_run(self, command, flag, parent, reason, tmp_path, monkeypatch,
+                                                           capsys):
         import usctransfer.cli as cli_mod
 
         def never(*args, **kwargs):
@@ -676,9 +722,42 @@ class TestExitCodes:
         (tmp_path / "file").write_text("")
         (tmp_path / "dir" / "out.txt").mkdir(parents=True)  # the output path itself is a directory
         path = tmp_path / parent / "out.txt"
-        with pytest.raises(SystemExit) as exit_info:
-            cli_mod.main([command, flag, str(path)])
-        assert exit_info.value.code == f"usctransfer: cannot write {flag} {path}: {reason}"
+        assert cli_mod.main([command, flag, str(path)]) == 1
+        assert capsys.readouterr().err == f"usctransfer: cannot write {flag} {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "argv, config, problem",
+        [(["sweep", "--config", "{tmp}/missing.json"], None, "cannot read config {tmp}/missing.json: "),
+         (["sweep", "--config", "{tmp}/config.json"], "[0.1]", "config {tmp}/config.json must hold a JSON object"),
+         (["simulate", "--config", "{tmp}/config.json"], '{"kappa": {"value": 0.1}}',
+          'config {tmp}/config.json key kappa: {{"value": 0.1}} is not a flag value'),
+         (["simulate", "--config", "{tmp}/config.json"], '{"frequency": 2}',
+          "config {tmp}/config.json has unknown key(s): frequency"),
+         (["simulate", "--out", "{tmp}/missing/out.json"], None,
+          "cannot write --out {tmp}/missing/out.json: No such file or directory"),
+         (["simulate", "--out", "{tmp}"], None, "cannot write --out {tmp}: Is a directory"),
+         (["simulate", "--t-inv", "0.2", "--nmax", "2", "--out", "{tmp}/" + "x" * 300], None,
+          "cannot write --out {tmp}/" + "x" * 300 + ": File name too long"),
+         (["simulate", "--schedule", "{tmp}/schedule.csv", "--dt", "0.1"], None,
+          "simulate --schedule replays the schedule's bins and takes no --dt (as a flag or a config key)"),
+         (["simulate", "--frequency", "2"], None, "unrecognized arguments: --frequency 2"),
+         (["optimize", "--bins", "nan"], None, "argument --bins: invalid int value: 'nan'")],
+        ids=["unreadable-config", "config-not-an-object", "config-value-not-a-flag-value", "unknown-config-key",
+             "missing-output-directory", "output-path-is-a-directory", "failed-write", "schedule-with-dt",
+             "unknown-flag", "bad-int-value"],
+    )
+    def test_usage_error_returns_one_with_one_message_line(self, argv, config, problem, tmp_path, capsys):
+        # no failure leaves main by an exception: argparse's errors and the CLI's own come back as exit code 1
+        from usctransfer.cli import main
+
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+        (tmp_path / "schedule.csv").write_text("bin,t0,t1,g1,g2\n0,0,1,0.1,0.1\n")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        *usage, message = err.splitlines()
+        assert out == "" and message.startswith("usctransfer: " + problem.format(tmp=tmp_path))
+        assert err.count("usctransfer: ") == 1 and (not usage or usage[0].startswith("usage: usctransfer "))
 
 
 class TestReferencePoint:

@@ -12,6 +12,7 @@ import pytest
 import usctransfer
 from usctransfer import (
     GaussianPair,
+    IntegrationError,
     ModelParams,
     PropagationOptions,
     SweepFixed,
@@ -92,18 +93,18 @@ class TestTransferEfficiency:
     def test_nan_final_raises(self):
         final = basis_state(0, 0, 0, PARAMS)
         final[3] = np.nan
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(IntegrationError):
             transfer_efficiency(final, basis_state(0, 0, 0, PARAMS))
 
     def test_nan_final_raises_under_optimize_flag(self):
         # python -O strips assert statements; the check must survive it
         code = (
             "import numpy as np\n"
-            "from usctransfer import transfer_efficiency\n"
+            "from usctransfer import IntegrationError, transfer_efficiency\n"
             "target = np.eye(4, dtype=complex)[0]\n"
             "try:\n"
             "    transfer_efficiency(np.full(4, np.nan, dtype=complex), target)\n"
-            "except FloatingPointError:\n"
+            "except IntegrationError:\n"
             "    raise SystemExit(3)\n"
         )
         src = str(Path(usctransfer.__file__).resolve().parents[1])

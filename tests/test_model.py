@@ -369,6 +369,16 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             ModelParams(n_max=0)
 
+    @pytest.mark.parametrize("n_max", [2, 8, 40])
+    def test_kappa_whose_largest_loss_trace_overflows_rejected(self, n_max):
+        # kappa n_max (n_max + 1) / 2 is the largest block trace of the loss term; below it the generators are finite
+        limit = np.finfo(float).max / (n_max * (n_max + 1) / 2)
+        with np.errstate(all="raise"):
+            for rwa, blocks in ((False, 2), (True, n_max + 3)):
+                block_generators(ModelParams(kappa=0.999 * limit, n_max=n_max), rwa, tuple(range(blocks)))
+        with pytest.raises(ValueError, match=f"^kappa must keep kappa n_max .* at n_max {n_max}$"):
+            ModelParams(kappa=1.001 * limit, n_max=n_max)
+
     @pytest.mark.parametrize("n_max", [201, 5000])
     def test_cutoff_above_the_bound_rejected(self, n_max):
         assert ModelParams(n_max=200).dim == 804
